@@ -22,17 +22,15 @@ from .protocols import (PROTOCOL_KINDS, EnumeratedSet, Protocol,
                         enumerate_feasible_sets, enumerate_sets)
 from .synth import (COVARIATE_LAWS, MmnlDgpConfig, MnlDgpConfig, generate_mmnl,
                     generate_mnl)
-from .mle import (WN_MODES, FitResult, compute_wn, fit_mmnl_msl, fit_mnl,
+from .mle import (WN_MODES, ChoiceArrays, FitResult, fit_mmnl_msl, fit_mnl,
                   pack_theta, quasi_loglik, quasi_loglik_grad, theta_labels,
                   unpack_theta)
 from .grids import GridSpec, log_trapezoid
 from .bayes_mnl import (GridPosterior, PosteriorDraws, PosteriorSummary, Prior,
                         grid_posterior, kl_decomposition, kl_divergence_grid,
                         log_posterior_kernel, posterior_summary, rw_metropolis)
-from .bayes_mmnl import (GibbsConfig, MixingState, MmnlPriors,
-                         gibbs_step_beta_n, gibbs_step_mu, gibbs_step_sigma,
-                         individual_chosen_loglik, run_gibbs,
-                         sigma_posterior_params)
+from .bayes_mmnl import (GibbsConfig, MixingState, MmnlPriors, gibbs_step_mu,
+                         gibbs_step_sigma, run_gibbs, sigma_posterior_params)
 from .divergence_lab import (ComparisonRow, DivergenceReport, KlTerms,
                              ProtocolComparison,
                              build_divergence_report, coverage_r,

@@ -24,11 +24,9 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidInputError, NumericalDegeneracyError
-from .mle import _ChoiceArrays, _PanelIndex
-from .model_core import (CORRECTION_MODES, Dataset, Observation, SampledSet,
-                         log_softmax, utilities)
+from .mle import ChoiceArrays
+from .model_core import CORRECTION_MODES, Dataset, SampledSet
 from .bayes_mnl import PosteriorDraws
-from .protocols import correction_vector
 
 # Multiplicative step-3 adaptation: every ADAPT_WINDOW burn-in iterations,
 # each individual's proposal scale is nudged toward TARGET_ACCEPT.
@@ -193,29 +191,8 @@ def gibbs_step_sigma(state: MixingState, priors: MmnlPriors,
 
 
 # ---------------------------------------------------------------------------
-# Metropolis-Hastings step for the individual coefficients
+# the full sampler
 # ---------------------------------------------------------------------------
-
-def individual_chosen_loglik(observations: list[Observation],
-                             sets: list[SampledSet] | None,
-                             correction_mode: str, beta: np.ndarray) -> float:
-    """Log P(Y_n | beta, sets): sum of chosen log probabilities over the
-    individual's observations, on full sets (sets=None) or corrected
-    sampled subsets.  Zero observations give 0.0 (the MH target then
-    reduces to the population density)."""
-    beta = np.asarray(beta, dtype=float)
-    total = 0.0
-    for t, obs in enumerate(observations):
-        V = obs.attribute_matrix() @ beta
-        if sets is None:
-            total += float(log_softmax(V)[obs.chosen])
-        else:
-            s = sets[t]
-            c = correction_vector(s, correction_mode)
-            v = V[s.member_ids] + (c - np.max(c))
-            total += float(log_softmax(v)[s.position_of(obs.chosen)])
-    return total
-
 
 def _mvn_logpdf_rows(B: np.ndarray, mu: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Rows of B under N(mu, L L'); returns (N,) log densities."""
@@ -226,37 +203,6 @@ def _mvn_logpdf_rows(B: np.ndarray, mu: np.ndarray, L: np.ndarray) -> np.ndarray
             - np.sum(np.log(np.diag(L)))
             - 0.5 * K * np.log(2.0 * np.pi))
 
-
-def gibbs_step_beta_n(state: MixingState, n: int,
-                      observations: list[Observation],
-                      sets: list[SampledSet] | None,
-                      rng: np.random.Generator, rho: float = 0.4,
-                      correction_mode: str = "mcfadden") -> tuple[np.ndarray, bool]:
-    """One random-walk MH step for individual n's coefficients.
-
-    Proposal beta' = beta + rho L z with L the Cholesky factor of the
-    current Sigma; the target is P(Y_n | beta, sets) f(beta | mu, Sigma).
-    Returns the (possibly unchanged) coefficient vector and the acceptance
-    flag.  With rho = 0 the proposal equals the current point and is always
-    accepted.
-    """
-    L = _chol_pd(state.sigma, "sigma")
-    beta = state.beta_all[n].copy()
-    z = rng.standard_normal(state.mu.shape[0])
-    log_u = np.log(rng.random())
-    prop = beta + rho * (L @ z)
-    ll_cur = individual_chosen_loglik(observations, sets, correction_mode, beta)
-    ll_prop = individual_chosen_loglik(observations, sets, correction_mode, prop)
-    lp_cur = float(_mvn_logpdf_rows(beta, state.mu, L)[0])
-    lp_prop = float(_mvn_logpdf_rows(prop, state.mu, L)[0])
-    if log_u < (ll_prop + lp_prop) - (ll_cur + lp_cur):
-        return prop, True
-    return beta, False
-
-
-# ---------------------------------------------------------------------------
-# the full sampler
-# ---------------------------------------------------------------------------
 
 def _vech(M: np.ndarray) -> np.ndarray:
     i, j = np.tril_indices(M.shape[0])
@@ -289,30 +235,14 @@ def run_gibbs(dataset: Dataset, priors: MmnlPriors,
     if priors.dim != K:
         raise InvalidInputError("prior dimension must match dataset K")
 
-    idx = _PanelIndex(dataset)
-    X = dataset.attribute_tensor()[idx.order]
-    chosen = dataset.chosen_ids()[idx.order]
-    individuals = dataset.individual_ids()[idx.order]
-    sorted_ds = Dataset.from_arrays(X, chosen, individuals)
+    sampled, mode = (None, "none") if config.sets is None else config.sets
+    likelihood = ChoiceArrays.panel(dataset, sampled, mode)
+    panel_loglik = likelihood.panel_loglik
 
-    if config.sets is None:
-        sampled_sorted, mode = None, "none"
-    else:
-        sampled, mode = config.sets
-        if len(sampled) != dataset.n_obs:
-            raise InvalidInputError(
-                f"{len(sampled)} sampled sets for {dataset.n_obs} observations")
-        sampled_sorted = [sampled[i] for i in idx.order]
-    view = _ChoiceArrays(sorted_ds, sampled_sorted, mode)
-
-    N = idx.n_individuals
+    N = likelihood.n_individuals
     state = MixingState(priors.m0.copy(), priors.S0.copy(),
                         np.tile(priors.m0, (N, 1)))
     rho = np.full(N, config.rho)
-
-    def panel_loglik(beta_rows_by_ind: np.ndarray) -> np.ndarray:
-        lp = view.chosen_log_probs(beta_rows_by_ind[idx.obs_to_ind])
-        return np.add.reduceat(lp, idx.group_starts)
 
     ll_cur = panel_loglik(state.beta_all)
 
@@ -385,6 +315,6 @@ def run_gibbs(dataset: Dataset, priors: MmnlPriors,
         param_names=names,
         individual_acceptance=individual_rates,
         beta_n_draws=None if beta_stored is None else beta_stored[:kept],
-        individual_ids=individuals[idx.group_starts],
+        individual_ids=likelihood.individual_ids,
         degeneracy_events=degeneracy_events,
     )

@@ -3,9 +3,9 @@
 Two complementary tools: exact grid posteriors (dimension 1 or 2) used as
 oracles for marginal likelihoods and KL divergences between the full-set
 and sampled-set posteriors, and a random-walk Metropolis sampler for
-ordinary posterior simulation.  Both consume the same log posterior kernel,
-so the sampled-set variants inherit the correction-mode semantics of the
-quasi likelihood.
+ordinary posterior simulation.  Both evaluate the same prepared choice
+likelihood (:class:`~soa_lab.mle.ChoiceArrays`), so the sampled-set
+variants inherit the correction-mode semantics of the quasi likelihood.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (InsufficientDrawsError, InvalidInputError,
                      UnsupportedDimensionError)
 from .grids import GridSpec, log_trapezoid
-from .mle import _ChoiceArrays
+from .mle import ChoiceArrays
 from .model_core import Dataset, SampledSet, UtilityParams
 
 _DOUBLING_TOL = 1e-6
@@ -144,22 +144,13 @@ def _normalize_sets(sets) -> tuple[list[SampledSet] | None, str]:
     raise InvalidInputError("sets must be None or (sampled_sets, mode)")
 
 
-def log_posterior_kernel(beta: UtilityParams, dataset: Dataset, sets,
+def log_posterior_kernel(beta: UtilityParams, likelihood: ChoiceArrays,
                          prior: Prior) -> float:
-    """Log prior plus (quasi) log-likelihood at one parameter point."""
-    sampled, mode = _normalize_sets(sets)
-    view = _ChoiceArrays(dataset, sampled, mode)
-    rows = np.broadcast_to(beta.beta, (dataset.n_obs, dataset.K))
-    ll = float(np.sum(view.chosen_log_probs(rows)))
-    return float(prior.log_density(beta.beta)) + ll
+    """Log prior plus (quasi) log-likelihood at one parameter point.
 
-
-def _batched_loglik(view: _ChoiceArrays, dataset: Dataset,
-                    points: np.ndarray) -> np.ndarray:
-    """Log-likelihood at each grid point; (P,) for points (P, K)."""
-    P = points.shape[0]
-    rows = np.broadcast_to(points[:, None, :], (P, dataset.n_obs, dataset.K))
-    return np.sum(view.chosen_log_probs(rows), axis=-1)
+    ``likelihood`` is the prepared choice likelihood, built once per run.
+    """
+    return float(prior.log_density(beta.beta)) + likelihood.loglik(beta.beta)
 
 
 def grid_posterior(dataset: Dataset, sets, prior: Prior, grid: GridSpec,
@@ -172,11 +163,10 @@ def grid_posterior(dataset: Dataset, sets, prior: Prior, grid: GridSpec,
         raise InvalidInputError("grid dimension must equal dataset K")
     if prior.dim != dataset.K:
         raise InvalidInputError("prior dimension must equal dataset K")
-    sampled, mode = _normalize_sets(sets)
-    view = _ChoiceArrays(dataset, sampled, mode)
+    likelihood = ChoiceArrays(dataset, *_normalize_sets(sets))
 
     def kernel_on(points: np.ndarray) -> np.ndarray:
-        return prior.log_density(points) + _batched_loglik(view, dataset, points)
+        return prior.log_density(points) + likelihood.loglik(points)
 
     points = grid.lattice()
     weights = grid.weights()

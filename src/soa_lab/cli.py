@@ -22,8 +22,10 @@ excluded from the config hash.  ``--seed`` and ``--out`` override the
 ``seed`` and ``output.dir`` keys (the seed override happens before
 hashing, because it changes results).
 
-Exit codes: 0 success (including reported non-convergence), 2 config or
-validation error, 3 I/O error, 4 enumeration-capacity error.
+Exit codes: 0 success (including reported non-convergence), 2 config,
+validation or malformed-input error, or a numerical degeneracy (a matrix
+that should be positive definite is not), 3 I/O error, 4
+enumeration-capacity error.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .bayes_mnl import (Prior, grid_posterior, kl_decomposition,
                         posterior_summary, rw_metropolis)
 from . import divergence_lab as dlab
 from .errors import (CapacityError, ConfigError, InvalidInputError,
-                     InvalidStateError)
+                     InvalidStateError, NumericalDegeneracyError)
 from .grids import GridSpec
-from .mle import fit_mmnl_msl, fit_mnl, theta_labels
+from .mle import ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
 from .model_core import Dataset, SampledSet, UtilityParams, log_softmax
 from .protocols import Protocol, derive_stream, draw_sampled_set, enumerate_sets
 from .synth import MmnlDgpConfig, MnlDgpConfig, generate_mmnl, generate_mnl
@@ -319,10 +321,10 @@ def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
 
     if method == "rw_metropolis":
         prior = build_prior(cfg, dataset.K)
-        sets_arg = None if sampled is None else (sampled, mode)
+        likelihood = ChoiceArrays(dataset, sampled, mode)
 
         def kernel(b: np.ndarray) -> float:
-            return log_posterior_kernel(UtilityParams(b), dataset, sets_arg, prior)
+            return log_posterior_kernel(UtilityParams(b), likelihood, prior)
 
         draws = rw_metropolis(kernel, prior.mean,
                               n_chains=cfg.get_int("bayes.chains", 2),
@@ -396,10 +398,11 @@ def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
             abs(dlab.divergence_uniform_closed_form(o, protocol, beta_star)
                 - dlab.expected_divergence(o, protocol, beta_star, "mcfadden"))
             for o in design.observations)
+        # The entropy form is the mcfadden A; reuse the report's when it has it.
+        term_a = (report.kl_term_a if mode == "mcfadden" else
+                  dlab.kl_terms(design, protocol, "mcfadden", prior, grid).a)
         resid_entropy = abs(dlab.kl_term_a_entropy_form(design, protocol, prior,
-                                                        grid)
-                            - dlab.kl_terms(design, protocol, "mcfadden", prior,
-                                            grid).a)
+                                                        grid) - term_a)
     else:
         resid_closed = float("nan")
         resid_entropy = float("nan")
@@ -530,7 +533,8 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out_dir, chash)
         return 0
-    except (ConfigError, InvalidInputError, InvalidStateError) as exc:
+    except (ConfigError, InvalidInputError, InvalidStateError,
+            NumericalDegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -276,13 +276,42 @@ def _check_grid(grid: GridSpec, K: int) -> None:
             f"grid needs at least {_MIN_GRID_POINTS} points per dimension")
 
 
-def _joint_guard(tables: list[_ObsGridTables], cap: int) -> None:
+def _grid_tables(design, protocol: Protocol, correction_mode: str, prior,
+                 grid: GridSpec) -> tuple[np.ndarray, np.ndarray,
+                                          list[_ObsGridTables]]:
+    """Quadrature weights, log prior and per-observation tables on the grid."""
+    _check_grid(grid, design.K)
+    points = grid.lattice()
+    tables = [_ObsGridTables(obs, protocol, correction_mode, points)
+              for obs in design.observations]
+    return grid.weights(), prior.log_density(points), tables
+
+
+def _joint_outcomes(tables: list[_ObsGridTables], protocol: Protocol):
+    """Every joint (choices, sets) outcome of a design, in product order.
+
+    Yields (ln pi, ll_true, ll_samp): the log probability of the sets given
+    the choices, and the full-set and evaluated-mode log-likelihoods of the
+    choices on the grid.  Refuses, before the first outcome, to enumerate
+    more than the protocol's cap.
+    """
+    cap = protocol.enumeration_cap
     combos = 1
     for t in tables:
         combos *= len(t.pairs())
         if combos > cap:
             raise CapacityError(
                 f"joint enumeration would exceed {cap} (choice, set) combinations")
+    n_points = tables[0].lse_full.shape[0]
+    for combo in product(*[t.pairs() for t in tables]):
+        ll_true = np.zeros(n_points)
+        ll_samp = np.zeros(n_points)
+        log_pi = 0.0
+        for t, (i, s, lpi, pos) in zip(tables, combo):
+            ll_true += t.lp_full[i]
+            ll_samp += t.lp_eval[s][pos]
+            log_pi += lpi
+        yield log_pi, ll_true, ll_samp
 
 
 def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
@@ -296,29 +325,16 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
     choices and sets.  Their sum is the expected KL divergence from the
     full-set posterior to the sampled-set posterior.
     """
-    _check_grid(grid, design.K)
-    points = grid.lattice()
-    weights = grid.weights()
-    log_prior = prior.log_density(points)
-    tables = [_ObsGridTables(obs, protocol, correction_mode, points)
-              for obs in design.observations]
+    weights, log_prior, tables = _grid_tables(design, protocol,
+                                              correction_mode, prior, grid)
 
-    a_sum = np.zeros(points.shape[0])
+    a_sum = np.zeros(log_prior.shape[0])
     for t in tables:
         a_sum += t.a_integrand()
     term_a = float(np.sum(weights * np.exp(log_prior) * a_sum))
 
-    cap = protocol.enumeration_cap
-    _joint_guard(tables, cap)
     term_b = 0.0
-    for combo in product(*[t.pairs() for t in tables]):
-        ll_true = np.zeros(points.shape[0])
-        ll_samp = np.zeros(points.shape[0])
-        log_pi = 0.0
-        for t, (i, s, lpi, pos) in zip(tables, combo):
-            ll_true += t.lp_full[i]
-            ll_samp += t.lp_eval[s][pos]
-            log_pi += lpi
+    for log_pi, ll_true, ll_samp in _joint_outcomes(tables, protocol):
         log_m_true = log_trapezoid(log_prior + ll_true, weights)
         log_m_samp = log_trapezoid(log_prior + ll_samp, weights)
         term_b += np.exp(log_pi + log_m_true) * (log_m_samp - log_m_true)
@@ -333,22 +349,10 @@ def kl_term_a_joint(design, protocol: Protocol, correction_mode: str, prior,
     outcome by prior x full-model likelihood x set probabilities and
     integrates the log likelihood ratio, with no coverage regrouping.
     """
-    _check_grid(grid, design.K)
-    points = grid.lattice()
-    weights = grid.weights()
-    log_prior = prior.log_density(points)
-    tables = [_ObsGridTables(obs, protocol, correction_mode, points)
-              for obs in design.observations]
-    _joint_guard(tables, protocol.enumeration_cap)
+    weights, log_prior, tables = _grid_tables(design, protocol,
+                                              correction_mode, prior, grid)
     total = 0.0
-    for combo in product(*[t.pairs() for t in tables]):
-        ll_true = np.zeros(points.shape[0])
-        ll_samp = np.zeros(points.shape[0])
-        log_pi = 0.0
-        for t, (i, s, lpi, pos) in zip(tables, combo):
-            ll_true += t.lp_full[i]
-            ll_samp += t.lp_eval[s][pos]
-            log_pi += lpi
+    for log_pi, ll_true, ll_samp in _joint_outcomes(tables, protocol):
         integrand = np.exp(log_prior + ll_true + log_pi) * (ll_true - ll_samp)
         total += float(np.sum(weights * integrand))
     return total
@@ -409,22 +413,10 @@ def expected_kl_direct(design, protocol: Protocol, correction_mode: str, prior,
     probability.  Equals kl_terms().a + kl_terms().b up to float error while
     sharing no regrouping with that computation.
     """
-    _check_grid(grid, design.K)
-    points = grid.lattice()
-    weights = grid.weights()
-    log_prior = prior.log_density(points)
-    tables = [_ObsGridTables(obs, protocol, correction_mode, points)
-              for obs in design.observations]
-    _joint_guard(tables, protocol.enumeration_cap)
+    weights, log_prior, tables = _grid_tables(design, protocol,
+                                              correction_mode, prior, grid)
     total = 0.0
-    for combo in product(*[t.pairs() for t in tables]):
-        ll_true = np.zeros(points.shape[0])
-        ll_samp = np.zeros(points.shape[0])
-        log_pi = 0.0
-        for t, (i, s, lpi, pos) in zip(tables, combo):
-            ll_true += t.lp_full[i]
-            ll_samp += t.lp_eval[s][pos]
-            log_pi += lpi
+    for log_pi, ll_true, ll_samp in _joint_outcomes(tables, protocol):
         lk_true = log_prior + ll_true
         lk_samp = log_prior + ll_samp
         lm_true = log_trapezoid(lk_true, weights)

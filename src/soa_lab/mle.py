@@ -15,15 +15,15 @@ covers that draw's full-set probabilities relative to the mixture average.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .draws import halton_normal_draws
-from .errors import InvalidInputError, NumericalDegeneracyError
-from .model_core import (Dataset, Observation, SampledSet, UtilityParams,
-                         log_softmax, utilities)
-from .optimize import (hessian_from_f, hessian_from_grad, maximize,
-                       std_errors_from_hessian)
+from .errors import InvalidInputError
+from .model_core import Dataset, SampledSet, UtilityParams, log_softmax
+from .optimize import (central_diff_grad, hessian_from_f, hessian_from_grad,
+                       maximize, std_errors_from_hessian)
 from .protocols import correction_vector
 
 WN_MODES = ("naive_one", "exact_full_set")
@@ -50,16 +50,18 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# padded array views
+# the prepared choice likelihood
 # ---------------------------------------------------------------------------
 
-class _ChoiceArrays:
-    """Padded tensors for vectorized likelihood work.
+class ChoiceArrays:
+    """The corrected softmax over every observation's evaluation set.
 
-    Rows are observations; within a row, columns are the members of that
-    observation's evaluation set (full set, or sampled subset).  Ragged
-    importance sets are padded; padding columns get utility -inf so they
-    carry zero probability.
+    Built once per run, then evaluated at any number of coefficient points.
+    Rows are observations; columns are the members of each row's evaluation
+    set (full set when ``sampled`` is None, else the sampled subset, padded
+    with -inf utilities).  For sampled sets the padded member ids and raw
+    log conditional probabilities (``member_idx``, ``log_pi``) are kept for
+    the expansion factor.
     """
 
     def __init__(self, dataset: Dataset, sampled: list[SampledSet] | None,
@@ -67,6 +69,7 @@ class _ChoiceArrays:
         X = dataset.attribute_tensor()
         chosen = dataset.chosen_ids()
         n = X.shape[0]
+        self.X = X
         if sampled is None:
             self.X_mem = X
             self.chosen_pos = chosen
@@ -81,6 +84,8 @@ class _ChoiceArrays:
             self.c_shift = np.zeros((n, m_max))
             self.pad = np.ones((n, m_max), dtype=bool)
             self.chosen_pos = np.empty(n, dtype=int)
+            self.log_pi = np.full((n, m_max), -np.inf)
+            self.member_idx = np.zeros((n, m_max), dtype=int)
             for i, s in enumerate(sampled):
                 if np.any(s.member_ids < 0) or np.any(s.member_ids >= dataset.J):
                     raise InvalidInputError(
@@ -93,8 +98,38 @@ class _ChoiceArrays:
                 self.c_shift[i, :m] = c - np.max(c)
                 self.pad[i, :m] = False
                 self.chosen_pos[i] = s.position_of(int(chosen[i]))
+                self.log_pi[i, :m] = s.log_cond_prob
+                self.member_idx[i, :m] = s.member_ids
         self.any_pad = bool(self.pad.any())
         self.n = n
+        self.K = dataset.K
+        self.x_chosen = self.X_mem[np.arange(n), self.chosen_pos]
+
+    @classmethod
+    def panel(cls, dataset: Dataset, sampled: list[SampledSet] | None,
+              mode: str) -> "ChoiceArrays":
+        """Rows sorted (stably) by individual, for per-individual sums.
+
+        ``obs_to_ind`` maps each row to its individual's index and
+        ``group_starts`` marks each individual's first row.
+        """
+        if sampled is not None and len(sampled) != dataset.n_obs:
+            raise InvalidInputError(
+                f"{len(sampled)} sampled sets for {dataset.n_obs} observations")
+        ind = dataset.individual_ids()
+        order = np.argsort(ind, kind="stable")
+        sorted_ind = ind[order]
+        self = cls(Dataset.from_arrays(dataset.attribute_tensor()[order],
+                                       dataset.chosen_ids()[order], sorted_ind),
+                   None if sampled is None else [sampled[i] for i in order],
+                   mode)
+        first = np.ones(sorted_ind.size, dtype=bool)
+        first[1:] = sorted_ind[1:] != sorted_ind[:-1]
+        self.group_starts = np.nonzero(first)[0]
+        self.n_individuals = self.group_starts.size
+        self.obs_to_ind = np.cumsum(first) - 1
+        self.individual_ids = sorted_ind[self.group_starts]
+        return self
 
     def log_probs(self, beta_rows: np.ndarray) -> np.ndarray:
         """Log member probabilities; beta_rows is (n, K) or (R, n, K)."""
@@ -109,11 +144,34 @@ class _ChoiceArrays:
             lp, np.broadcast_to(self.chosen_pos, lp.shape[:-1])[..., None],
             axis=-1)[..., 0]
 
+    def _check(self, beta: np.ndarray) -> None:
+        if beta.shape[-1:] != (self.K,):
+            raise InvalidInputError("beta length must equal dataset K")
 
-def _beta_rows(dataset: Dataset, beta: UtilityParams) -> np.ndarray:
-    if beta.beta.shape != (dataset.K,):
-        raise InvalidInputError("beta length must equal dataset K")
-    return np.broadcast_to(beta.beta, (dataset.n_obs, dataset.K))
+    def loglik(self, beta: np.ndarray) -> float | np.ndarray:
+        """Summed log-likelihood at one point (K,), or (P,) for points (P, K)."""
+        self._check(beta)
+        if beta.ndim == 1:
+            rows = np.broadcast_to(beta, (self.n, self.K))
+            return float(np.sum(self.chosen_log_probs(rows)))
+        P = beta.shape[0]
+        rows = np.broadcast_to(beta[:, None, :], (P, self.n, self.K))
+        return np.sum(self.chosen_log_probs(rows), axis=-1)
+
+    def score(self, beta: np.ndarray) -> np.ndarray:
+        """Analytic gradient at one point: sum_n [x_chosen - sum_j P_j x_j]."""
+        self._check(beta)
+        P = np.exp(self.log_probs(np.broadcast_to(beta, (self.n, self.K))))
+        return np.sum(self.x_chosen - np.einsum("nm,nmk->nk", P, self.X_mem),
+                      axis=0)
+
+    def panel_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum (..., n) per-row values into (..., n_individuals)."""
+        return np.add.reduceat(values, self.group_starts, axis=-1)
+
+    def panel_loglik(self, beta_by_ind: np.ndarray) -> np.ndarray:
+        """Per-individual log-likelihood for coefficients (n_individuals, K)."""
+        return self.panel_sum(self.chosen_log_probs(beta_by_ind[self.obs_to_ind]))
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +181,13 @@ def _beta_rows(dataset: Dataset, beta: UtilityParams) -> np.ndarray:
 def quasi_loglik(dataset: Dataset, sampled: list[SampledSet] | None,
                  corrections: str, beta: UtilityParams) -> float:
     """Corrected log-likelihood over each observation's evaluation set."""
-    view = _ChoiceArrays(dataset, sampled, corrections)
-    return float(np.sum(view.chosen_log_probs(_beta_rows(dataset, beta))))
+    return ChoiceArrays(dataset, sampled, corrections).loglik(beta.beta)
 
 
 def quasi_loglik_grad(dataset: Dataset, sampled: list[SampledSet] | None,
                       corrections: str, beta: UtilityParams) -> np.ndarray:
     """Analytic gradient: sum_n [ x_chosen - sum_j P_j x_j ]."""
-    view = _ChoiceArrays(dataset, sampled, corrections)
-    P = np.exp(view.log_probs(_beta_rows(dataset, beta)))
-    x_chosen = view.X_mem[np.arange(view.n), view.chosen_pos]
-    expected_x = np.einsum("nm,nmk->nk", P, view.X_mem)
-    return np.sum(x_chosen - expected_x, axis=0)
+    return ChoiceArrays(dataset, sampled, corrections).score(beta.beta)
 
 
 def fit_mnl(dataset: Dataset, sampled: list[SampledSet] | None = None,
@@ -144,20 +197,11 @@ def fit_mnl(dataset: Dataset, sampled: list[SampledSet] | None = None,
 
     Non-convergence is reported through the result, not raised.
     """
-    view = _ChoiceArrays(dataset, sampled, corrections)
+    likelihood = ChoiceArrays(dataset, sampled, corrections)
     x0 = np.zeros(dataset.K) if init is None else init.beta.copy()
-    shape = (dataset.n_obs, dataset.K)
-
-    def f(b):
-        return float(np.sum(view.chosen_log_probs(np.broadcast_to(b, shape))))
-
-    def g(b):
-        P = np.exp(view.log_probs(np.broadcast_to(b, shape)))
-        x_chosen = view.X_mem[np.arange(view.n), view.chosen_pos]
-        return np.sum(x_chosen - np.einsum("nm,nmk->nk", P, view.X_mem), axis=0)
-
-    res = maximize(f, g, x0, tol=tol, max_iter=max_iter)
-    se = std_errors_from_hessian(hessian_from_grad(g, res.x))
+    res = maximize(likelihood.loglik, likelihood.score, x0, tol=tol,
+                   max_iter=max_iter)
+    se = std_errors_from_hessian(hessian_from_grad(likelihood.score, res.x))
     return FitResult(UtilityParams(res.x), se, res.f, res.converged,
                      res.iterations)
 
@@ -201,60 +245,37 @@ def theta_labels(K: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# expansion factor
-# ---------------------------------------------------------------------------
-
-def compute_wn(beta_draw: UtilityParams, theta: tuple[np.ndarray, np.ndarray],
-               observation: Observation, sampled_set: SampledSet,
-               z_draws: np.ndarray) -> float:
-    """Expansion factor for one observation and one mixing draw.
-
-    Numerator: members' full-set probabilities at ``beta_draw``, weighted by
-    the members' conditional set probabilities.  Denominator: the same
-    weighting applied to full-set probabilities averaged over the draw set
-    beta_r = mu + L z_r implied by ``theta`` (the same draws the simulated
-    likelihood uses, so the ratio is internally consistent).
-    """
-    mu, sigma = theta
-    mu = np.asarray(mu, dtype=float)
-    L = np.linalg.cholesky(np.asarray(sigma, dtype=float))
-    z = np.asarray(z_draws, dtype=float)
-    if z.ndim != 2 or z.shape[1] != mu.shape[0]:
-        raise InvalidInputError("z_draws must be (R, K)")
-
-    X = observation.attribute_matrix()
-    pi = np.exp(sampled_set.log_cond_prob)
-    members = sampled_set.member_ids
-
-    p_draw = np.exp(log_softmax(X @ beta_draw.beta))
-    betas = mu + z @ L.T
-    p_mix = np.exp(log_softmax(X @ betas.T, axis=0)).mean(axis=1)
-
-    num = float(pi @ p_draw[members])
-    den = float(pi @ p_mix[members])
-    if den <= 0.0 or not np.isfinite(den):
-        raise NumericalDegeneracyError("expansion-factor denominator collapsed")
-    return num / den
-
-
-# ---------------------------------------------------------------------------
 # maximum simulated likelihood
 # ---------------------------------------------------------------------------
 
-class _PanelIndex:
-    """Observation ordering and grouping by individual."""
+def expansion_log_terms(arrays: ChoiceArrays, beta: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray] | None:
+    """ln numerator (R, n) and ln denominator (n,) of the expansion factor.
 
-    def __init__(self, dataset: Dataset):
-        ind = dataset.individual_ids()
-        order = np.argsort(ind, kind="stable")
-        self.order = order
-        sorted_ind = ind[order]
-        first = np.ones(sorted_ind.size, dtype=bool)
-        first[1:] = sorted_ind[1:] != sorted_ind[:-1]
-        self.group_starts = np.nonzero(first)[0]
-        self.n_individuals = self.group_starts.size
-        # Individual index (0..n_ind-1) per sorted observation row.
-        self.obs_to_ind = np.cumsum(first) - 1
+    ``beta`` holds the mixing draws as (R, n, K).  For observation n and
+    draw r, W = num / den: the numerator weights the sampled members'
+    full-set probabilities at beta_r by the members' conditional set
+    probabilities; the denominator applies the same weights to full-set
+    probabilities averaged over all R draws.  None when a denominator
+    collapses to zero.
+    """
+    v_full = np.einsum("njk,rnk->rnj", arrays.X, beta)
+    lp_full = log_softmax(v_full, axis=-1)                  # (R, n, J)
+    member_idx, log_pi = arrays.member_idx, arrays.log_pi
+    lp_mem = np.take_along_axis(
+        lp_full, np.broadcast_to(member_idx, lp_full.shape[:1] + member_idx.shape),
+        axis=-1)
+    weighted = log_pi[None] + lp_mem
+    m = np.max(weighted, axis=-1, keepdims=True)
+    log_num = (m + np.log(np.sum(np.exp(weighted - m), axis=-1,
+                                 keepdims=True)))[..., 0]
+    p_mix = np.exp(lp_full).mean(axis=0)                    # (n, J)
+    den = np.sum(np.exp(log_pi) * np.where(
+        np.isfinite(log_pi),
+        np.take_along_axis(p_mix, member_idx, axis=-1), 0.0), axis=-1)
+    if np.any(den <= 0.0):
+        return None
+    return log_num, np.log(den)
 
 
 def fit_mmnl_msl(dataset: Dataset, sampled: list[SampledSet] | None,
@@ -272,70 +293,36 @@ def fit_mmnl_msl(dataset: Dataset, sampled: list[SampledSet] | None,
     if wn_mode not in WN_MODES:
         raise InvalidInputError(f"unknown Wn mode {wn_mode!r}")
     K = dataset.K
-    idx = _PanelIndex(dataset)
-    order = idx.order
-
-    # Re-ordered views so reduceat can aggregate contiguous individuals.
-    X = dataset.attribute_tensor()[order]
-    chosen = dataset.chosen_ids()[order]
-    sub = Dataset.from_arrays(X, chosen, dataset.individual_ids()[order])
-    sorted_sets = None if sampled is None else [sampled[i] for i in order]
-    view = _ChoiceArrays(sub, sorted_sets, corrections)
-
+    view = ChoiceArrays.panel(dataset, sampled, corrections)
     use_wn = wn_mode == "exact_full_set" and sampled is not None
-    if use_wn:
-        log_pi = np.full((sub.n_obs, max(s.size for s in sorted_sets)), -np.inf)
-        member_idx = np.zeros_like(log_pi, dtype=int)
-        for i, s in enumerate(sorted_sets):
-            log_pi[i, :s.size] = s.log_cond_prob
-            member_idx[i, :s.size] = s.member_ids
 
-    z = halton_normal_draws(idx.n_individuals, r_draws, K)  # (N, R, K)
-    z_obs = z[idx.obs_to_ind]                               # (n_obs, R, K)
+    z = halton_normal_draws(view.n_individuals, r_draws, K)  # (N, R, K)
+    z_obs = z[view.obs_to_ind]                                # (n_obs, R, K)
     log_r = np.log(r_draws)
 
     def sim_loglik(theta: np.ndarray) -> float:
         mu, L = unpack_theta(theta, K)
         if not np.all(np.isfinite(L)):
             return -np.inf
-        beta = mu + np.einsum("nrk,jk->nrj", z_obs, L)      # (n_obs, R, K)
-        lp = view.chosen_log_probs(np.swapaxes(beta, 0, 1)) # (R, n_obs)
+        beta = np.swapaxes(mu + np.einsum("nrk,jk->nrj", z_obs, L), 0, 1)
+        lp = view.chosen_log_probs(beta)                      # (R, n_obs)
         if use_wn:
-            v_full = np.einsum("njk,rnk->rnj", X, np.swapaxes(beta, 0, 1))
-            lp_full = log_softmax(v_full, axis=-1)          # (R, n_obs, J)
-            lp_mem = np.take_along_axis(
-                lp_full, np.broadcast_to(member_idx, lp_full.shape[:1] + member_idx.shape),
-                axis=-1)
-            weighted = log_pi[None] + lp_mem
-            m = np.max(weighted, axis=-1, keepdims=True)
-            log_num = (m + np.log(np.sum(np.exp(weighted - m), axis=-1,
-                                         keepdims=True)))[..., 0]
-            p_mix = np.exp(lp_full).mean(axis=0)            # (n_obs, J)
-            den = np.sum(np.exp(log_pi) * np.where(
-                np.isfinite(log_pi),
-                np.take_along_axis(p_mix, member_idx, axis=-1), 0.0), axis=-1)
-            if np.any(den <= 0.0):
+            terms = expansion_log_terms(view, beta)
+            if terms is None:
                 return -np.inf
-            lp = lp + log_num - np.log(den)[None]
-        per_ind = np.add.reduceat(lp, idx.group_starts, axis=1)  # (R, N)
+            log_num, log_den = terms
+            lp = lp + log_num - log_den[None]
+        per_ind = view.panel_sum(lp)                          # (R, N)
         m = np.max(per_ind, axis=0)
         if not np.all(np.isfinite(m)):
             return -np.inf
         lse = m + np.log(np.sum(np.exp(per_ind - m), axis=0))
         return float(np.sum(lse - log_r))
 
-    def fd_grad(theta: np.ndarray) -> np.ndarray:
-        g = np.empty_like(theta)
-        for i in range(theta.size):
-            h = 1e-5 * max(1.0, abs(theta[i]))
-            tp = theta.copy(); tp[i] += h
-            tm = theta.copy(); tm[i] -= h
-            g[i] = (sim_loglik(tp) - sim_loglik(tm)) / (2.0 * h)
-        return g
-
+    grad = partial(central_diff_grad, sim_loglik, h=1e-5)
     if init is None:
         init = pack_theta(np.zeros(K), np.exp(-1.0) * np.eye(K))
-    res = maximize(sim_loglik, fd_grad, init, tol=tol, max_iter=max_iter)
+    res = maximize(sim_loglik, grad, init, tol=tol, max_iter=max_iter)
     se = std_errors_from_hessian(hessian_from_f(sim_loglik, res.x))
     mu, L = unpack_theta(res.x, K)
     return FitResult(res.x, se, res.f, res.converged, res.iterations,

@@ -95,6 +95,18 @@ def read_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     return meta, parsed[0], parsed[1:]
 
 
+def _row_error(path, row: int, exc: ValueError) -> InvalidInputError:
+    """Name the source line of data row ``row`` (as numbered by read_csv).
+
+    Line numbers are recovered here, on the error path only, so reading a
+    well-formed file keeps no per-row bookkeeping.
+    """
+    kept = [n for n, line in enumerate(
+        Path(path).read_text(encoding="utf-8").splitlines(), start=1)
+        if line.strip() and not line.startswith("#")]
+    return InvalidInputError(f"{path}:{kept[row + 1]}: {exc}")
+
+
 def verify_lineage(meta: dict[str, str], key: str, expected: str,
                    what: str) -> None:
     """Refuse to consume a file whose recorded hash disagrees."""
@@ -132,13 +144,20 @@ def read_dataset_csv(path) -> tuple[Dataset, dict[str, str]]:
     K = len(fields) - 4
     if K < 1 or fields[:4] != ["obs_id", "individual_id", "alt_id", "chosen"]:
         raise InvalidInputError(f"{path} is not a dataset file")
+    if not rows:
+        raise InvalidInputError(f"{path} has no data rows")
     by_obs: dict[int, list] = {}
     individual = {}
-    for row in rows:
-        i = int(row[0])
-        individual[i] = int(row[1])
-        by_obs.setdefault(i, []).append(
-            (int(row[2]), int(row[3]), [float(v) for v in row[4:]]))
+    for k, row in enumerate(rows):
+        try:
+            if len(row) != len(fields):
+                raise ValueError(f"{len(row)} cells, expected {len(fields)}")
+            i = int(row[0])
+            individual[i] = int(row[1])
+            by_obs.setdefault(i, []).append(
+                (int(row[2]), int(row[3]), [float(v) for v in row[4:]]))
+        except ValueError as exc:
+            raise _row_error(path, k, exc) from None
     n = len(by_obs)
     if sorted(by_obs) != list(range(n)):
         raise InvalidInputError(f"{path}: observation ids are not dense 0..N-1")
@@ -181,8 +200,13 @@ def read_sets_csv(path, n_obs: int) -> tuple[list[SampledSet], dict[str, str]]:
     if fields != ["obs_id", "alt_id", "log_cond_prob"]:
         raise InvalidInputError(f"{path} is not a sampled-sets file")
     by_obs: dict[int, list] = {}
-    for row in rows:
-        by_obs.setdefault(int(row[0]), []).append((int(row[1]), float(row[2])))
+    for k, row in enumerate(rows):
+        try:
+            if len(row) != 3:
+                raise ValueError(f"{len(row)} cells, expected 3")
+            by_obs.setdefault(int(row[0]), []).append((int(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise _row_error(path, k, exc) from None
     if sorted(by_obs) != list(range(n_obs)):
         raise InvalidInputError(
             f"{path}: set records do not cover observations 0..{n_obs - 1}")

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from soa_lab import (Alternative, Dataset, GibbsConfig, GridSpec,
+from soa_lab import (Alternative, ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      MmnlDgpConfig, MmnlPriors, MnlDgpConfig, Observation,
                      Prior, Protocol, SampledSet, UtilityParams,
                      canonical_corrections, derive_stream,
@@ -325,7 +325,8 @@ def test_criterion_08_bayes_mnl():
     ds = generate_mnl(MnlDgpConfig(N=100, J=4, K=1,
                                    beta_star=UtilityParams([0.7]), seed=81))
     full = grid_posterior(ds, None, prior, grid, check_doubling=False)
-    kern = lambda x: log_posterior_kernel(UtilityParams(x), ds, None, prior)
+    likelihood = ChoiceArrays(ds, None, "none")
+    kern = lambda x: log_posterior_kernel(UtilityParams(x), likelihood, prior)
     draws = rw_metropolis(kern, np.zeros(1), n_chains=2, n_iter=60_000,
                           burn_in=10_000, proposal_scale=0.5, seed=82)
     pooled = draws.pooled()[:, 0]
@@ -350,8 +351,8 @@ def test_criterion_08_bayes_mnl():
                             check_doubling=False)
     grids_equal = bool(np.array_equal(g_mcf.log_kernel, g_none.log_kernel))
     chains = [rw_metropolis(
-        lambda x, mode=mode: log_posterior_kernel(UtilityParams(x), ds,
-                                                  (sets, mode), prior),
+        lambda x, lik=ChoiceArrays(ds, sets, mode):
+            log_posterior_kernel(UtilityParams(x), lik, prior),
         np.zeros(1), 1, 2000, 500, 0.5, seed=85)
         for mode in ("mcfadden", "none")]
     chains_equal = bool(np.array_equal(chains[0].draws, chains[1].draws))

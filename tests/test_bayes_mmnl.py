@@ -2,18 +2,17 @@
 
 The two conjugate steps have closed-form conditionals, so they are tested
 against Monte-Carlo moments of the known distributions; the MH step is
-tested through its invariances (zero proposal scale, prior-only targets,
+tested through its invariances (zero proposal scale, a flat likelihood,
 correction-mode cancellation under uniform conditioning).
 """
 
 import numpy as np
 import pytest
 
-from soa_lab import (Dataset, GibbsConfig, InvalidInputError, MixingState,
-                     MmnlDgpConfig, MmnlPriors, Protocol, SampledSet,
-                     derive_stream, draw_sampled_set, generate_mmnl,
-                     gibbs_step_beta_n, gibbs_step_mu, gibbs_step_sigma,
-                     individual_chosen_loglik, run_gibbs,
+from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, InvalidInputError,
+                     MixingState, MmnlDgpConfig, MmnlPriors, Protocol,
+                     SampledSet, derive_stream, draw_sampled_set, generate_mmnl,
+                     gibbs_step_mu, gibbs_step_sigma, run_gibbs,
                      sigma_posterior_params)
 
 
@@ -112,53 +111,43 @@ def panel_data(seed=0, N=30, T=4, J=4, K=1):
     return generate_mmnl(cfg)
 
 
-def obs_of(dataset, individual):
-    return [o for o in dataset.observations
-            if o.individual_id == individual]
-
-
-def test_empty_panel_loglik_is_zero():
-    assert individual_chosen_loglik([], None, "none", np.array([1.0])) == 0.0
-
-
 def test_loglik_invariant_to_constant_set_probability_shift():
     ds, _ = panel_data()
-    obs = obs_of(ds, ds.individual_ids()[0])
     rng = np.random.default_rng(1)
-    sets = [draw_sampled_set(Protocol("uniform_wor", m=2), o, rng) for o in obs]
+    sets = [draw_sampled_set(Protocol("uniform_wor", m=2), o, rng)
+            for o in ds.observations]
     shifted = [SampledSet(s.member_ids, s.log_cond_prob - 7.0) for s in sets]
-    beta = np.array([0.9])
-    a = individual_chosen_loglik(obs, sets, "mcfadden", beta)
-    b = individual_chosen_loglik(obs, shifted, "mcfadden", beta)
-    assert a == b  # corrections are re-centred before exponentiation
-    assert individual_chosen_loglik(obs, sets, "none", beta) == a
+    beta = rng.normal(0.9, 0.5, size=(30, 1))
+    a = ChoiceArrays.panel(ds, sets, "mcfadden").panel_loglik(beta)
+    b = ChoiceArrays.panel(ds, shifted, "mcfadden").panel_loglik(beta)
+    assert np.array_equal(a, b)  # corrections are re-centred before exponentiation
+    assert np.array_equal(ChoiceArrays.panel(ds, sets, "none").panel_loglik(beta), a)
 
 
 def test_zero_proposal_scale_always_accepts():
-    ds, _ = panel_data()
-    obs = obs_of(ds, ds.individual_ids()[0])
-    state = MixingState(np.zeros(1), np.eye(1), np.zeros((1, 1)))
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        beta, accepted = gibbs_step_beta_n(state, 0, obs, None, rng, rho=0.0)
-        assert accepted
-        assert np.array_equal(beta, np.zeros(1))
+    """rho = 0 proposes the current point, which is always accepted."""
+    ds, _ = panel_data(N=10, T=3)
+    out = run_gibbs(ds, MmnlPriors.default_for(1),
+                    GibbsConfig(iterations=60, burn_in=20, seed=2, rho=0.0,
+                                store_beta_n=True))
+    assert np.all(out.individual_acceptance == 1.0)
+    assert np.array_equal(out.beta_n_draws, np.zeros_like(out.beta_n_draws))
 
 
-def test_mh_chain_on_empty_panel_samples_the_prior():
-    """No observations: the MH target is exactly N(mu, sigma)."""
-    mu, sd = 0.5, 0.6
-    state = MixingState(np.array([mu]), np.array([[sd ** 2]]),
-                        np.array([[0.0]]))
-    rng = np.random.default_rng(3)
-    kept = np.empty(6000)
-    for i in range(kept.size):
-        beta, _ = gibbs_step_beta_n(state, 0, [], None, rng, rho=2.0)
-        state.beta_all[0] = beta
-        kept[i] = beta[0]
-    kept = kept[1000:]
-    assert abs(kept.mean() - mu) < 0.05
-    assert abs(kept.std() - sd) < 0.05
+def test_mh_chain_on_flat_likelihood_samples_the_prior():
+    """Identical alternatives carry no information about beta, so the MH
+    target is the population density alone and the whole cycle samples the
+    prior hierarchy: mu ~ N(m0, A0)."""
+    m0, sd = 0.5, 0.6
+    ds = Dataset.from_arrays(np.ones((2, 3, 1)), np.array([0, 2]),
+                             np.zeros(2, dtype=int))
+    priors = MmnlPriors(np.array([m0]), np.array([[sd ** 2]]), 3, np.eye(1))
+    out = run_gibbs(ds, priors, GibbsConfig(iterations=2500, burn_in=500,
+                                            seed=3, rho=2.0))
+    mu = out.draws[0, :, 0]
+    # ~400 effective draws: 0.1 is about three Monte-Carlo standard errors
+    assert abs(mu.mean() - m0) < 0.1
+    assert abs(mu.std() - sd) < 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from soa_lab import (Dataset, GridSpec, InsufficientDrawsError,
+from soa_lab import (ChoiceArrays, Dataset, GridSpec, InsufficientDrawsError,
                      InvalidInputError, MnlDgpConfig, PosteriorDraws, Prior,
                      Protocol, UnsupportedDimensionError, UtilityParams,
                      derive_stream, draw_sampled_set, generate_mnl,
@@ -37,7 +37,8 @@ def test_kernel_is_prior_plus_loglik():
     b = UtilityParams([0.3])
     want = (prior.log_density(np.array([0.3]))
             + quasi_loglik(ds, None, "none", b))
-    assert abs(log_posterior_kernel(b, ds, None, prior) - want) < 1e-12
+    likelihood = ChoiceArrays(ds, None, "none")
+    assert abs(log_posterior_kernel(b, likelihood, prior) - want) < 1e-12
 
 
 def test_grid_posterior_normalizes_and_converges():
@@ -55,8 +56,9 @@ def test_grid_posterior_matches_bruteforce_marginal():
     grid = GridSpec.make(-8.0, 8.0, 101)
     post = grid_posterior(ds, None, prior, grid, check_doubling=False)
     pts = grid.lattice()
+    likelihood = ChoiceArrays(ds, None, "none")
     kern = np.array([
-        np.exp(log_posterior_kernel(UtilityParams(p), ds, None, prior))
+        np.exp(log_posterior_kernel(UtilityParams(p), likelihood, prior))
         for p in pts])
     w = grid.weights()
     assert abs(post.log_marginal - np.log(np.sum(w * kern))) < 1e-10
@@ -154,7 +156,8 @@ def test_metropolis_tracks_grid_posterior():
     """Scaled-down total-variation comparison against the lattice truth."""
     ds, prior = small_problem(N=50)
     full = grid_posterior(ds, None, prior, GRID, check_doubling=False)
-    kern = lambda x: log_posterior_kernel(UtilityParams(x), ds, None, prior)
+    likelihood = ChoiceArrays(ds, None, "none")
+    kern = lambda x: log_posterior_kernel(UtilityParams(x), likelihood, prior)
     draws = rw_metropolis(kern, np.zeros(1), 2, 25000, 5000, 0.5, seed=11)
     pooled = draws.pooled()[:, 0]
 

@@ -360,3 +360,103 @@ seed=2
 output.dir={out}
 """)
     assert run(["divergence", "--config", cfg]) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs, numerical failures, one likelihood build per verb
+# ---------------------------------------------------------------------------
+
+def corrupt_first_row_of(path, prefix, edit):
+    """Apply edit to the first line starting with prefix; its line number."""
+    lines = path.read_text().splitlines()
+    lineno = next(i for i, ln in enumerate(lines, 1) if ln.startswith(prefix))
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    return lineno
+
+
+def run_config(tmp_path, dataset, sets=None, extra=""):
+    sampled = ("" if sets is None else
+               f"inputs.sets={sets}\ncorrection.sets=sampled\n")
+    return write_config(tmp_path / "run.cfg", f"""
+inputs.dataset={dataset}
+{sampled}{extra}
+seed=1
+output.dir={tmp_path / 'run_out'}
+""")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ln: ln.rsplit(",", 1)[0] + ",abc",  # non-numeric attribute
+    lambda ln: "3.5," + ln.split(",", 1)[1],   # non-integer obs_id
+    lambda ln: ln.rsplit(",", 1)[0],           # short row
+], ids=["non_numeric", "non_integer", "short_row"])
+def test_malformed_dataset_is_exit_2_naming_the_line(tmp_path, capsys, edit):
+    dataset = pipeline_generate(tmp_path, n=10)
+    lineno = corrupt_first_row_of(dataset, "3,", edit)
+    assert run(["fit", "--config", run_config(tmp_path, dataset)]) == 2
+    err = capsys.readouterr().err
+    assert f"{dataset}:{lineno}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ln: ln.rsplit(",", 1)[0] + ",x",  # non-numeric log_cond_prob
+    lambda ln: ln.rsplit(",", 1)[0],         # short row
+], ids=["non_numeric", "short_row"])
+def test_malformed_sets_are_exit_2_naming_the_line(tmp_path, capsys, edit):
+    dataset = pipeline_generate(tmp_path, n=10)
+    sets = sample_sets(tmp_path, dataset)
+    lineno = corrupt_first_row_of(sets, "4,", edit)
+    assert run(["fit", "--config", run_config(tmp_path, dataset, sets)]) == 2
+    err = capsys.readouterr().err
+    assert f"{sets}:{lineno}:" in err
+    assert "Traceback" not in err
+
+
+def test_numerical_degeneracy_is_exit_2(tmp_path, capsys, monkeypatch):
+    from soa_lab import NumericalDegeneracyError, cli
+
+    def degenerate(*args, **kwargs):
+        raise NumericalDegeneracyError("sigma is not positive definite")
+
+    monkeypatch.setattr(cli, "run_gibbs", degenerate)
+    dataset = pipeline_generate(tmp_path, name="panel", model="mmnl", n=6, j=3)
+    cfg = write_config(tmp_path / "g.cfg", f"""
+inputs.dataset={dataset}
+bayes.method=gibbs
+bayes.iterations=160
+bayes.burn_in=40
+seed=4
+output.dir={tmp_path / 'gibbs'}
+""")
+    assert run(["bayes", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error: sigma is not positive definite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb,settings", [
+    ("bayes", "bayes.method=rw_metropolis\nbayes.iterations=200\n"
+              "bayes.burn_in=100\nbayes.chains=2"),
+    ("bayes", "bayes.method=gibbs\nbayes.iterations=150\nbayes.burn_in=50"),
+    ("fit", "fit.estimator=mnl"),
+    ("fit", "fit.estimator=mmnl_msl\nfit.wn_mode=exact_full_set\n"
+            "fit.r_draws=5"),
+], ids=["rw_metropolis", "gibbs", "mnl", "mmnl_msl"])
+def test_one_likelihood_build_per_verb(tmp_path, monkeypatch, verb, settings):
+    from soa_lab import ChoiceArrays
+
+    dataset = pipeline_generate(tmp_path, name="panel", model="mmnl", n=8, j=3)
+    sets = sample_sets(tmp_path, dataset)
+    builds = []
+    build = ChoiceArrays.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChoiceArrays, "__init__", counted)
+    cfg = run_config(tmp_path, dataset, sets, extra=settings)
+    assert run([verb, "--config", cfg]) == 0
+    assert len(builds) == 1

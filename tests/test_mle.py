@@ -1,15 +1,21 @@
 """Quasi-likelihood estimators: gradients, recovery, expansion factors."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soa_lab import mle
 from soa_lab import (Alternative, Dataset, InvalidInputError, MmnlDgpConfig,
                      MnlDgpConfig, Observation, Protocol, SampledSet,
-                     UtilityParams, compute_wn, derive_stream, draw_sampled_set,
+                     UtilityParams, derive_stream, draw_sampled_set,
                      fit_mmnl_msl, fit_mnl, generate_mmnl, generate_mnl,
                      halton_normal_draws, log_softmax, pack_theta, quasi_loglik,
                      quasi_loglik_grad, theta_labels, unpack_theta)
 from soa_lab.optimize import central_diff_grad
+from wn_reference import compute_wn
 
 
 def sampled_for(dataset, protocol, seed):
@@ -228,6 +234,57 @@ def test_wn_matches_bruteforce():
 
     w = compute_wn(beta_draw, (mu, sigma), obs, s, z)
     assert abs(w - expect) < 1e-12
+
+
+class _FirstObjective(Exception):
+    """Stops a fit once its first objective evaluation has been seen."""
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), K=st.sampled_from([1, 2]),
+       importance=st.booleans(), n_ind=st.integers(1, 4),
+       T=st.integers(1, 3), J=st.integers(2, 5), R=st.integers(1, 5))
+def test_msl_expansion_factor_matches_reference(seed, K, importance, n_ind, T,
+                                                J, R):
+    """Every per-observation, per-draw W inside fit_mmnl_msl's objective
+    equals the scalar reference on the same Halton draws."""
+    rng = np.random.default_rng(seed)
+    n = n_ind * T
+    ind = rng.permutation(np.repeat(10 * np.arange(n_ind), T))  # unsorted panel
+    ds = Dataset.from_arrays(rng.normal(size=(n, J, K)),
+                             rng.integers(0, J, size=n), ind)
+    if importance:
+        proto = Protocol("importance_independent",
+                         inclusion_probs=rng.uniform(0.1, 0.9, size=J))
+    else:
+        proto = Protocol("uniform_wor", m=int(rng.integers(2, J + 1)))
+    sets = sampled_for(ds, proto, seed)
+    mu = rng.normal(size=K)
+    A = rng.normal(size=(K, K))
+    L = np.linalg.cholesky(A @ A.T + 0.3 * np.eye(K))
+
+    seen = {}
+    real = mle.expansion_log_terms
+
+    def spy(arrays, beta):
+        seen["terms"] = real(arrays, beta)
+        raise _FirstObjective
+
+    with mock.patch.object(mle, "expansion_log_terms", spy), \
+            pytest.raises(_FirstObjective):
+        fit_mmnl_msl(ds, sets, "mcfadden", "exact_full_set", R,
+                     init=pack_theta(mu, L))
+    log_num, log_den = seen["terms"]
+    W = np.exp(log_num - log_den)                   # (R, n), rows by individual
+
+    order = np.argsort(ind, kind="stable")
+    z = halton_normal_draws(n_ind, R, K)[np.unique(ind, return_inverse=True)[1]]
+    for row, obs_id in enumerate(order):
+        obs, zn = ds.observations[obs_id], z[obs_id]
+        for r in range(R):
+            want = compute_wn(UtilityParams(mu + L @ zn[r]), (mu, L @ L.T),
+                              obs, sets[obs_id], zn)
+            assert abs(W[r, row] - want) <= 1e-12 * max(1.0, want)
 
 
 # ---------------------------------------------------------------------------
