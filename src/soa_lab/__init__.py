@@ -15,8 +15,7 @@ from .errors import (CapacityError, ConfigError, InsufficientDrawsError,
 from .model_core import (CORRECTION_MODES, Alternative, Dataset, Observation,
                          SampledSet, UtilityParams, canonical_corrections,
                          linear_utility, log_softmax, log_sum_exp,
-                         mnl_prob_full, mnl_prob_sampled_corrected,
-                         mnl_prob_sampled_uncorrected, utilities)
+                         mnl_prob_full, mnl_prob_sampled_corrected, utilities)
 from .protocols import (PROTOCOL_KINDS, EnumeratedSet, Protocol,
                         correction_vector, derive_stream, draw_sampled_set,
                         enumerate_feasible_sets, enumerate_sets)
@@ -37,8 +36,9 @@ from .divergence_lab import (ComparisonRow, DivergenceReport, KlTerms,
                              divergence_uniform_closed_form, expected_divergence,
                              expected_divergence_direct, expected_kl_direct,
                              expected_quasi_ll, expected_quasi_ll_setwise,
-                             expected_true_ll, kl_term_a_entropy_form,
-                             kl_term_a_joint, kl_terms, protocol_comparison)
+                             expected_true_ll, kl_term_a,
+                             kl_term_a_entropy_form, kl_term_a_joint, kl_terms,
+                             protocol_comparison)
 from .draws import halton_normal_draws
 from .storage import (config_hash, file_hash, fmt, read_csv, read_dataset_csv,
                       read_manifest, read_sets_csv, verify_lineage, write_csv,

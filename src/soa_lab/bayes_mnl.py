@@ -11,8 +11,7 @@ variants inherit the correction-mode semantics of the quasi likelihood.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (InsufficientDrawsError, InvalidInputError,
                      UnsupportedDimensionError)
 from .grids import GridSpec, log_trapezoid
 from .mle import ChoiceArrays
-from .model_core import Dataset, SampledSet, UtilityParams
+from .model_core import Dataset, SampledSet
 
 _DOUBLING_TOL = 1e-6
 _ADAPT_TARGET = 0.3
@@ -144,13 +143,16 @@ def _normalize_sets(sets) -> tuple[list[SampledSet] | None, str]:
     raise InvalidInputError("sets must be None or (sampled_sets, mode)")
 
 
-def log_posterior_kernel(beta: UtilityParams, likelihood: ChoiceArrays,
-                         prior: Prior) -> float:
-    """Log prior plus (quasi) log-likelihood at one parameter point.
+def log_posterior_kernel(beta: np.ndarray, likelihood: ChoiceArrays,
+                         prior: Prior) -> np.ndarray | float:
+    """Log prior plus (quasi) log-likelihood: the one posterior kernel.
 
-    ``likelihood`` is the prepared choice likelihood, built once per run.
+    ``beta`` is one point (K,), giving a float, or a batch (P, K), giving
+    (P,) values; a batch row can differ from the same point evaluated alone
+    in the last bit, through the prior's linear solve.  ``likelihood`` is
+    the prepared choice likelihood, built once per run.
     """
-    return float(prior.log_density(beta.beta)) + likelihood.loglik(beta.beta)
+    return prior.log_density(beta) + likelihood.loglik(beta)
 
 
 def grid_posterior(dataset: Dataset, sets, prior: Prior, grid: GridSpec,
@@ -164,13 +166,9 @@ def grid_posterior(dataset: Dataset, sets, prior: Prior, grid: GridSpec,
     if prior.dim != dataset.K:
         raise InvalidInputError("prior dimension must equal dataset K")
     likelihood = ChoiceArrays(dataset, *_normalize_sets(sets))
-
-    def kernel_on(points: np.ndarray) -> np.ndarray:
-        return prior.log_density(points) + likelihood.loglik(points)
-
     points = grid.lattice()
     weights = grid.weights()
-    log_kernel = kernel_on(points)
+    log_kernel = log_posterior_kernel(points, likelihood, prior)
     log_marginal = log_trapezoid(log_kernel, weights)
     density = np.exp(log_kernel - log_marginal)
 
@@ -178,8 +176,9 @@ def grid_posterior(dataset: Dataset, sets, prior: Prior, grid: GridSpec,
     log_marginal_refined = None
     if check_doubling:
         fine = grid.refined()
-        log_marginal_refined = log_trapezoid(kernel_on(fine.lattice()),
-                                             fine.weights())
+        log_marginal_refined = log_trapezoid(
+            log_posterior_kernel(fine.lattice(), likelihood, prior),
+            fine.weights())
         converged = bool(abs(log_marginal_refined - log_marginal) < _DOUBLING_TOL)
 
     return GridPosterior(grid, points, weights, log_kernel, log_marginal,
@@ -218,46 +217,18 @@ def kl_decomposition(p_true: GridPosterior,
 # random-walk Metropolis
 # ---------------------------------------------------------------------------
 
-def _run_chain(kernel: Callable[[np.ndarray], float], init: np.ndarray,
-               n_iter: int, burn_in: int, scale0: float,
-               rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    dim = init.size
-    x = init.copy()
-    fx = float(kernel(x))
-    if not np.isfinite(fx):
-        raise InvalidInputError("kernel not finite at the chain start")
-    scale = scale0
-    kept = np.empty((n_iter - burn_in, dim))
-    accepted_window = 0
-    accepted_kept = 0
-    for t in range(n_iter):
-        prop = x + scale * rng.standard_normal(dim)
-        fp = float(kernel(prop))
-        if np.log(rng.random()) < fp - fx:
-            x, fx = prop, fp
-            accepted_window += 1
-            if t >= burn_in:
-                accepted_kept += 1
-        if t < burn_in:
-            # Multiplicative nudge toward the target rate; frozen afterwards.
-            if (t + 1) % _ADAPT_WINDOW == 0:
-                rate = accepted_window / _ADAPT_WINDOW
-                scale *= math.exp(0.5 * (rate - _ADAPT_TARGET))
-                accepted_window = 0
-        else:
-            kept[t - burn_in] = x
-    rate = accepted_kept / max(1, n_iter - burn_in)
-    return kept, rate
-
-
-def rw_metropolis(kernel: Callable[[np.ndarray], float], init: np.ndarray,
-                  n_chains: int, n_iter: int, burn_in: int,
-                  proposal_scale: float, seed: int,
-                  threads: int = 1) -> PosteriorDraws:
+def rw_metropolis(kernel: Callable[[np.ndarray], np.ndarray],
+                  init: np.ndarray, n_chains: int, n_iter: int, burn_in: int,
+                  proposal_scale: float, seed: int) -> PosteriorDraws:
     """Gaussian random-walk Metropolis with burn-in-only scale adaptation.
 
-    Chains use independent streams split from ``seed``, so results do not
-    depend on whether they run serially or on a thread pool.
+    All chains advance in lockstep on one thread.  ``kernel`` is batched: it
+    maps the (n_chains, K) array of current or proposed points to their
+    (n_chains,) log densities, and row c of its result may depend on row c
+    of its argument only.  A run makes exactly ``n_iter + 1`` kernel calls.
+    Each chain draws from its own stream split from ``seed`` (per iteration
+    one standard_normal(K), then one random()) and adapts its own scale, so
+    its draws do not depend on how many chains run beside it.
     """
     if proposal_scale <= 0.0:
         raise InvalidInputError("proposal scale must be positive")
@@ -266,19 +237,38 @@ def rw_metropolis(kernel: Callable[[np.ndarray], float], init: np.ndarray,
     init = np.atleast_1d(np.asarray(init, dtype=float))
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(n_chains)]
-
-    def job(rng):
-        return _run_chain(kernel, init, n_iter, burn_in, proposal_scale, rng)
-
-    if threads > 1 and n_chains > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, rngs))
-    else:
-        results = [job(rng) for rng in rngs]
-
-    draws = np.stack([r[0] for r in results])
-    rates = np.array([r[1] for r in results])
-    return PosteriorDraws(draws, n_chains, burn_in, rates, seed)
+    dim = init.size
+    x = np.tile(init, (n_chains, 1))
+    fx = np.asarray(kernel(x), dtype=float)
+    if not np.all(np.isfinite(fx)):
+        raise InvalidInputError("kernel not finite at the chain start")
+    scales = np.full(n_chains, proposal_scale)
+    kept = np.empty((n_chains, n_iter - burn_in, dim))
+    accepted_window = np.zeros(n_chains, dtype=int)
+    accepted_kept = np.zeros(n_chains, dtype=int)
+    for t in range(n_iter):
+        prop = x + scales[:, None] * np.stack(
+            [rng.standard_normal(dim) for rng in rngs])
+        fp = np.asarray(kernel(prop), dtype=float)
+        log_u = np.log([rng.random() for rng in rngs])
+        accept = log_u < fp - fx
+        x[accept] = prop[accept]
+        fx[accept] = fp[accept]
+        accepted_window += accept
+        if t < burn_in:
+            # Multiplicative nudge toward the target rate; frozen afterwards.
+            # Scalar math.exp per chain: np.exp on the array can differ by
+            # an ulp, which would move the draws.
+            if (t + 1) % _ADAPT_WINDOW == 0:
+                for c in range(n_chains):
+                    rate = accepted_window[c] / _ADAPT_WINDOW
+                    scales[c] *= math.exp(0.5 * (rate - _ADAPT_TARGET))
+                accepted_window[:] = 0
+        else:
+            accepted_kept += accept
+            kept[:, t - burn_in] = x
+    rates = accepted_kept / max(1, n_iter - burn_in)
+    return PosteriorDraws(kept, n_chains, burn_in, rates, seed)
 
 
 # ---------------------------------------------------------------------------

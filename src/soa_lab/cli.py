@@ -31,7 +31,6 @@ enumeration-capacity error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -141,16 +140,6 @@ class Config:
                 "list of numbers")
 
 
-def resolve_threads(cfg: Config) -> int:
-    env = os.environ.get("SOA_LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"SOA_LAB_THREADS={env!r} is not an integer")
-    return max(1, cfg.get_int("runtime.threads", os.cpu_count() or 1))
-
-
 def build_protocol(cfg: Config) -> Protocol:
     kind = cfg.get("protocol.kind")
     if kind == "uniform_wor":
@@ -222,7 +211,7 @@ def load_sets(cfg: Config, dataset: Dataset,
     path = Path(cfg.get("inputs.sets"))
     if not path.is_file():
         raise ConfigError(f"referenced sets file {path} does not exist")
-    sets, meta = storage.read_sets_csv(path, dataset.n_obs)
+    sets, meta = storage.read_sets_csv(path, dataset.n_obs, dataset.J)
     storage.verify_lineage(meta, "dataset_hash", dataset_hash, str(path))
     return sets, cfg.get("correction.mode", "mcfadden")
 
@@ -323,14 +312,14 @@ def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
         prior = build_prior(cfg, dataset.K)
         likelihood = ChoiceArrays(dataset, sampled, mode)
 
-        def kernel(b: np.ndarray) -> float:
-            return log_posterior_kernel(UtilityParams(b), likelihood, prior)
+        def kernel(points: np.ndarray) -> np.ndarray:
+            return log_posterior_kernel(points, likelihood, prior)
 
         draws = rw_metropolis(kernel, prior.mean,
                               n_chains=cfg.get_int("bayes.chains", 2),
                               n_iter=iterations, burn_in=burn_in,
                               proposal_scale=cfg.get_float("bayes.proposal_scale", 0.5),
-                              seed=seed, threads=resolve_threads(cfg))
+                              seed=seed)
         draws.param_names = [f"beta_{k + 1}" for k in range(dataset.K)]
     elif method == "gibbs":
         K = dataset.K
@@ -400,7 +389,7 @@ def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
             for o in design.observations)
         # The entropy form is the mcfadden A; reuse the report's when it has it.
         term_a = (report.kl_term_a if mode == "mcfadden" else
-                  dlab.kl_terms(design, protocol, "mcfadden", prior, grid).a)
+                  dlab.kl_term_a(design, protocol, "mcfadden", prior, grid))
         resid_entropy = abs(dlab.kl_term_a_entropy_form(design, protocol, prior,
                                                         grid) - term_a)
     else:

@@ -314,25 +314,38 @@ def _joint_outcomes(tables: list[_ObsGridTables], protocol: Protocol):
         yield log_pi, ll_true, ll_samp
 
 
+def _term_a(weights: np.ndarray, log_prior: np.ndarray,
+            tables: list[_ObsGridTables]) -> float:
+    a_sum = np.zeros(log_prior.shape[0])
+    for t in tables:
+        a_sum += t.a_integrand()
+    return float(np.sum(weights * np.exp(log_prior) * a_sum))
+
+
+def kl_term_a(design, protocol: Protocol, correction_mode: str, prior,
+              grid: GridSpec) -> float:
+    """Term A of :func:`kl_terms` alone, without the joint (choice, set) loop.
+
+    A integrates, against the prior, the coverage-weighted expected log
+    ratio of true to corrected-sampled likelihoods, regrouped per
+    observation; it is non-positive under uniform conditioning.
+    """
+    return _term_a(*_grid_tables(design, protocol, correction_mode, prior,
+                                 grid))
+
+
 def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
              grid: GridSpec) -> KlTerms:
     """The two pieces of the expected posterior KL divergence.
 
-    A integrates, against the prior, the coverage-weighted expected log
-    ratio of true to corrected-sampled likelihoods (non-positive under
-    uniform conditioning); B is the expected log inverse Bayes factor,
+    A is :func:`kl_term_a`; B is the expected log inverse Bayes factor,
     assembled from grid marginal likelihoods over the exact joint of
     choices and sets.  Their sum is the expected KL divergence from the
     full-set posterior to the sampled-set posterior.
     """
     weights, log_prior, tables = _grid_tables(design, protocol,
                                               correction_mode, prior, grid)
-
-    a_sum = np.zeros(log_prior.shape[0])
-    for t in tables:
-        a_sum += t.a_integrand()
-    term_a = float(np.sum(weights * np.exp(log_prior) * a_sum))
-
+    term_a = _term_a(weights, log_prior, tables)
     term_b = 0.0
     for log_pi, ll_true, ll_samp in _joint_outcomes(tables, protocol):
         log_m_true = log_trapezoid(log_prior + ll_true, weights)
@@ -439,7 +452,7 @@ def protocol_comparison(designs: list, protocols: list[tuple[str, Protocol]],
     """
     rows = []
     for label, protocol in protocols:
-        per_design = [kl_terms(d, protocol, "mcfadden", prior, grid).a
+        per_design = [kl_term_a(d, protocol, "mcfadden", prior, grid)
                       for d in designs]
         rows.append(ComparisonRow(label, protocol.kind,
                                   float(sum(per_design)), per_design))

@@ -310,16 +310,6 @@ def mnl_prob_full(v: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(v))
 
 
-def mnl_prob_sampled_uncorrected(v_members: np.ndarray) -> np.ndarray:
-    """Probabilities over a sampled subset with no correction.
-
-    Identical arithmetic to :func:`mnl_prob_full` restricted to the members:
-    this is the (generally inconsistent) estimator that simply forgets the
-    rest of the choice set.
-    """
-    return mnl_prob_full(v_members)
-
-
 def canonical_corrections(c: np.ndarray) -> np.ndarray:
     """Shift a correction vector so its maximum is exactly zero.
 

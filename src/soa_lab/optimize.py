@@ -39,7 +39,10 @@ def maximize(f: Callable[[np.ndarray], float],
 
     Convergence means max|grad| <= tol.  A line search that cannot improve
     the objective ends the run (converged only if the gradient test already
-    holds); -inf/nan trial values are treated as rejected steps.
+    holds), and so does a shortened step that leaves f exactly unchanged:
+    the ascent left is below what f resolves.  A full step with f unchanged
+    still counts, as near the optimum the gradient keeps falling.  -inf/nan
+    trial values are treated as rejected steps.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1:
@@ -69,7 +72,7 @@ def maximize(f: Callable[[np.ndarray], float],
                 accepted = True
                 break
             step *= _BACKTRACK
-        if not accepted:
+        if not accepted or (step < 1.0 and f_new == fx):
             return AscentResult(x, fx, g, bool(np.max(np.abs(g)) <= tol), it)
         g_new = np.asarray(grad(x_new), dtype=float)
         s = x_new - x

@@ -95,7 +95,7 @@ def read_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     return meta, parsed[0], parsed[1:]
 
 
-def _row_error(path, row: int, exc: ValueError) -> InvalidInputError:
+def _row_error(path, row: int, message) -> InvalidInputError:
     """Name the source line of data row ``row`` (as numbered by read_csv).
 
     Line numbers are recovered here, on the error path only, so reading a
@@ -104,7 +104,14 @@ def _row_error(path, row: int, exc: ValueError) -> InvalidInputError:
     kept = [n for n, line in enumerate(
         Path(path).read_text(encoding="utf-8").splitlines(), start=1)
         if line.strip() and not line.startswith("#")]
-    return InvalidInputError(f"{path}:{kept[row + 1]}: {exc}")
+    return InvalidInputError(f"{path}:{kept[row + 1]}: {message}")
+
+
+def _obs_error(path, rows: list[list[str]], obs: int,
+               message) -> InvalidInputError:
+    """Name the first row of observation ``obs`` (an already parsed id)."""
+    first = next(k for k, row in enumerate(rows) if int(row[0]) == obs)
+    return _row_error(path, first, message)
 
 
 def verify_lineage(meta: dict[str, str], key: str, expected: str,
@@ -168,19 +175,26 @@ def read_dataset_csv(path) -> tuple[Dataset, dict[str, str]]:
     for i in range(n):
         alts = sorted(by_obs[i])
         if [a[0] for a in alts] != list(range(J)):
-            raise InvalidInputError(
-                f"{path}: observation {i} lacks dense alternative ids 0..J-1")
+            raise _obs_error(path, rows, i, f"observation {i} lacks dense "
+                             "alternative ids 0..J-1")
         for j, flag, xs in alts:
             X[i, j] = xs
             if flag:
                 if chosen[i] >= 0:
-                    raise InvalidInputError(
-                        f"{path}: observation {i} marks several alternatives chosen")
+                    raise _obs_error(path, rows, i, f"observation {i} marks "
+                                     "several alternatives chosen")
                 chosen[i] = j
         if chosen[i] < 0:
-            raise InvalidInputError(f"{path}: observation {i} marks no choice")
+            raise _obs_error(path, rows, i, f"observation {i} marks no choice")
         ind[i] = individual[i]
-    return Dataset.from_arrays(X, chosen, ind), meta
+    try:
+        return Dataset.from_arrays(X, chosen, ind), meta
+    except InvalidInputError as exc:
+        # Every cell parsed and every id checked, so what is left to fail is
+        # a non-finite attribute: name the first row carrying one.
+        bad = next(k for k, row in enumerate(rows)
+                   if not np.isfinite(np.array(row[4:], dtype=float)).all())
+        raise _row_error(path, bad, exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +209,10 @@ def write_sets_csv(path, sets: list[SampledSet], headers: dict[str, str]) -> Non
     write_csv(path, headers, ["obs_id", "alt_id", "log_cond_prob"], rows)
 
 
-def read_sets_csv(path, n_obs: int) -> tuple[list[SampledSet], dict[str, str]]:
+def read_sets_csv(path, n_obs: int,
+                  J: int) -> tuple[list[SampledSet], dict[str, str]]:
+    """Sampled sets for observations 0..n_obs-1 of a dataset with J
+    alternatives; a bad cell names its line, a bad set its first line."""
     meta, fields, rows = read_csv(path)
     if fields != ["obs_id", "alt_id", "log_cond_prob"]:
         raise InvalidInputError(f"{path} is not a sampled-sets file")
@@ -204,7 +221,13 @@ def read_sets_csv(path, n_obs: int) -> tuple[list[SampledSet], dict[str, str]]:
         try:
             if len(row) != 3:
                 raise ValueError(f"{len(row)} cells, expected 3")
-            by_obs.setdefault(int(row[0]), []).append((int(row[1]), float(row[2])))
+            alt, lcp = int(row[1]), float(row[2])
+            if not 0 <= alt < J:
+                raise ValueError(f"alt_id {alt} outside 0..{J - 1}")
+            if not -np.inf < lcp <= 0.0:
+                raise ValueError(f"log_cond_prob {lcp!r} is not a finite "
+                                 "log probability")
+            by_obs.setdefault(int(row[0]), []).append((alt, lcp))
         except ValueError as exc:
             raise _row_error(path, k, exc) from None
     if sorted(by_obs) != list(range(n_obs)):
@@ -214,7 +237,10 @@ def read_sets_csv(path, n_obs: int) -> tuple[list[SampledSet], dict[str, str]]:
     for i in range(n_obs):
         members = np.array([m for m, _ in by_obs[i]], dtype=int)
         lcp = np.array([c for _, c in by_obs[i]], dtype=float)
-        sets.append(SampledSet(members, lcp))
+        try:
+            sets.append(SampledSet(members, lcp))
+        except InvalidInputError as exc:
+            raise _obs_error(path, rows, i, exc) from None
     return sets, meta
 
 

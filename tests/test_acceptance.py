@@ -22,7 +22,7 @@ from soa_lab import (Alternative, ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      kl_divergence_grid, kl_term_a_entropy_form, kl_terms,
                      log_posterior_kernel, log_softmax, MixingState,
                      mnl_prob_full, mnl_prob_sampled_corrected,
-                     mnl_prob_sampled_uncorrected, protocol_comparison,
+                     protocol_comparison,
                      quasi_loglik, quasi_loglik_grad, run_gibbs, rw_metropolis,
                      sigma_posterior_params)
 from soa_lab.cli import main as cli_main
@@ -57,7 +57,7 @@ def test_criterion_01_probability_identities():
         m = int(rng.integers(2, J + 1))
         const = float(rng.normal())
         corr = mnl_prob_sampled_corrected(v[:m], np.full(m, const))
-        plain = mnl_prob_sampled_uncorrected(v[:m])
+        plain = mnl_prob_full(v[:m])
         worst = max(worst, float(np.max(np.abs(corr - plain))))
     _report(1, "probability identities", worst <= 1e-12,
             time.perf_counter() - t0, 1.0, f"worst residual {worst:.2e}")
@@ -326,7 +326,7 @@ def test_criterion_08_bayes_mnl():
                                    beta_star=UtilityParams([0.7]), seed=81))
     full = grid_posterior(ds, None, prior, grid, check_doubling=False)
     likelihood = ChoiceArrays(ds, None, "none")
-    kern = lambda x: log_posterior_kernel(UtilityParams(x), likelihood, prior)
+    kern = lambda x: log_posterior_kernel(x, likelihood, prior)
     draws = rw_metropolis(kern, np.zeros(1), n_chains=2, n_iter=60_000,
                           burn_in=10_000, proposal_scale=0.5, seed=82)
     pooled = draws.pooled()[:, 0]
@@ -352,7 +352,7 @@ def test_criterion_08_bayes_mnl():
     grids_equal = bool(np.array_equal(g_mcf.log_kernel, g_none.log_kernel))
     chains = [rw_metropolis(
         lambda x, lik=ChoiceArrays(ds, sets, mode):
-            log_posterior_kernel(UtilityParams(x), lik, prior),
+            log_posterior_kernel(x, lik, prior),
         np.zeros(1), 1, 2000, 500, 0.5, seed=85)
         for mode in ("mcfadden", "none")]
     chains_equal = bool(np.array_equal(chains[0].draws, chains[1].draws))

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metropolis_reference import reference_metropolis
 from soa_lab import (ChoiceArrays, Dataset, GridSpec, InsufficientDrawsError,
                      InvalidInputError, MnlDgpConfig, PosteriorDraws, Prior,
                      Protocol, UnsupportedDimensionError, UtilityParams,
@@ -38,7 +41,7 @@ def test_kernel_is_prior_plus_loglik():
     want = (prior.log_density(np.array([0.3]))
             + quasi_loglik(ds, None, "none", b))
     likelihood = ChoiceArrays(ds, None, "none")
-    assert abs(log_posterior_kernel(b, likelihood, prior) - want) < 1e-12
+    assert abs(log_posterior_kernel(b.beta, likelihood, prior) - want) < 1e-12
 
 
 def test_grid_posterior_normalizes_and_converges():
@@ -58,7 +61,7 @@ def test_grid_posterior_matches_bruteforce_marginal():
     pts = grid.lattice()
     likelihood = ChoiceArrays(ds, None, "none")
     kern = np.array([
-        np.exp(log_posterior_kernel(UtilityParams(p), likelihood, prior))
+        np.exp(log_posterior_kernel(p, likelihood, prior))
         for p in pts])
     w = grid.weights()
     assert abs(post.log_marginal - np.log(np.sum(w * kern))) < 1e-10
@@ -131,7 +134,7 @@ def test_grid_mismatch_is_rejected():
 # ---------------------------------------------------------------------------
 
 def test_metropolis_matches_standard_normal_target():
-    draws = rw_metropolis(lambda x: -0.5 * float(x @ x), np.zeros(1),
+    draws = rw_metropolis(lambda x: -0.5 * np.sum(x * x, axis=-1), np.zeros(1),
                           n_chains=2, n_iter=30000, burn_in=2000,
                           proposal_scale=1.0, seed=42)
     pooled = draws.pooled()[:, 0]
@@ -141,15 +144,58 @@ def test_metropolis_matches_standard_normal_target():
     assert np.all(draws.acceptance_rates < 0.9)
 
 
-def test_metropolis_is_reproducible_and_thread_invariant():
-    kern = lambda x: -0.5 * float(x @ x)
+def test_metropolis_is_reproducible_and_chain_count_invariant():
+    kern = lambda x: -0.5 * np.sum(x * x, axis=-1)
     a = rw_metropolis(kern, np.zeros(2), 3, 400, 100, 0.8, seed=7)
     b = rw_metropolis(kern, np.zeros(2), 3, 400, 100, 0.8, seed=7)
-    c = rw_metropolis(kern, np.zeros(2), 3, 400, 100, 0.8, seed=7, threads=3)
+    c = rw_metropolis(kern, np.zeros(2), 1, 400, 100, 0.8, seed=7)
     assert np.array_equal(a.draws, b.draws)
-    assert np.array_equal(a.draws, c.draws)
+    # Chain 0's stream is the same whatever the chain count.
+    assert np.array_equal(a.draws[:1], c.draws)
     d = rw_metropolis(kern, np.zeros(2), 3, 400, 100, 0.8, seed=8)
     assert not np.array_equal(a.draws, d.draws)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n_chains=st.integers(1, 4),
+       K=st.integers(1, 3), burn_in=st.sampled_from([0, 30, 50, 99, 151]),
+       kept=st.integers(1, 40), kind=st.sampled_from(["quadratic", "choice"]))
+def test_lockstep_metropolis_matches_per_chain_reference(seed, n_chains, K,
+                                                         burn_in, kept, kind):
+    """Lockstep chains reproduce one-chain-at-a-time draws bit for bit,
+    across adaptation windows (burn-in 50 and up crosses at least one)."""
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        mean = rng.normal(size=K)
+        prec = rng.uniform(0.2, 5.0, size=K)
+        kern = lambda x: -0.5 * np.sum(prec * (x - mean) ** 2, axis=-1)
+    else:
+        ds, prior = small_problem(seed=seed % 1000, N=15, K=K, beta=0.5)
+        proto = Protocol("importance_independent",
+                         inclusion_probs=rng.uniform(0.2, 0.9, size=4))
+        sets, mode = sampled_pair(ds, proto, seed, "mcfadden")
+        lik = ChoiceArrays(ds, sets, mode)
+        kern = lambda x: log_posterior_kernel(x, lik, prior)
+    init = rng.normal(scale=0.3, size=K)
+    scale = float(rng.uniform(0.05, 2.0))
+    n_iter = burn_in + kept
+    got = rw_metropolis(kern, init, n_chains, n_iter, burn_in, scale, seed)
+    want_draws, want_rates = reference_metropolis(kern, init, n_chains, n_iter,
+                                                  burn_in, scale, seed)
+    assert np.array_equal(got.draws, want_draws)
+    assert np.array_equal(got.acceptance_rates, want_rates)
+
+
+@pytest.mark.parametrize("n_chains", [1, 2, 4])
+def test_metropolis_makes_one_kernel_call_per_step(n_chains):
+    shapes = []
+
+    def kern(x):
+        shapes.append(x.shape)
+        return -0.5 * np.sum(x * x, axis=-1)
+
+    rw_metropolis(kern, np.zeros(3), n_chains, 120, 60, 0.5, seed=1)
+    assert shapes == [(n_chains, 3)] * 121
 
 
 def test_metropolis_tracks_grid_posterior():
@@ -157,7 +203,7 @@ def test_metropolis_tracks_grid_posterior():
     ds, prior = small_problem(N=50)
     full = grid_posterior(ds, None, prior, GRID, check_doubling=False)
     likelihood = ChoiceArrays(ds, None, "none")
-    kern = lambda x: log_posterior_kernel(UtilityParams(x), likelihood, prior)
+    kern = lambda x: log_posterior_kernel(x, likelihood, prior)
     draws = rw_metropolis(kern, np.zeros(1), 2, 25000, 5000, 0.5, seed=11)
     pooled = draws.pooled()[:, 0]
 
@@ -170,14 +216,14 @@ def test_metropolis_tracks_grid_posterior():
 
 
 def test_metropolis_validation():
-    kern = lambda x: -0.5 * float(x @ x)
+    kern = lambda x: -0.5 * np.sum(x * x, axis=-1)
     with pytest.raises(InvalidInputError):
         rw_metropolis(kern, np.zeros(1), 1, 100, 100, 0.5, seed=0)
     with pytest.raises(InvalidInputError):
         rw_metropolis(kern, np.zeros(1), 1, 100, 10, -1.0, seed=0)
     with pytest.raises(InvalidInputError):
-        rw_metropolis(lambda x: float("nan"), np.zeros(1), 1, 100, 10, 0.5,
-                      seed=0)
+        rw_metropolis(lambda x: np.full(len(x), np.nan), np.zeros(1), 1, 100,
+                      10, 0.5, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,8 @@ output.dir={tmp_path / 'run_out'}
     lambda ln: ln.rsplit(",", 1)[0] + ",abc",  # non-numeric attribute
     lambda ln: "3.5," + ln.split(",", 1)[1],   # non-integer obs_id
     lambda ln: ln.rsplit(",", 1)[0],           # short row
-], ids=["non_numeric", "non_integer", "short_row"])
+    lambda ln: ln.rsplit(",", 1)[0] + ",nan",  # non-finite attribute
+], ids=["non_numeric", "non_integer", "short_row", "nan_attribute"])
 def test_malformed_dataset_is_exit_2_naming_the_line(tmp_path, capsys, edit):
     dataset = pipeline_generate(tmp_path, n=10)
     lineno = corrupt_first_row_of(dataset, "3,", edit)
@@ -403,7 +404,12 @@ def test_malformed_dataset_is_exit_2_naming_the_line(tmp_path, capsys, edit):
 @pytest.mark.parametrize("edit", [
     lambda ln: ln.rsplit(",", 1)[0] + ",x",  # non-numeric log_cond_prob
     lambda ln: ln.rsplit(",", 1)[0],         # short row
-], ids=["non_numeric", "short_row"])
+    lambda ln: ln.split(",")[0] + ",99," + ln.split(",")[2],  # alt_id range
+    lambda ln: ln.rsplit(",", 1)[0] + ",nan",  # non-finite log_cond_prob
+    lambda ln: ln.rsplit(",", 1)[0] + ",1.0",  # positive log_cond_prob
+    lambda ln: ln + "\n" + ln,                 # repeated (obs, alt) row
+], ids=["non_numeric", "short_row", "alt_id_out_of_range", "nan_log_prob",
+        "positive_log_prob", "repeated_row"])
 def test_malformed_sets_are_exit_2_naming_the_line(tmp_path, capsys, edit):
     dataset = pipeline_generate(tmp_path, n=10)
     sets = sample_sets(tmp_path, dataset)

@@ -15,7 +15,7 @@ from soa_lab import (Alternative, CapacityError, Dataset, GridSpec,
                      enumerate_sets, expected_divergence,
                      expected_divergence_direct, expected_kl_direct,
                      expected_quasi_ll, expected_quasi_ll_setwise,
-                     expected_true_ll, kl_term_a_entropy_form,
+                     expected_true_ll, kl_term_a, kl_term_a_entropy_form,
                      kl_term_a_joint, kl_terms, protocol_comparison)
 
 
@@ -75,6 +75,14 @@ def test_frozen_kl_terms():
     kt = kl_terms(ds, IMP, "mcfadden", PRIOR, GRID)
     assert abs(kt.a - (-0.8371852529150179)) < 1e-12
     assert abs(kt.b - 0.9910086337925633) < 1e-12
+
+
+def test_term_a_alone_is_kl_terms_a_bitwise():
+    ds = desk_design()
+    for proto in (UNI, IMP):
+        for mode in ("mcfadden", "none"):
+            assert (kl_term_a(ds, proto, mode, PRIOR, GRID)
+                    == kl_terms(ds, proto, mode, PRIOR, GRID).a)
 
 
 # ---------------------------------------------------------------------------

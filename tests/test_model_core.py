@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 from soa_lab import (Alternative, Dataset, InvalidInputError, Observation,
                      SampledSet, UtilityParams, canonical_corrections,
                      linear_utility, log_softmax, log_sum_exp, mnl_prob_full,
-                     mnl_prob_sampled_corrected, mnl_prob_sampled_uncorrected,
-                     utilities)
+                     mnl_prob_sampled_corrected, utilities)
 
 finite_floats = st.floats(min_value=-30.0, max_value=30.0,
                           allow_nan=False, allow_infinity=False)
@@ -47,7 +46,7 @@ def test_constant_correction_cancels_exactly(v, c0):
     c = np.full(v.shape, c0)
     assert np.array_equal(canonical_corrections(c), np.zeros_like(c))
     corrected = mnl_prob_sampled_corrected(v, c)
-    plain = mnl_prob_sampled_uncorrected(v)
+    plain = mnl_prob_full(v)
     assert np.array_equal(corrected, plain)
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from soa_lab import (ChoiceArrays, MnlDgpConfig, Protocol, UtilityParams,
+                     derive_stream, draw_sampled_set, generate_mnl)
 from soa_lab.errors import InvalidInputError
 from soa_lab.optimize import (central_diff_grad, hessian_from_f,
                               hessian_from_grad, maximize,
@@ -72,6 +74,27 @@ def test_iteration_budget_reported():
     res = maximize(f, g, np.zeros(4), tol=1e-16, max_iter=3)
     assert not res.converged
     assert res.iterations == 3
+
+
+def test_run_ends_when_the_objective_cannot_resolve_the_ascent():
+    """A corrected logit fit on importance sets (N=4000, J=20) reaches
+    max|g| ~ 3e-6 within ten iterations; the ascent left is ~1e-15, below
+    what f ~ -7100 resolves, so every full step loses to rounding and the
+    shortened step that passes leaves f unchanged.  Such a run must end
+    rather than spend its whole iteration budget."""
+    ds = generate_mnl(MnlDgpConfig(N=4000, J=20, K=2,
+                                   beta_star=UtilityParams([1.0, -0.5]),
+                                   seed=23))
+    proto = Protocol("importance_independent",
+                     inclusion_probs=np.round(np.linspace(0.2, 0.8, 20), 6))
+    sets = [draw_sampled_set(proto, o, derive_stream(24, o.obs_id))
+            for o in ds.observations]
+    lik = ChoiceArrays(ds, sets, "mcfadden")
+    res = maximize(lik.loglik, lik.score, np.zeros(2), max_iter=200)
+    assert res.iterations < 200
+    assert res.converged == (np.max(np.abs(res.grad)) <= 1e-6)
+    assert np.max(np.abs(res.grad)) < 1e-5
+    assert res.f == lik.loglik(res.x)
 
 
 def test_central_difference_gradient():

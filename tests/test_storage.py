@@ -126,7 +126,7 @@ def test_sets_round_trip(tmp_path):
             for o in ds.observations]
     p = tmp_path / "s.csv"
     write_sets_csv(p, sets, {"dataset_hash": "xyz"})
-    back, meta = read_sets_csv(p, n_obs=15)
+    back, meta = read_sets_csv(p, n_obs=15, J=5)
     assert meta["dataset_hash"] == "xyz"
     assert len(back) == 15
     for s, b in zip(sets, back):
@@ -142,7 +142,7 @@ def test_sets_reader_checks_observation_count(tmp_path):
     p = tmp_path / "s.csv"
     write_sets_csv(p, sets, {})
     with pytest.raises(InvalidInputError):
-        read_sets_csv(p, n_obs=5)
+        read_sets_csv(p, n_obs=5, J=4)
 
 
 # ---------------------------------------------------------------------------
