@@ -13,8 +13,9 @@ from .errors import (CapacityError, ConfigError, InsufficientDrawsError,
                      InvalidInputError, InvalidStateError,
                      NumericalDegeneracyError, UnsupportedDimensionError)
 from .model_core import (CORRECTION_MODES, Alternative, Dataset, Observation,
-                         SampledSet, UtilityParams, canonical_corrections,
-                         linear_utility, log_softmax, log_sum_exp,
+                         SampledSet, SetTable, UtilityParams,
+                         canonical_corrections, log_softmax,
+                         log_sum_exp,
                          mnl_prob_full, mnl_prob_sampled_corrected, utilities)
 from .protocols import (PROTOCOL_KINDS, EnumeratedSet, Protocol,
                         correction_vector, derive_stream, draw_sampled_set,
@@ -40,8 +41,8 @@ from .divergence_lab import (ComparisonRow, DivergenceReport, KlTerms,
                              kl_term_a_entropy_form, kl_term_a_joint, kl_terms,
                              protocol_comparison)
 from .draws import halton_normal_draws
-from .storage import (config_hash, file_hash, fmt, read_csv, read_dataset_csv,
-                      read_manifest, read_sets_csv, verify_lineage, write_csv,
+from .storage import (config_hash, file_hash, read_dataset_csv,
+                      read_sets_csv, verify_lineage, write_csv,
                       write_beta_n_csv, write_dataset_csv, write_draws_csv,
                       write_manifest, write_report_csv, write_sets_csv,
                       write_summary_csv)

@@ -25,7 +25,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .mle import ChoiceArrays
-from .model_core import CORRECTION_MODES, Dataset, SampledSet
+from .model_core import CORRECTION_MODES, Dataset, SetTable
 from .bayes_mnl import PosteriorDraws
 
 # Multiplicative step-3 adaptation: every ADAPT_WINDOW burn-in iterations,
@@ -120,8 +120,8 @@ class MmnlPriors:
 class GibbsConfig:
     """Run-length, seeding, proposal scale, and choice-set handling.
 
-    ``sets`` is None for full choice sets, or a (sampled_sets, mode) pair
-    with one SampledSet per observation in dataset order.
+    ``sets`` is None for full choice sets, or a (SetTable, mode) pair with
+    one row per observation in dataset order.
     """
 
     iterations: int
@@ -129,7 +129,7 @@ class GibbsConfig:
     thin: int = 1
     seed: int = 0
     rho: float = 0.4
-    sets: tuple[list[SampledSet], str] | None = None
+    sets: tuple[SetTable, str] | None = None
     store_beta_n: bool = False
 
     def __post_init__(self):

@@ -20,7 +20,7 @@ from .errors import (InsufficientDrawsError, InvalidInputError,
                      UnsupportedDimensionError)
 from .grids import GridSpec, log_trapezoid
 from .mle import ChoiceArrays
-from .model_core import Dataset, SampledSet
+from .model_core import Dataset
 
 _DOUBLING_TOL = 1e-6
 _ADAPT_TARGET = 0.3
@@ -134,15 +134,6 @@ class PosteriorSummary:
 # kernels and grid posteriors
 # ---------------------------------------------------------------------------
 
-def _normalize_sets(sets) -> tuple[list[SampledSet] | None, str]:
-    """Accept None (full sets) or a (sampled_sets, mode) pair."""
-    if sets is None:
-        return None, "none"
-    if isinstance(sets, tuple) and len(sets) == 2:
-        return sets[0], sets[1]
-    raise InvalidInputError("sets must be None or (sampled_sets, mode)")
-
-
 def log_posterior_kernel(beta: np.ndarray, likelihood: ChoiceArrays,
                          prior: Prior) -> np.ndarray | float:
     """Log prior plus (quasi) log-likelihood: the one posterior kernel.
@@ -157,7 +148,8 @@ def log_posterior_kernel(beta: np.ndarray, likelihood: ChoiceArrays,
 
 def grid_posterior(dataset: Dataset, sets, prior: Prior, grid: GridSpec,
                    check_doubling: bool = True) -> GridPosterior:
-    """Exact lattice posterior with trapezoid marginal likelihood."""
+    """Exact lattice posterior with trapezoid marginal likelihood; ``sets``
+    is None (full sets) or a (SetTable, mode) pair."""
     if dataset.K > 2:
         raise UnsupportedDimensionError(
             f"grid posteriors support K <= 2, got K={dataset.K}")
@@ -165,7 +157,8 @@ def grid_posterior(dataset: Dataset, sets, prior: Prior, grid: GridSpec,
         raise InvalidInputError("grid dimension must equal dataset K")
     if prior.dim != dataset.K:
         raise InvalidInputError("prior dimension must equal dataset K")
-    likelihood = ChoiceArrays(dataset, *_normalize_sets(sets))
+    sampled, mode = (None, "none") if sets is None else sets
+    likelihood = ChoiceArrays(dataset, sampled, mode)
     points = grid.lattice()
     weights = grid.weights()
     log_kernel = log_posterior_kernel(points, likelihood, prior)

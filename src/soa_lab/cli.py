@@ -17,8 +17,9 @@ Config files are flat ``key = value`` text with dotted section prefixes::
     seed = 7
     output.dir = runs/demo
 
-Keys under ``output.`` and ``runtime.`` never affect numbers and are
-excluded from the config hash.  ``--seed`` and ``--out`` override the
+Each verb accepts only the keys it reads (``VERB_KEYS``); any other key
+is an error naming its ``file:line``.  ``output.dir`` never affects numbers
+and is excluded from the config hash.  ``--seed`` and ``--out`` override the
 ``seed`` and ``output.dir`` keys (the seed override happens before
 hashing, because it changes results).
 
@@ -46,18 +47,44 @@ from .errors import (CapacityError, ConfigError, InvalidInputError,
                      InvalidStateError, NumericalDegeneracyError)
 from .grids import GridSpec
 from .mle import ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
-from .model_core import Dataset, SampledSet, UtilityParams, log_softmax
+from .model_core import (Dataset, SampledSet, SetTable, UtilityParams,
+                         log_softmax)
 from .protocols import Protocol, derive_stream, draw_sampled_set, enumerate_sets
 from .synth import MmnlDgpConfig, MnlDgpConfig, generate_mmnl, generate_mnl
 
 _MISSING = object()
+_BOOLEANS = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
 
 
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
+# The keys each verb reads.  Any other key ends the run with exit 2, so a
+# misspelt key cannot silently fall back to its default.
+_SET_KEYS = "inputs.dataset inputs.sets correction.sets correction.mode "
+_PRIOR_KEYS = "prior.mean prior.cov "
+VERB_KEYS = {verb: {"seed", "output.dir", *keys.split()} for verb, keys in {
+    "generate": "dgp.model dgp.n dgp.t dgp.j dgp.k dgp.beta_star dgp.mu_star "
+                "dgp.sigma_star dgp.covariate_law",
+    "sample": "inputs.dataset protocol.kind protocol.m "
+              "protocol.inclusion_probs",
+    "fit": _SET_KEYS + "fit.estimator fit.wn_mode fit.r_draws",
+    "bayes": _SET_KEYS + _PRIOR_KEYS + "bayes.method bayes.iterations "
+             "bayes.burn_in bayes.chains bayes.proposal_scale bayes.thin "
+             "bayes.rho bayes.store_beta_n prior.m0 prior.a0 prior.s0 "
+             "prior.v0",
+    "divergence": _PRIOR_KEYS + "correction.mode divergence.j divergence.k "
+                  "divergence.m divergence.t divergence.n_designs "
+                  "divergence.beta_star grid.lo grid.hi grid.points",
+}.items()}
+
+
+def parse_config_text(text: str, source: str = "<config>",
+                      keys: set[str] | None = None) -> dict[str, str]:
+    """Key/value pairs of a config; ``keys``, when given, are the only
+    keys allowed."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -72,72 +99,57 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: empty key")
         if key in pairs:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        if keys is not None and key not in keys:
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         pairs[key] = value
     return pairs
 
 
-def parse_config_file(path) -> dict[str, str]:
+def parse_config_file(path, keys: set[str] | None = None) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
-    return parse_config_text(p.read_text(encoding="utf-8"), str(p))
+    return parse_config_text(p.read_text(encoding="utf-8"), str(p), keys)
 
 
 class Config:
     """Typed access to the flat key/value pairs, with pointed errors."""
 
-    def __init__(self, pairs: dict[str, str]):
+    def __init__(self, pairs: dict[str, str], keys: set[str]):
         self.pairs = pairs
-
-    def has(self, key: str) -> bool:
-        return key in self.pairs
+        self.keys = keys
 
     def get(self, key: str, default=_MISSING) -> str:
+        assert key in self.keys, f"{key!r} is read but not declared"
         if key in self.pairs:
             return self.pairs[key]
         if default is _MISSING:
             raise ConfigError(f"missing required config key {key!r}")
         return default
 
-    def get_int(self, key: str, default=_MISSING) -> int:
+    def _parsed(self, key: str, default, parse, what: str):
         value = self.get(key, default)
-        if isinstance(value, int) or value is None:
-            return value
+        if not isinstance(value, str):
+            return value  # a default, already typed
         try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: {value!r} is not an integer")
+            return parse(value)
+        except (ValueError, KeyError):
+            raise ConfigError(f"config key {key!r}: {value!r} is not {what}")
+
+    def get_int(self, key: str, default=_MISSING) -> int:
+        return self._parsed(key, default, int, "an integer")
 
     def get_float(self, key: str, default=_MISSING) -> float:
-        value = self.get(key, default)
-        if isinstance(value, float) or value is None:
-            return value
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: {value!r} is not a number")
+        return self._parsed(key, default, float, "a number")
 
     def get_bool(self, key: str, default=_MISSING) -> bool:
-        value = self.get(key, default)
-        if isinstance(value, bool):
-            return value
-        lowered = value.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key!r}: {value!r} is not a boolean")
+        return self._parsed(key, default, lambda v: _BOOLEANS[v.lower()],
+                            "a boolean")
 
     def get_floats(self, key: str, default=_MISSING) -> np.ndarray | None:
-        value = self.get(key, default)
-        if value is None or isinstance(value, np.ndarray):
-            return value
-        try:
-            return np.array([float(v) for v in value.split(",")])
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r}: {value!r} is not a comma-separated "
-                "list of numbers")
+        return self._parsed(
+            key, default, lambda v: np.array([float(x) for x in v.split(",")]),
+            "a comma-separated list of numbers")
 
 
 def build_protocol(cfg: Config) -> Protocol:
@@ -198,16 +210,13 @@ def load_dataset(cfg: Config) -> tuple[Dataset, str]:
 
 
 def load_sets(cfg: Config, dataset: Dataset,
-              dataset_hash: str) -> tuple[list[SampledSet] | None, str]:
+              dataset_hash: str) -> tuple[SetTable | None, str]:
     """(sampled sets, mode) per the correction.* keys; None means full sets."""
     which = cfg.get("correction.sets", "full")
     if which == "full":
         return None, "none"
     if which != "sampled":
         raise ConfigError("config key 'correction.sets' must be 'full' or 'sampled'")
-    if not cfg.has("inputs.sets"):
-        raise ConfigError("correction.sets=sampled requires the "
-                          "'inputs.sets' file key")
     path = Path(cfg.get("inputs.sets"))
     if not path.is_file():
         raise ConfigError(f"referenced sets file {path} does not exist")
@@ -253,8 +262,9 @@ def cmd_sample(cfg: Config, out_dir: Path, chash: str) -> None:
     protocol = build_protocol(cfg)
     protocol.check_for(dataset.J)
     seed = cfg.get_int("seed")
-    sets = [draw_sampled_set(protocol, obs, derive_stream(seed, obs.obs_id))
-            for obs in dataset.observations]
+    sets = SetTable.from_sets([
+        draw_sampled_set(protocol, chosen, dataset.J, derive_stream(seed, i))
+        for i, chosen in enumerate(dataset.chosen_ids().tolist())])
     sets_path = out_dir / "sets.csv"
     storage.write_sets_csv(sets_path, sets,
                            {"config_hash": chash, "command": "sample",
@@ -281,7 +291,7 @@ def cmd_fit(cfg: Config, out_dir: Path, chash: str) -> None:
         raise ConfigError("config key 'fit.estimator' must be 'mnl' or 'mmnl_msl'")
 
     rows = [(run_id, chash, f"estimate[{name}]", float(value),
-             f"se={storage.fmt(float(se))}")
+             f"se={float(se)!r}")
             for name, value, se in zip(names, values, result.std_errors)]
     if estimator == "mmnl_msl":
         for i in range(dataset.K):
@@ -401,7 +411,8 @@ def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
     # One concrete (Y, D): the realized choices with the first feasible set
     # per observation, comparing grid-KL against its two-term decomposition.
     picked = [enumerate_sets(protocol, o, o.chosen)[0] for o in design.observations]
-    as_sampled = [SampledSet(e.member_ids, e.log_cond_prob) for e in picked]
+    as_sampled = SetTable.from_sets([SampledSet(e.member_ids, e.log_cond_prob)
+                                     for e in picked])
     p_true = grid_posterior(design, None, prior, grid, check_doubling=False)
     p_samp = grid_posterior(design, (as_sampled, mode), prior, grid,
                             check_doubling=False)
@@ -415,7 +426,7 @@ def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
     r_sum_err = max(abs(v - 1.0) for v in r_sums.values())
 
     return [design_id, label, mode,
-            ";".join(storage.fmt(v) for v in beta_star.beta),
+            ";".join(map(repr, beta_star.beta.tolist())),
             report.expected_quasi_ll, report.expected_true_ll,
             report.expected_divergence, report.kl_term_a, report.kl_term_b,
             report.kl_term_a + report.kl_term_b,
@@ -451,12 +462,11 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
                      ("importance_seeded",
                       Protocol("importance_independent", inclusion_probs=probs))]
         for label, protocol in protocols:
-            row_mode = mode
             if protocol.kind != "uniform_wor" and mode == "uniform_constant":
                 raise ConfigError("uniform_constant corrections are only valid "
                                   "for the uniform protocol")
             try:
-                rows.append(_divergence_row(d, label, row_mode, design, protocol,
+                rows.append(_divergence_row(d, label, mode, design, protocol,
                                             beta_star, prior, grid))
             except CapacityError as exc:
                 raise CapacityError(f"design {d} ({label}): {exc}") from exc
@@ -511,12 +521,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        pairs = parse_config_file(args.config)
+        keys = VERB_KEYS[args.command]
+        pairs = parse_config_file(args.config, keys)
         if args.seed is not None:
             pairs["seed"] = str(args.seed)
         if args.out is not None:
             pairs["output.dir"] = args.out
-        cfg = Config(pairs)
+        cfg = Config(pairs, keys)
         out_dir = Path(cfg.get("output.dir"))
         chash = storage.config_hash(pairs)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -70,15 +70,6 @@ class ProtocolComparison:
 
 
 # ---------------------------------------------------------------------------
-# correction helpers for enumerated sets
-# ---------------------------------------------------------------------------
-
-def _mode_corrections(members: np.ndarray, lcp: np.ndarray, mode: str) -> np.ndarray:
-    """Mode corrections for an enumerated (members, lcp) pair."""
-    return correction_vector(SampledSet(members, lcp), mode)
-
-
-# ---------------------------------------------------------------------------
 # coverage and expected quasi log-likelihood
 # ---------------------------------------------------------------------------
 
@@ -115,8 +106,7 @@ def expected_quasi_ll(observation: Observation, protocol: Protocol,
     total = 0.0
     for i in range(observation.n_alts):
         for es in enumerate_sets(protocol, observation, i):
-            c = _mode_corrections(es.member_ids, es.log_cond_prob,
-                                  correction_mode)
+            c = correction_vector(es.log_cond_prob, correction_mode)
             lp_eval = log_softmax(V[es.member_ids] + c)
             pos = int(np.nonzero(es.member_ids == i)[0][0])
             total += p_star[i] * np.exp(es.log_prob_given_chosen) * lp_eval[pos]
@@ -140,7 +130,7 @@ def expected_quasi_ll_setwise(observation: Observation, protocol: Protocol,
     for members, lcp in enumerate_feasible_sets(protocol, observation.n_alts):
         r = np.exp(log_sum_exp(V_star[members] + lcp) - lse_star)
         p_proc = np.exp(log_softmax(V_star[members] + lcp))
-        c = _mode_corrections(members, lcp, correction_mode)
+        c = correction_vector(lcp, correction_mode)
         lp_eval = log_softmax(V[members] + c)
         total += r * float(p_proc @ lp_eval)
     return float(total)
@@ -164,7 +154,7 @@ def expected_divergence(observation: Observation, protocol: Protocol,
         log_num = log_sum_exp(V[members] + lcp)
         r = np.exp(log_num - lse_full)
         p_proc = np.exp(V[members] + lcp - log_num)
-        c = _mode_corrections(members, lcp, correction_mode)
+        c = correction_vector(lcp, correction_mode)
         log_ratio_c = log_sum_exp(V[members] + c) - lse_full
         total += r * (float(p_proc @ c) - log_ratio_c)
     return float(total)
@@ -181,7 +171,7 @@ def expected_divergence_direct(observation: Observation, protocol: Protocol,
         log_num = log_sum_exp(V[members] + lcp)
         r = np.exp(log_num - lse_full)
         p_proc = np.exp(V[members] + lcp - log_num)
-        c = _mode_corrections(members, lcp, correction_mode)
+        c = correction_vector(lcp, correction_mode)
         lp_eval = log_softmax(V[members] + c)
         total += r * float(p_proc @ (lp_eval - lp_full[members]))
     return float(total)
@@ -238,7 +228,7 @@ class _ObsGridTables:
             log_num = _lse_cols(Vd)
             self.r.append(np.exp(log_num - self.lse_full))
             lp_proc = Vd - log_num
-            c = _mode_corrections(members, lcp, mode)
+            c = correction_vector(lcp, mode)
             Vc = self.V[members] + c[:, None]
             log_num_c = _lse_cols(Vc)
             self.log_ratio_c.append(log_num_c - self.lse_full)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .draws import halton_normal_draws
 from .errors import InvalidInputError
-from .model_core import Dataset, SampledSet, UtilityParams, log_softmax
+from .model_core import Dataset, SetTable, UtilityParams, log_softmax
 from .optimize import (central_diff_grad, hessian_from_f, hessian_from_grad,
                        maximize, std_errors_from_hessian)
 from .protocols import correction_vector
@@ -64,7 +64,7 @@ class ChoiceArrays:
     the expansion factor.
     """
 
-    def __init__(self, dataset: Dataset, sampled: list[SampledSet] | None,
+    def __init__(self, dataset: Dataset, sampled: SetTable | None,
                  mode: str):
         X = dataset.attribute_tensor()
         chosen = dataset.chosen_ids()
@@ -79,34 +79,33 @@ class ChoiceArrays:
             if len(sampled) != n:
                 raise InvalidInputError(
                     f"{len(sampled)} sampled sets for {n} observations")
-            m_max = max(s.size for s in sampled)
-            self.X_mem = np.zeros((n, m_max, dataset.K))
-            self.c_shift = np.zeros((n, m_max))
-            self.pad = np.ones((n, m_max), dtype=bool)
-            self.chosen_pos = np.empty(n, dtype=int)
-            self.log_pi = np.full((n, m_max), -np.inf)
-            self.member_idx = np.zeros((n, m_max), dtype=int)
-            for i, s in enumerate(sampled):
-                if np.any(s.member_ids < 0) or np.any(s.member_ids >= dataset.J):
-                    raise InvalidInputError(
-                        f"sampled set {i} has member ids outside 0..{dataset.J - 1}")
-                c = correction_vector(s, mode)
-                m = s.size
-                self.X_mem[i, :m] = X[i, s.member_ids]
-                # Re-centring the corrections never changes a probability and
-                # makes shared-constant corrections vanish exactly.
-                self.c_shift[i, :m] = c - np.max(c)
-                self.pad[i, :m] = False
-                self.chosen_pos[i] = s.position_of(int(chosen[i]))
-                self.log_pi[i, :m] = s.log_cond_prob
-                self.member_idx[i, :m] = s.member_ids
+            ids, pad = sampled.member_ids, sampled.pad
+            hits = (ids == chosen[:, None]) & ~pad
+            bad = np.any((ids < 0) | (ids >= dataset.J), axis=1)
+            if np.any(bad | (hits.sum(axis=1) != 1)):
+                i = int(np.argmax(bad | (hits.sum(axis=1) != 1)))
+                raise InvalidInputError(
+                    f"sampled set {i} has member ids outside 0..{dataset.J - 1}"
+                    if bad[i] else f"sampled set {i} lacks its chosen "
+                    f"alternative {chosen[i]}")
+            c = correction_vector(sampled.log_cond_prob, mode)
+            self.X_mem = np.where(pad[..., None], 0.0,
+                                  X[np.arange(n)[:, None], ids])
+            # Re-centring the corrections never changes a probability and
+            # makes shared-constant corrections vanish exactly.
+            c_max = np.max(np.where(pad, -np.inf, c), axis=1, keepdims=True)
+            self.c_shift = np.where(pad, 0.0, c - c_max)
+            self.pad = pad
+            self.chosen_pos = np.argmax(hits, axis=1)
+            self.log_pi = sampled.log_cond_prob
+            self.member_idx = ids
         self.any_pad = bool(self.pad.any())
         self.n = n
         self.K = dataset.K
         self.x_chosen = self.X_mem[np.arange(n), self.chosen_pos]
 
     @classmethod
-    def panel(cls, dataset: Dataset, sampled: list[SampledSet] | None,
+    def panel(cls, dataset: Dataset, sampled: SetTable | None,
               mode: str) -> "ChoiceArrays":
         """Rows sorted (stably) by individual, for per-individual sums.
 
@@ -121,8 +120,7 @@ class ChoiceArrays:
         sorted_ind = ind[order]
         self = cls(Dataset.from_arrays(dataset.attribute_tensor()[order],
                                        dataset.chosen_ids()[order], sorted_ind),
-                   None if sampled is None else [sampled[i] for i in order],
-                   mode)
+                   None if sampled is None else sampled[order], mode)
         first = np.ones(sorted_ind.size, dtype=bool)
         first[1:] = sorted_ind[1:] != sorted_ind[:-1]
         self.group_starts = np.nonzero(first)[0]
@@ -178,19 +176,19 @@ class ChoiceArrays:
 # fixed-coefficient quasi likelihood
 # ---------------------------------------------------------------------------
 
-def quasi_loglik(dataset: Dataset, sampled: list[SampledSet] | None,
+def quasi_loglik(dataset: Dataset, sampled: SetTable | None,
                  corrections: str, beta: UtilityParams) -> float:
     """Corrected log-likelihood over each observation's evaluation set."""
     return ChoiceArrays(dataset, sampled, corrections).loglik(beta.beta)
 
 
-def quasi_loglik_grad(dataset: Dataset, sampled: list[SampledSet] | None,
+def quasi_loglik_grad(dataset: Dataset, sampled: SetTable | None,
                       corrections: str, beta: UtilityParams) -> np.ndarray:
     """Analytic gradient: sum_n [ x_chosen - sum_j P_j x_j ]."""
     return ChoiceArrays(dataset, sampled, corrections).score(beta.beta)
 
 
-def fit_mnl(dataset: Dataset, sampled: list[SampledSet] | None = None,
+def fit_mnl(dataset: Dataset, sampled: SetTable | None = None,
             corrections: str = "mcfadden", init: UtilityParams | None = None,
             tol: float = 1e-6, max_iter: int = 200) -> FitResult:
     """Maximize the quasi log-likelihood; concave, so converged == global.
@@ -278,7 +276,7 @@ def expansion_log_terms(arrays: ChoiceArrays, beta: np.ndarray
     return log_num, np.log(den)
 
 
-def fit_mmnl_msl(dataset: Dataset, sampled: list[SampledSet] | None,
+def fit_mmnl_msl(dataset: Dataset, sampled: SetTable | None,
                  corrections: str, wn_mode: str, r_draws: int,
                  init: np.ndarray | None = None, tol: float = 1e-3,
                  max_iter: int = 200) -> FitResult:

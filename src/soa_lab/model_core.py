@@ -90,28 +90,22 @@ class Observation:
 
 
 class Dataset:
-    """A collection of observations sharing the same J and K.
-
-    Built either from ``Observation`` objects or straight from arrays via
-    :meth:`from_arrays` (the fast path used by the generators and file
-    readers).  Array views used by the vectorized estimators are cached.
-    """
+    """Observations sharing J and K, held as an (N, J, K) attribute tensor,
+    chosen ids and individual ids; built from ``Observation`` objects or via
+    :meth:`from_arrays`, with the object view built on first use."""
 
     def __init__(self, observations: list[Observation]):
         if not observations:
             raise InvalidInputError("dataset needs at least one observation")
-        J = observations[0].n_alts
-        K = observations[0].n_attrs
-        for obs in observations:
-            if obs.n_alts != J or obs.n_attrs != K:
-                raise InvalidInputError(
-                    "all observations must share the same J and K")
-        self.observations = observations
-        self.J = J
-        self.K = K
-        self._X = None
-        self._chosen = None
-        self._individual = None
+        shape = (observations[0].n_alts, observations[0].n_attrs)
+        if any((o.n_alts, o.n_attrs) != shape for o in observations):
+            raise InvalidInputError(
+                "all observations must share the same J and K")
+        built = Dataset.from_arrays(
+            np.stack([o.attribute_matrix() for o in observations]),
+            [o.chosen for o in observations],
+            [o.individual_id for o in observations])
+        self.__dict__.update(built.__dict__, _observations=observations)
 
     @classmethod
     def from_arrays(cls, X: np.ndarray, chosen: np.ndarray,
@@ -147,43 +141,28 @@ class Dataset:
         self._observations = None
         return self
 
-    # Lazy object view for array-built datasets.
     @property
     def observations(self) -> list[Observation]:
-        if getattr(self, "_observations", "unset") is None:
-            obs = []
-            for i in range(self._X.shape[0]):
-                alts = [Alternative(j, self._X[i, j]) for j in range(self.J)]
-                obs.append(Observation(i, alts, int(self._chosen[i]),
-                                       int(self._individual[i])))
-            self._observations = obs
+        if self._observations is None:
+            self._observations = [
+                Observation(i, [Alternative(j, self._X[i, j])
+                                for j in range(self.J)],
+                            int(self._chosen[i]), int(self._individual[i]))
+                for i in range(self.n_obs)]
         return self._observations
-
-    @observations.setter
-    def observations(self, value):
-        self._observations = value
 
     @property
     def n_obs(self) -> int:
-        if self._X is not None:
-            return self._X.shape[0]
-        return len(self._observations)
+        return self._X.shape[0]
 
     def attribute_tensor(self) -> np.ndarray:
         """(N, J, K) stacked attribute matrices."""
-        if self._X is None:
-            self._X = np.stack([o.attribute_matrix() for o in self._observations])
         return self._X
 
     def chosen_ids(self) -> np.ndarray:
-        if self._chosen is None:
-            self._chosen = np.array([o.chosen for o in self._observations], dtype=int)
         return self._chosen
 
     def individual_ids(self) -> np.ndarray:
-        if self._individual is None:
-            self._individual = np.array(
-                [o.individual_id for o in self._observations], dtype=int)
         return self._individual
 
 
@@ -213,7 +192,6 @@ class SampledSet:
 
     member_ids: np.ndarray
     log_cond_prob: np.ndarray
-    correction_mode: str = "mcfadden"
 
     def __post_init__(self):
         self.member_ids = np.asarray(self.member_ids, dtype=int)
@@ -231,9 +209,6 @@ class SampledSet:
                 "probability under each of its members)")
         if np.any(self.log_cond_prob > 0.0):
             raise InvalidInputError("log conditional probabilities must be <= 0")
-        if self.correction_mode not in CORRECTION_MODES:
-            raise InvalidInputError(
-                f"unknown correction mode {self.correction_mode!r}")
 
     @property
     def size(self) -> int:
@@ -245,6 +220,57 @@ class SampledSet:
         if hits.size != 1:
             raise InvalidInputError(f"alternative {alt_id} not in sampled set")
         return int(hits[0])
+
+
+@dataclass
+class SetTable:
+    """Every observation's sampled set, padded to the largest set size.
+
+    Row i holds observation i's members and log conditional probabilities
+    in member order, then padding where ``pad`` is True (member id 0, log
+    probability -inf).  ``len`` is the number of observations.
+    """
+
+    member_ids: np.ndarray
+    log_cond_prob: np.ndarray
+    pad: np.ndarray
+
+    @classmethod
+    def from_flat(cls, obs: np.ndarray, alt: np.ndarray, lcp: np.ndarray,
+                  n_obs: int) -> "SetTable":
+        """Pack (obs, alt, log_cond_prob) records, keeping record order."""
+        order = np.argsort(obs, kind="stable")
+        obs = obs[order]
+        sizes = np.bincount(obs, minlength=n_obs)
+        col = np.arange(obs.size) - (np.cumsum(sizes) - sizes)[obs]
+        shape = (n_obs, int(sizes.max(initial=0)))
+        member_ids = np.zeros(shape, dtype=int)
+        log_cond_prob = np.full(shape, -np.inf)
+        pad = np.ones(shape, dtype=bool)
+        member_ids[obs, col] = alt[order]
+        log_cond_prob[obs, col] = lcp[order]
+        pad[obs, col] = False
+        return cls(member_ids, log_cond_prob, pad)
+
+    @classmethod
+    def from_sets(cls, sets: list[SampledSet]) -> "SetTable":
+        sizes = [s.size for s in sets]
+        return cls.from_flat(np.repeat(np.arange(len(sets)), sizes),
+                             np.concatenate([s.member_ids for s in sets]),
+                             np.concatenate([s.log_cond_prob for s in sets]),
+                             len(sets))
+
+    def __len__(self) -> int:
+        return self.member_ids.shape[0]
+
+    def __getitem__(self, i):
+        """Row i as a SampledSet (so iterating yields every row); a slice or
+        index array gives a SetTable."""
+        if not isinstance(i, (int, np.integer)):
+            return SetTable(self.member_ids[i], self.log_cond_prob[i],
+                            self.pad[i])
+        keep = ~self.pad[i]
+        return SampledSet(self.member_ids[i, keep], self.log_cond_prob[i, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +307,6 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     # A row that is entirely -inf carries no mass; keep it -inf rather than
     # letting the (-inf) - (-inf) subtraction produce nans.
     return np.where(np.isneginf(lse), -np.inf, out)
-
-
-def linear_utility(attributes: np.ndarray, params: UtilityParams) -> float:
-    """Deterministic utility x'beta for one alternative."""
-    x = np.asarray(attributes, dtype=float)
-    if x.shape != params.beta.shape:
-        raise InvalidInputError(
-            f"attribute/parameter length mismatch: {x.shape} vs {params.beta.shape}")
-    return float(x @ params.beta)
 
 
 def utilities(observation: Observation, params: UtilityParams) -> np.ndarray:

@@ -19,6 +19,8 @@ from .errors import InvalidInputError
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-14
+# How many ulps of |f| its evaluation is trusted to; see maximize.
+_F_RESOLUTION_ULPS = 4
 
 
 @dataclass
@@ -39,9 +41,10 @@ def maximize(f: Callable[[np.ndarray], float],
 
     Convergence means max|grad| <= tol.  A line search that cannot improve
     the objective ends the run (converged only if the gradient test already
-    holds), and so does a shortened step that leaves f exactly unchanged:
-    the ascent left is below what f resolves.  A full step with f unchanged
-    still counts, as near the optimum the gradient keeps falling.  -inf/nan
+    holds).  Where the ascent a full step predicts (g'p) is below what f
+    resolves, a few ulps of |f|, the line search sees only rounding noise:
+    the full step is taken unless it loses more than that, and a step that
+    does not shrink max|grad| there is a stall that ends the run.  -inf/nan
     trial values are treated as rejected steps.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -63,18 +66,25 @@ def maximize(f: Callable[[np.ndarray], float],
             H = np.eye(n)
             p = g.copy()
             slope = float(g @ g)
+        resolution = _F_RESOLUTION_ULPS * float(np.spacing(abs(fx)))
+        unresolved = slope <= resolution
         step = 1.0
         accepted = False
         while step >= _MIN_STEP:
             x_new = x + step * p
             f_new = f(x_new)
-            if np.isfinite(f_new) and f_new >= fx + _ARMIJO_C1 * step * slope:
+            if np.isfinite(f_new) and (
+                    f_new >= fx + _ARMIJO_C1 * step * slope
+                    or (unresolved and step == 1.0
+                        and f_new >= fx - resolution)):
                 accepted = True
                 break
             step *= _BACKTRACK
-        if not accepted or (step < 1.0 and f_new == fx):
+        if not accepted:
             return AscentResult(x, fx, g, bool(np.max(np.abs(g)) <= tol), it)
         g_new = np.asarray(grad(x_new), dtype=float)
+        if unresolved and np.max(np.abs(g_new)) >= np.max(np.abs(g)):
+            return AscentResult(x, fx, g, bool(np.max(np.abs(g)) <= tol), it)
         s = x_new - x
         y = g_new - g  # note: ascent; curvature condition is s @ y < 0
         sy = float(s @ y)
@@ -93,28 +103,22 @@ def maximize(f: Callable[[np.ndarray], float],
 
 def central_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
                       h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with per-coordinate relative steps."""
+    """Central differences with per-coordinate relative steps: the gradient
+    of a scalar f, or one row per coordinate for a vector-valued f."""
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
+    rows = []
     for i in range(x.size):
         hi = h * max(1.0, abs(x[i]))
         xp = x.copy(); xp[i] += hi
         xm = x.copy(); xm[i] -= hi
-        g[i] = (f(xp) - f(xm)) / (2.0 * hi)
-    return g
+        rows.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * hi))
+    return np.array(rows, dtype=float)
 
 
 def hessian_from_grad(grad: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                       h: float = 1e-5) -> np.ndarray:
     """Symmetrized central differences of a gradient callable."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    H = np.empty((n, n))
-    for i in range(n):
-        hi = h * max(1.0, abs(x[i]))
-        xp = x.copy(); xp[i] += hi
-        xm = x.copy(); xm[i] -= hi
-        H[i] = (np.asarray(grad(xp)) - np.asarray(grad(xm))) / (2.0 * hi)
+    H = central_diff_grad(grad, x, h)
     return 0.5 * (H + H.T)
 
 

@@ -121,16 +121,15 @@ def _importance_log_cond_probs(members: np.ndarray, J: int,
     return np.minimum(out, 0.0)
 
 
-def draw_sampled_set(protocol: Protocol, observation: Observation,
+def draw_sampled_set(protocol: Protocol, chosen: int, J: int,
                      rng_stream: np.random.Generator) -> SampledSet:
-    """Draw one sampled set for an observation; always contains the chosen.
+    """Draw one sampled set for an observation with J alternatives whose
+    chosen alternative is ``chosen``; the set always contains it.
 
     The caller supplies the seeded stream (see :func:`derive_stream`), so
     replications stay reproducible however they are scheduled.
     """
-    J = observation.n_alts
     protocol.check_for(J)
-    chosen = observation.chosen
     others = np.array([j for j in range(J) if j != chosen], dtype=int)
 
     if protocol.kind == "uniform_wor":
@@ -213,26 +212,26 @@ def enumerate_feasible_sets(protocol: Protocol, J: int) -> list[tuple[np.ndarray
     return out
 
 
-def correction_vector(sampled: SampledSet, mode: str) -> np.ndarray:
-    """Additive utility corrections implied by a correction mode.
-
-    mcfadden returns the raw log conditional sampling probabilities; none
-    returns zeros; uniform_constant insists all members share one value and
-    returns that constant vector (it cancels in the softmax, but the
-    divergence oracles consume the raw value).
-    """
+def correction_vector(log_cond_prob: np.ndarray, mode: str) -> np.ndarray:
+    """Additive utility corrections, row-wise over one set's log conditional
+    probabilities or a SetTable's (-inf padding gets zeros): mcfadden returns
+    them, none zeros, uniform_constant the one value each set's members must
+    share (it cancels in the softmax; the divergence oracles consume it)."""
     if mode not in CORRECTION_MODES:
         raise InvalidInputError(f"unknown correction mode {mode!r}")
+    lcp = np.asarray(log_cond_prob, dtype=float)
+    pad = np.isneginf(lcp)
     if mode == "none":
-        return np.zeros_like(sampled.log_cond_prob)
+        return np.zeros_like(lcp)
     if mode == "mcfadden":
-        return sampled.log_cond_prob.copy()
-    spread = float(np.max(sampled.log_cond_prob) - np.min(sampled.log_cond_prob))
+        return np.where(pad, 0.0, lcp)
+    spread = float(np.max(np.max(lcp, axis=-1)
+                          - np.min(np.where(pad, np.inf, lcp), axis=-1)))
     if spread > _UNIFORM_ATOL:
         raise InvalidStateError(
             "uniform_constant correction requires identical log conditional "
             f"probabilities across members; spread is {spread:g}")
-    return np.full_like(sampled.log_cond_prob, float(sampled.log_cond_prob[0]))
+    return np.where(pad, 0.0, lcp[..., :1])
 
 
 def derive_stream(master_seed: int, obs_id: int, replication: int = 0) -> np.random.Generator:

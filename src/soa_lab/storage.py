@@ -13,31 +13,20 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .model_core import Dataset, SampledSet
+from .model_core import Dataset, SetTable
 
 # Config keys with these prefixes never influence results, so they are
 # excluded from the config hash.
 HASH_EXCLUDED_PREFIXES = ("output.", "runtime.")
 
 HASH_LEN = 12
-
-
-def fmt(x) -> str:
-    """Render one cell: repr for floats (round-trips exactly), str otherwise."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 def config_hash(pairs: dict[str, str]) -> str:
@@ -57,61 +46,91 @@ def file_hash(path) -> str:
 # low-level csv plumbing
 # ---------------------------------------------------------------------------
 
-def _render_csv(headers: dict[str, str], fieldnames: list[str],
-                rows: list[list]) -> str:
-    buf = io.StringIO()
-    for key, value in headers.items():
-        buf.write(f"# {key}={value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
-    return buf.getvalue()
+def _cell(value) -> str:
+    """One cell: repr for floats, str otherwise; text holding a delimiter,
+    quote or line break is quoted as the csv module would."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    text = str(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(column) -> list[str]:
+    """A float array goes through repr, an integer array through str once
+    per distinct value; mixed cells one by one, so ints stay ints."""
+    if not isinstance(column, np.ndarray):
+        return [_cell(v) for v in column]
+    if column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    values, index = np.unique(column, return_inverse=True)
+    labels = np.array(list(map(str, values.tolist())), dtype=object)
+    return labels[index].tolist()
+
+
+def _write_columns(path, headers: dict[str, str], fieldnames: list[str],
+                   columns: list) -> None:
+    lines = [f"# {key}={value}" for key, value in headers.items()]
+    lines.append(",".join(map(_cell, fieldnames)))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                          newline="")
 
 
 def write_csv(path, headers: dict[str, str], fieldnames: list[str],
               rows: list[list]) -> None:
-    Path(path).write_text(_render_csv(headers, fieldnames, rows),
-                          encoding="utf-8", newline="")
+    _write_columns(path, headers, fieldnames,
+                   list(zip(*rows)) if rows else [()] * len(fieldnames))
 
 
-def read_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """(header metadata, fieldnames, data rows) of one of our CSV files."""
-    text = Path(path).read_text(encoding="utf-8")
-    meta = {}
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if line.strip():
-            lines.append(line)
-    if not lines:
-        raise InvalidInputError(f"{path} has no data rows")
-    parsed = list(csv.reader(lines))
-    return meta, parsed[0], parsed[1:]
+def _read_head(path) -> tuple[dict[str, str], list[str], int]:
+    """(header metadata, fieldnames, number of lines before the data)."""
+    meta, fields = {}, None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if fields is None and line.startswith("#"):
+                key, eq, value = line.lstrip("#").partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            elif fields is None and line.strip():
+                fields, skip = next(csv.reader([line])), lineno
+            elif fields is not None and line.split("#", 1)[0].strip():
+                return meta, fields, skip
+    raise InvalidInputError(f"{path} has no data rows")
 
 
-def _row_error(path, row: int, message) -> InvalidInputError:
-    """Name the source line of data row ``row`` (as numbered by read_csv).
-
-    Line numbers are recovered here, on the error path only, so reading a
-    well-formed file keeps no per-row bookkeeping.
-    """
-    kept = [n for n, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1)
-        if line.strip() and not line.startswith("#")]
-    return InvalidInputError(f"{path}:{kept[row + 1]}: {message}")
+def _data_lines(path, skip: int):
+    """(line number, line) of every data row; used on the error path only,
+    so reading a well-formed file keeps no per-row bookkeeping."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno > skip and line.split("#", 1)[0].strip():
+                yield lineno, line
 
 
-def _obs_error(path, rows: list[list[str]], obs: int,
-               message) -> InvalidInputError:
-    """Name the first row of observation ``obs`` (an already parsed id)."""
-    first = next(k for k, row in enumerate(rows) if int(row[0]) == obs)
-    return _row_error(path, first, message)
+def _load_table(path, skip: int, dtype: np.dtype) -> np.ndarray:
+    """Parse every data row in bulk; on failure name the first bad line."""
+    try:
+        return np.loadtxt(path, dtype=dtype, delimiter=",", comments="#",
+                          skiprows=skip, ndmin=1, encoding="utf-8")
+    except ValueError as exc:
+        for lineno, line in _data_lines(path, skip):
+            try:
+                np.loadtxt([line], dtype=dtype, delimiter=",", comments="#")
+            except ValueError as row_exc:
+                message = str(row_exc).split(" at row ")[0]
+                raise InvalidInputError(f"{path}:{lineno}: {message}") from None
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
+def _check_rows(path, skip: int, bad: np.ndarray, message) -> None:
+    """Refuse the file if ``bad`` flags a data row: name the first one's
+    line, with ``message(row)`` saying what is wrong."""
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        lineno = next(islice(_data_lines(path, skip), row, None))[0]
+        raise InvalidInputError(f"{path}:{lineno}: {message(row)}")
 
 
 def verify_lineage(meta: dict[str, str], key: str, expected: str,
@@ -125,123 +144,95 @@ def verify_lineage(meta: dict[str, str], key: str, expected: str,
 
 
 # ---------------------------------------------------------------------------
-# datasets
+# datasets and sampled sets
 # ---------------------------------------------------------------------------
 
-def dataset_fieldnames(K: int) -> list[str]:
-    return ["obs_id", "individual_id", "alt_id", "chosen"] + [
-        f"x{k + 1}" for k in range(K)]
+_DATASET_IDS = ["obs_id", "individual_id", "alt_id", "chosen"]
+_SETS_FIELDS = ["obs_id", "alt_id", "log_cond_prob"]
 
 
 def write_dataset_csv(path, dataset: Dataset, headers: dict[str, str]) -> None:
     """Long format: one row per (observation, alternative)."""
     X = dataset.attribute_tensor()
-    chosen = dataset.chosen_ids()
-    individual = dataset.individual_ids()
-    rows = []
-    for i in range(dataset.n_obs):
-        for j in range(dataset.J):
-            rows.append([i, int(individual[i]), j, int(chosen[i] == j)]
-                        + list(X[i, j]))
-    write_csv(path, headers, dataset_fieldnames(dataset.K), rows)
+    n, J, K = X.shape
+    chosen = dataset.chosen_ids()[:, None] == np.arange(J)
+    fields = _DATASET_IDS + [f"x{k + 1}" for k in range(K)]
+    _write_columns(path, headers, fields, [
+        np.repeat(np.arange(n), J), np.repeat(dataset.individual_ids(), J),
+        np.tile(np.arange(J), n), chosen.ravel().astype(int),
+        *(X[:, :, k].ravel() for k in range(K))])
 
 
 def read_dataset_csv(path) -> tuple[Dataset, dict[str, str]]:
-    meta, fields, rows = read_csv(path)
+    """Rows may come in any order; every observation needs alternatives
+    0..J-1 once each, one chosen flag and one individual id.  A bad row
+    names its line, a bad observation the line of its first row."""
+    meta, fields, skip = _read_head(path)
     K = len(fields) - 4
-    if K < 1 or fields[:4] != ["obs_id", "individual_id", "alt_id", "chosen"]:
+    if K < 1 or fields[:4] != _DATASET_IDS:
         raise InvalidInputError(f"{path} is not a dataset file")
-    if not rows:
-        raise InvalidInputError(f"{path} has no data rows")
-    by_obs: dict[int, list] = {}
-    individual = {}
-    for k, row in enumerate(rows):
-        try:
-            if len(row) != len(fields):
-                raise ValueError(f"{len(row)} cells, expected {len(fields)}")
-            i = int(row[0])
-            individual[i] = int(row[1])
-            by_obs.setdefault(i, []).append(
-                (int(row[2]), int(row[3]), [float(v) for v in row[4:]]))
-        except ValueError as exc:
-            raise _row_error(path, k, exc) from None
-    n = len(by_obs)
-    if sorted(by_obs) != list(range(n)):
-        raise InvalidInputError(f"{path}: observation ids are not dense 0..N-1")
-    J = len(by_obs[0])
-    X = np.empty((n, J, K))
-    chosen = np.full(n, -1, dtype=int)
-    ind = np.empty(n, dtype=int)
-    for i in range(n):
-        alts = sorted(by_obs[i])
-        if [a[0] for a in alts] != list(range(J)):
-            raise _obs_error(path, rows, i, f"observation {i} lacks dense "
-                             "alternative ids 0..J-1")
-        for j, flag, xs in alts:
-            X[i, j] = xs
-            if flag:
-                if chosen[i] >= 0:
-                    raise _obs_error(path, rows, i, f"observation {i} marks "
-                                     "several alternatives chosen")
-                chosen[i] = j
-        if chosen[i] < 0:
-            raise _obs_error(path, rows, i, f"observation {i} marks no choice")
-        ind[i] = individual[i]
-    try:
-        return Dataset.from_arrays(X, chosen, ind), meta
-    except InvalidInputError as exc:
-        # Every cell parsed and every id checked, so what is left to fail is
-        # a non-finite attribute: name the first row carrying one.
-        bad = next(k for k, row in enumerate(rows)
-                   if not np.isfinite(np.array(row[4:], dtype=float)).all())
-        raise _row_error(path, bad, exc) from None
+    rows = _load_table(path, skip, np.dtype(
+        [(f, "i8") for f in _DATASET_IDS] + [("x", "f8", (K,))]))
+    obs, ind, alt, flag, x = (rows[f] for f in _DATASET_IDS + ["x"])
+    _check_rows(path, skip, (flag < 0) | (flag > 1),
+                lambda k: f"chosen flag {flag[k]} is not 0 or 1")
+    _check_rows(path, skip, ~np.isfinite(x).all(axis=1),
+                lambda k: "attributes must be finite")
+    n = np.unique(obs).size
+    _check_rows(path, skip, (obs < 0) | (obs >= n), lambda k: (
+        f"obs_id {obs[k]} outside 0..{n - 1}: observation ids are not dense"))
+    order = np.lexsort((alt, obs))
+    counts = np.bincount(obs, minlength=n)
+    J = int(np.argmax(np.bincount(counts)))  # the most common row count
+    rank = np.arange(obs.size) - (np.cumsum(counts) - counts)[obs[order]]
+    bad_alts = (counts != J) | (np.bincount(obs[order], alt[order] != rank,
+                                            minlength=n) > 0)
+    n_chosen = np.bincount(obs, flag, minlength=n)
+    _check_rows(path, skip, (bad_alts | (n_chosen != 1))[obs],
+                lambda k: f"observation {obs[k]} " + (
+                    "lacks dense alternative ids 0..J-1" if bad_alts[obs[k]]
+                    else "marks several alternatives chosen"
+                    if n_chosen[obs[k]] > 1 else "marks no choice"))
+    ind = ind[order].reshape(n, J)
+    _check_rows(path, skip, np.any(ind != ind[:, :1], axis=1)[obs],
+                lambda k: f"observation {obs[k]} has several individual ids")
+    return Dataset.from_arrays(x[order].reshape(n, J, K),
+                               np.argmax(flag[order].reshape(n, J), axis=1),
+                               ind[:, 0]), meta
 
 
-# ---------------------------------------------------------------------------
-# sampled sets
-# ---------------------------------------------------------------------------
-
-def write_sets_csv(path, sets: list[SampledSet], headers: dict[str, str]) -> None:
-    rows = []
-    for i, s in enumerate(sets):
-        for pos in range(s.size):
-            rows.append([i, int(s.member_ids[pos]), float(s.log_cond_prob[pos])])
-    write_csv(path, headers, ["obs_id", "alt_id", "log_cond_prob"], rows)
+def write_sets_csv(path, sets: SetTable, headers: dict[str, str]) -> None:
+    keep = ~sets.pad
+    _write_columns(path, headers, _SETS_FIELDS,
+                   [np.nonzero(keep)[0], sets.member_ids[keep],
+                    sets.log_cond_prob[keep]])
 
 
-def read_sets_csv(path, n_obs: int,
-                  J: int) -> tuple[list[SampledSet], dict[str, str]]:
+def read_sets_csv(path, n_obs: int, J: int) -> tuple[SetTable, dict[str, str]]:
     """Sampled sets for observations 0..n_obs-1 of a dataset with J
-    alternatives; a bad cell names its line, a bad set its first line."""
-    meta, fields, rows = read_csv(path)
-    if fields != ["obs_id", "alt_id", "log_cond_prob"]:
+    alternatives; a bad row names its line, a bad set its first line."""
+    meta, fields, skip = _read_head(path)
+    if fields != _SETS_FIELDS:
         raise InvalidInputError(f"{path} is not a sampled-sets file")
-    by_obs: dict[int, list] = {}
-    for k, row in enumerate(rows):
-        try:
-            if len(row) != 3:
-                raise ValueError(f"{len(row)} cells, expected 3")
-            alt, lcp = int(row[1]), float(row[2])
-            if not 0 <= alt < J:
-                raise ValueError(f"alt_id {alt} outside 0..{J - 1}")
-            if not -np.inf < lcp <= 0.0:
-                raise ValueError(f"log_cond_prob {lcp!r} is not a finite "
-                                 "log probability")
-            by_obs.setdefault(int(row[0]), []).append((alt, lcp))
-        except ValueError as exc:
-            raise _row_error(path, k, exc) from None
-    if sorted(by_obs) != list(range(n_obs)):
+    rows = _load_table(path, skip, np.dtype(
+        [("obs_id", "i8"), ("alt_id", "i8"), ("log_cond_prob", "f8")]))
+    obs, alt, lcp = (rows[f] for f in _SETS_FIELDS)
+    _check_rows(path, skip, (alt < 0) | (alt >= J),
+                lambda k: f"alt_id {alt[k]} outside 0..{J - 1}")
+    _check_rows(path, skip, ~((lcp > -np.inf) & (lcp <= 0.0)), lambda k: (
+        f"log_cond_prob {lcp[k]!r} is not a finite log probability"))
+    _check_rows(path, skip, (obs < 0) | (obs >= n_obs),
+                lambda k: f"obs_id {obs[k]} outside 0..{n_obs - 1}")
+    if np.any(np.bincount(obs, minlength=n_obs) == 0):
         raise InvalidInputError(
             f"{path}: set records do not cover observations 0..{n_obs - 1}")
-    sets = []
-    for i in range(n_obs):
-        members = np.array([m for m, _ in by_obs[i]], dtype=int)
-        lcp = np.array([c for _, c in by_obs[i]], dtype=float)
-        try:
-            sets.append(SampledSet(members, lcp))
-        except InvalidInputError as exc:
-            raise _obs_error(path, rows, i, exc) from None
-    return sets, meta
+    order = np.lexsort((alt, obs))
+    o, a = obs[order], alt[order]
+    repeated = np.zeros(n_obs, dtype=bool)
+    repeated[o[1:][(o[1:] == o[:-1]) & (a[1:] == a[:-1])]] = True
+    _check_rows(path, skip, repeated[obs],
+                lambda k: "sampled set has repeated member ids")
+    return SetTable.from_flat(obs, alt, lcp, n_obs), meta
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +249,11 @@ def write_report_csv(path, rows: list[tuple], headers: dict[str, str]) -> None:
 def write_draws_csv(path, draws, headers: dict[str, str], thin: int = 1) -> None:
     """chain, iteration (absolute), then one column per parameter."""
     names = draws.param_names or [f"beta_{k}" for k in range(draws.dim)]
-    rows = []
-    for c in range(draws.n_chains):
-        for i in range(draws.draws.shape[1]):
-            rows.append([c, draws.burn_in + i * thin] + list(draws.draws[c, i]))
-    write_csv(path, headers, ["chain", "iteration"] + names, rows)
+    C, S, D = draws.draws.shape
+    _write_columns(path, headers, ["chain", "iteration"] + names, [
+        np.repeat(np.arange(C), S),
+        np.tile(draws.burn_in + thin * np.arange(S), C),
+        *(draws.draws[:, :, k].ravel() for k in range(D))])
 
 
 def write_beta_n_csv(path, draws, headers: dict[str, str], thin: int = 1) -> None:
@@ -272,30 +263,27 @@ def write_beta_n_csv(path, draws, headers: dict[str, str], thin: int = 1) -> Non
     n_kept, n_ind, K = draws.beta_n_draws.shape
     ids = (draws.individual_ids if draws.individual_ids is not None
            else np.arange(n_ind))
-    rows = []
-    for i in range(n_kept):
-        for n in range(n_ind):
-            rows.append([draws.burn_in + i * thin, int(ids[n])]
-                        + list(draws.beta_n_draws[i, n]))
-    write_csv(path, headers,
-              ["iteration", "individual_id"] + [f"beta_{k + 1}" for k in range(K)],
-              rows)
+    _write_columns(
+        path, headers,
+        ["iteration", "individual_id"] + [f"beta_{k + 1}" for k in range(K)],
+        [np.repeat(draws.burn_in + thin * np.arange(n_kept), n_ind),
+         np.tile(np.asarray(ids, dtype=int), n_kept),
+         *(draws.beta_n_draws[:, :, k].ravel() for k in range(K))])
 
 
 def write_summary_csv(path, summary, headers: dict[str, str]) -> None:
     names = summary.param_names or [
         f"param_{k}" for k in range(summary.mean.shape[0])]
-    rows = []
-    for k, name in enumerate(names):
-        rows.append([name, float(summary.mean[k]), float(summary.sd[k]),
-                     float(summary.q025[k]), float(summary.q50[k]),
-                     float(summary.q975[k]), float(summary.ess[k])])
-    nan = float("nan")
-    for c, rate in enumerate(np.atleast_1d(summary.acceptance_rates)):
-        rows.append([f"acceptance_chain_{c}", float(rate), nan, nan, nan, nan, nan])
-    write_csv(path, headers,
-              ["parameter", "mean", "sd", "q025", "median", "q975", "ess"],
-              rows)
+    rates = np.atleast_1d(summary.acceptance_rates).astype(float)
+    nan = np.full(rates.size, np.nan)
+    _write_columns(
+        path, headers,
+        ["parameter", "mean", "sd", "q025", "median", "q975", "ess"],
+        [names + [f"acceptance_chain_{c}" for c in range(rates.size)],
+         np.concatenate([summary.mean, rates]),
+         *(np.concatenate([np.asarray(v, dtype=float), nan]) for v in (
+             summary.sd, summary.q025, summary.q50, summary.q975,
+             summary.ess))])
 
 
 def write_manifest(path, payload: dict) -> None:
@@ -303,6 +291,3 @@ def write_manifest(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                           encoding="utf-8", newline="")
 
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

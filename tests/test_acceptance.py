@@ -11,7 +11,7 @@ import numpy as np
 
 from soa_lab import (Alternative, ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      MmnlDgpConfig, MmnlPriors, MnlDgpConfig, Observation,
-                     Prior, Protocol, SampledSet, UtilityParams,
+                     Prior, Protocol, SampledSet, SetTable, UtilityParams,
                      canonical_corrections, derive_stream,
                      divergence_uniform_closed_form, draw_sampled_set,
                      enumerate_sets, expected_divergence,
@@ -74,7 +74,7 @@ def _frequency_check(protocol, J, chosen, n_draws, rng):
     norm_err = abs(sum(table.values()) - 1.0)
     counts = {k: 0 for k in table}
     for _ in range(n_draws):
-        s = draw_sampled_set(protocol, obs, rng)
+        s = draw_sampled_set(protocol, obs.chosen, obs.n_alts, rng)
         counts[tuple(s.member_ids)] += 1
     max_sigma = 0.0
     for k, pi in table.items():
@@ -217,8 +217,8 @@ def test_criterion_05_kl_machinery():
                                                       grid)))
             picked = [enumerate_sets(proto, o, o.chosen)[0]
                       for o in design.observations]
-            as_sampled = [SampledSet(e.member_ids, e.log_cond_prob)
-                          for e in picked]
+            as_sampled = SetTable.from_sets(
+                [SampledSet(e.member_ids, e.log_cond_prob) for e in picked])
             p_true = grid_posterior(design, None, prior, grid,
                                     check_doubling=False)
             p_samp = grid_posterior(design, (as_sampled, "mcfadden"), prior,
@@ -250,9 +250,10 @@ def test_criterion_06_classical_recovery():
     ds_a = generate_mnl(MnlDgpConfig(N=2000, J=10, K=2,
                                      beta_star=UtilityParams(beta_star),
                                      seed=61))
-    sets_a = [draw_sampled_set(Protocol("uniform_wor", m=4), o,
-                               derive_stream(62, o.obs_id))
-              for o in ds_a.observations]
+    sets_a = SetTable.from_sets([
+        draw_sampled_set(Protocol("uniform_wor", m=4), o.chosen, o.n_alts,
+                         derive_stream(62, o.obs_id))
+        for o in ds_a.observations])
     fa = fit_mnl(ds_a, sets_a, "none")
     dev_a = np.abs(fa.estimate.beta - beta_star) / fa.std_errors
 
@@ -266,8 +267,10 @@ def test_criterion_06_classical_recovery():
     ds_b = Dataset.from_arrays(X, chosen)
     proto = Protocol("importance_independent",
                      inclusion_probs=np.linspace(0.05, 0.95, 10))
-    sets_b = [draw_sampled_set(proto, o, derive_stream(64, o.obs_id))
-              for o in ds_b.observations]
+    sets_b = SetTable.from_sets([
+        draw_sampled_set(proto, o.chosen, o.n_alts,
+                         derive_stream(64, o.obs_id))
+        for o in ds_b.observations])
     fb = fit_mnl(ds_b, sets_b, "mcfadden")
     fc = fit_mnl(ds_b, sets_b, "none")
     dev_b = np.abs(fb.estimate.beta - beta_star) / fb.std_errors
@@ -301,8 +304,10 @@ def test_criterion_07_gradient_check():
             sets, mode = None, "none"
         else:
             proto = Protocol("uniform_wor", m=int(rng.integers(2, J + 1)))
-            sets = [draw_sampled_set(proto, o, derive_stream(probe, o.obs_id))
-                    for o in ds.observations]
+            sets = SetTable.from_sets([
+                draw_sampled_set(proto, o.chosen, o.n_alts,
+                                 derive_stream(probe, o.obs_id))
+                for o in ds.observations])
             mode = "mcfadden"
         g = quasi_loglik_grad(ds, sets, mode, beta)
         fd = central_diff_grad(
@@ -342,9 +347,10 @@ def test_criterion_08_bayes_mnl():
 
     # uniform conditioning: identical posterior exactly, and the identical
     # kernel gives the identical Metropolis trajectory
-    sets = [draw_sampled_set(Protocol("uniform_wor", m=2), o,
-                             derive_stream(84, o.obs_id))
-            for o in ds.observations]
+    sets = SetTable.from_sets([
+        draw_sampled_set(Protocol("uniform_wor", m=2), o.chosen, o.n_alts,
+                         derive_stream(84, o.obs_id))
+        for o in ds.observations])
     g_mcf = grid_posterior(ds, (sets, "mcfadden"), prior, grid,
                            check_doubling=False)
     g_none = grid_posterior(ds, (sets, "none"), prior, grid,
@@ -383,9 +389,10 @@ def test_criterion_09_bayes_mmnl_gibbs():
     ds, _ = generate_mmnl(MmnlDgpConfig(N=500, T=5, J=10, K=2,
                                         mu_star=mu_star,
                                         sigma_star=sigma_star, seed=91))
-    sets = [draw_sampled_set(Protocol("uniform_wor", m=4), o,
-                             derive_stream(92, o.obs_id))
-            for o in ds.observations]
+    sets = SetTable.from_sets([
+        draw_sampled_set(Protocol("uniform_wor", m=4), o.chosen, o.n_alts,
+                         derive_stream(92, o.obs_id))
+        for o in ds.observations])
     priors = MmnlPriors.default_for(2)
     out_s = run_gibbs(ds, priors, GibbsConfig(iterations=20_000,
                                               burn_in=10_000, seed=93,
@@ -433,9 +440,10 @@ def test_criterion_10_msl_wn_contrast():
                                         mu_star=np.array([0.8]),
                                         sigma_star=np.array([[0.4]]),
                                         seed=13))
-    sets = [draw_sampled_set(Protocol("uniform_wor", m=5), o,
-                             derive_stream(14, o.obs_id))
-            for o in ds.observations]
+    sets = SetTable.from_sets([
+        draw_sampled_set(Protocol("uniform_wor", m=5), o.chosen, o.n_alts,
+                         derive_stream(14, o.obs_id))
+        for o in ds.observations])
     naive = fit_mmnl_msl(ds, sets, "mcfadden", wn_mode="naive_one",
                          r_draws=50)
     exact = fit_mmnl_msl(ds, sets, "mcfadden", wn_mode="exact_full_set",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from soa_lab import read_csv, read_manifest
+from csv_reference import read_csv, read_manifest
 from soa_lab.cli import main, parse_config_text
 
 
@@ -466,3 +466,21 @@ def test_one_likelihood_build_per_verb(tmp_path, monkeypatch, verb, settings):
     cfg = run_config(tmp_path, dataset, sets, extra=settings)
     assert run([verb, "--config", cfg]) == 0
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# the closed config contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("verb,key", [
+    ("bayes", "bayes.chainz"), ("bayes", "runtime.threads"),
+    ("fit", "bayes.chains"), ("generate", "protocol.m"),
+], ids=["misspelt", "runtime_threads", "other_verbs_key", "sample_key"])
+def test_unknown_config_key_is_exit_2_naming_the_line(tmp_path, capsys, verb,
+                                                      key):
+    cfg = write_config(tmp_path / "c.cfg", f"seed = 1\n# note\n{key} = 4\n")
+    assert run([verb, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: unknown key {key!r}" in err
+    assert "Traceback" not in err
+

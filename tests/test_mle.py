@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from soa_lab import mle
 from soa_lab import (Alternative, Dataset, InvalidInputError, MmnlDgpConfig,
-                     MnlDgpConfig, Observation, Protocol, SampledSet,
+                     MnlDgpConfig, Observation, Protocol, SampledSet, SetTable,
                      UtilityParams, derive_stream, draw_sampled_set,
                      fit_mmnl_msl, fit_mnl, generate_mmnl, generate_mnl,
                      halton_normal_draws, log_softmax, pack_theta, quasi_loglik,
@@ -19,8 +19,10 @@ from wn_reference import compute_wn
 
 
 def sampled_for(dataset, protocol, seed):
-    return [draw_sampled_set(protocol, o, derive_stream(seed, o.obs_id))
-            for o in dataset.observations]
+    return SetTable.from_sets([
+        draw_sampled_set(protocol, o.chosen, o.n_alts,
+                         derive_stream(seed, o.obs_id))
+        for o in dataset.observations])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +206,7 @@ def test_wn_is_one_for_degenerate_mixing():
     rng = np.random.default_rng(8)
     obs = Observation(0, [Alternative(j, rng.normal(size=1)) for j in range(4)], 2)
     proto = Protocol("uniform_wor", m=2)
-    s = draw_sampled_set(proto, obs, rng)
+    s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
     mu = np.array([0.7])
     w = compute_wn(UtilityParams(mu), (mu, np.eye(1)), obs, s,
                    np.zeros((1, 1)))
@@ -217,7 +219,7 @@ def test_wn_matches_bruteforce():
     obs = Observation(0, [Alternative(j, rng.normal(size=K)) for j in range(J)], 0)
     proto = Protocol("importance_independent",
                      inclusion_probs=rng.uniform(0.2, 0.8, size=J))
-    s = draw_sampled_set(proto, obs, rng)
+    s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
     mu = rng.normal(size=K)
     sigma = np.diag(rng.uniform(0.2, 0.5, size=K))
     z = rng.normal(size=(R, K))

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from soa_lab import (Alternative, Dataset, InvalidInputError, Observation,
                      SampledSet, UtilityParams, canonical_corrections,
-                     linear_utility, log_softmax, log_sum_exp, mnl_prob_full,
+                     log_softmax, log_sum_exp, mnl_prob_full,
                      mnl_prob_sampled_corrected, utilities)
 
 finite_floats = st.floats(min_value=-30.0, max_value=30.0,
@@ -104,7 +104,7 @@ def test_utilities_and_linear_utility_agree():
     beta = UtilityParams([0.5, -0.25])
     v = utilities(obs, beta)
     for j, alt in enumerate(obs.alternatives):
-        assert v[j] == linear_utility(alt.attributes, beta)
+        assert v[j] == float(alt.attributes @ beta.beta)  # x'beta, one at a time
 
 
 def test_observation_rejects_sparse_ids():

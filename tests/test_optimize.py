@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from soa_lab import (ChoiceArrays, MnlDgpConfig, Protocol, UtilityParams,
-                     derive_stream, draw_sampled_set, generate_mnl)
+from soa_lab import (ChoiceArrays, MnlDgpConfig, Protocol, SetTable,
+                     UtilityParams, derive_stream, draw_sampled_set,
+                     generate_mnl)
 from soa_lab.errors import InvalidInputError
 from soa_lab.optimize import (central_diff_grad, hessian_from_f,
                               hessian_from_grad, maximize,
@@ -87,14 +88,56 @@ def test_run_ends_when_the_objective_cannot_resolve_the_ascent():
                                    seed=23))
     proto = Protocol("importance_independent",
                      inclusion_probs=np.round(np.linspace(0.2, 0.8, 20), 6))
-    sets = [draw_sampled_set(proto, o, derive_stream(24, o.obs_id))
-            for o in ds.observations]
+    sets = SetTable.from_sets([
+        draw_sampled_set(proto, o.chosen, o.n_alts,
+                         derive_stream(24, o.obs_id))
+        for o in ds.observations])
     lik = ChoiceArrays(ds, sets, "mcfadden")
     res = maximize(lik.loglik, lik.score, np.zeros(2), max_iter=200)
     assert res.iterations < 200
     assert res.converged == (np.max(np.abs(res.grad)) <= 1e-6)
     assert np.max(np.abs(res.grad)) < 1e-5
     assert res.f == lik.loglik(res.x)
+
+
+def test_run_ends_when_rounding_noise_drives_the_gradient():
+    """Near its optimum f ~ 1e8 cannot resolve any ascent, and the gradient
+    there is noise above tol.  Steps that do not shrink max|g| mark the
+    stall and end the run instead of spending the iteration budget."""
+    rng = np.random.default_rng(0)
+
+    def f(x):
+        return 1e8 - 1e-6 * float(np.sum((x - 1.0) ** 2))
+
+    def g(x):
+        return -2e-6 * (x - 1.0) + rng.uniform(-1e-5, 1e-5, size=x.size)
+
+    res = maximize(f, g, np.zeros(2), tol=1e-6, max_iter=200)
+    assert not res.converged
+    assert res.iterations < 20
+
+
+@pytest.mark.parametrize("J,m,seed", [(2, None, 9), (20, None, 11), (20, 5, 13)],
+                         ids=["full_J2_seed9", "full_J20_seed11",
+                              "uniform_m5_seed13"])
+def test_fits_near_the_resolution_of_f_still_converge(J, m, seed):
+    """Logit fits (N=4000, K=2, from zero, tol 1e-6) whose last steps
+    predict an ascent below what f ~ -2000..-10000 resolves.  Their full
+    steps lose a few ulps of f to rounding, and a stop on any shortened
+    step that leaves f unchanged ended each short of the tolerance; the
+    gradient still falls, so each must converge."""
+    ds = generate_mnl(MnlDgpConfig(N=4000, J=J, K=2,
+                                   beta_star=UtilityParams([1.0, -0.5]),
+                                   seed=seed))
+    sets = None if m is None else SetTable.from_sets([
+        draw_sampled_set(Protocol("uniform_wor", m=m), o.chosen, o.n_alts,
+                         derive_stream(seed + 1, o.obs_id))
+        for o in ds.observations])
+    lik = ChoiceArrays(ds, sets, "mcfadden" if sets is not None else "none")
+    res = maximize(lik.loglik, lik.score, np.zeros(2))
+    assert res.converged
+    assert np.max(np.abs(res.grad)) <= 1e-6
+    assert res.iterations < 30
 
 
 def test_central_difference_gradient():

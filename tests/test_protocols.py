@@ -119,7 +119,7 @@ def test_draws_always_contain_chosen_and_respect_size():
     proto = Protocol("uniform_wor", m=3)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        s = draw_sampled_set(proto, obs, rng)
+        s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
         assert s.size == 3
         assert 4 in s.member_ids
         assert np.all(np.diff(s.member_ids) > 0)  # sorted, unique
@@ -133,7 +133,7 @@ def test_uniform_draw_frequencies_match_enumeration():
     rng = np.random.default_rng(42)
     counts = {}
     for _ in range(n_draws):
-        s = draw_sampled_set(proto, obs, rng)
+        s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
         counts[tuple(s.member_ids)] = counts.get(tuple(s.member_ids), 0) + 1
     sets = enumerate_sets(proto, obs, 0)
     assert len(counts) == len(sets)
@@ -151,7 +151,7 @@ def test_importance_draw_frequencies_match_enumeration():
     rng = np.random.default_rng(43)
     counts = {}
     for _ in range(n_draws):
-        s = draw_sampled_set(proto, obs, rng)
+        s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
         counts[tuple(s.member_ids)] = counts.get(tuple(s.member_ids), 0) + 1
     for es in enumerate_sets(proto, obs, 1):
         p = np.exp(es.log_prob_given_chosen)
@@ -166,7 +166,7 @@ def test_importance_draw_carries_exact_conditional_probs():
     rng = np.random.default_rng(1)
     enumerated = {tuple(m): lcp for m, lcp in enumerate_feasible_sets(proto, 6)}
     for _ in range(50):
-        s = draw_sampled_set(proto, obs, rng)
+        s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
         assert np.max(np.abs(s.log_cond_prob
                              - enumerated[tuple(s.member_ids)])) < 1e-12
 
@@ -174,11 +174,12 @@ def test_importance_draw_carries_exact_conditional_probs():
 def test_derived_streams_reproduce_and_separate():
     obs = make_obs(6, chosen=2)
     proto = Protocol("uniform_wor", m=3)
-    a = draw_sampled_set(proto, obs, derive_stream(99, 5))
-    b = draw_sampled_set(proto, obs, derive_stream(99, 5))
+    a = draw_sampled_set(proto, obs.chosen, obs.n_alts, derive_stream(99, 5))
+    b = draw_sampled_set(proto, obs.chosen, obs.n_alts, derive_stream(99, 5))
     assert np.array_equal(a.member_ids, b.member_ids)
-    c = draw_sampled_set(proto, obs, derive_stream(99, 6))
-    d = draw_sampled_set(proto, obs, derive_stream(99, 5, replication=1))
+    c = draw_sampled_set(proto, obs.chosen, obs.n_alts, derive_stream(99, 6))
+    d = draw_sampled_set(proto, obs.chosen, obs.n_alts,
+                         derive_stream(99, 5, replication=1))
     # different identifiers give statistically independent streams; at the
     # very least the full triple cannot coincide for these seeds
     assert not (np.array_equal(a.member_ids, c.member_ids)
@@ -190,13 +191,13 @@ def test_derived_streams_reproduce_and_separate():
 # ---------------------------------------------------------------------------
 
 def test_correction_vector_modes():
-    s = SampledSet(np.array([0, 3]), np.array([-1.5, -1.5]))
-    assert np.array_equal(correction_vector(s, "none"), np.zeros(2))
-    assert np.array_equal(correction_vector(s, "mcfadden"), s.log_cond_prob)
-    assert np.array_equal(correction_vector(s, "uniform_constant"),
+    lcp = SampledSet(np.array([0, 3]), np.array([-1.5, -1.5])).log_cond_prob
+    assert np.array_equal(correction_vector(lcp, "none"), np.zeros(2))
+    assert np.array_equal(correction_vector(lcp, "mcfadden"), lcp)
+    assert np.array_equal(correction_vector(lcp, "uniform_constant"),
                           np.array([-1.5, -1.5]))
     ragged = SampledSet(np.array([0, 3]), np.array([-1.5, -2.0]))
     with pytest.raises(InvalidStateError):
-        correction_vector(ragged, "uniform_constant")
+        correction_vector(ragged.log_cond_prob, "uniform_constant")
     with pytest.raises(InvalidInputError):
-        correction_vector(s, "bonferroni")
+        correction_vector(lcp, "bonferroni")

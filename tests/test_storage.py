@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from csv_reference import fmt, read_csv, read_manifest, render_csv
+from soa_lab import storage
 from soa_lab import (ConfigError, Dataset, InvalidInputError, MnlDgpConfig,
-                     PosteriorDraws, Protocol, UtilityParams, config_hash,
-                     derive_stream, draw_sampled_set, file_hash, fmt,
-                     generate_mnl, posterior_summary, read_csv,
-                     read_dataset_csv, read_manifest, read_sets_csv,
+                     PosteriorDraws, Protocol, SampledSet, SetTable,
+                     UtilityParams, config_hash, derive_stream,
+                     draw_sampled_set, file_hash, generate_mnl,
+                     posterior_summary, read_dataset_csv, read_sets_csv,
                      verify_lineage, write_csv, write_dataset_csv,
                      write_draws_csv, write_manifest, write_report_csv,
                      write_sets_csv, write_summary_csv)
@@ -121,9 +125,10 @@ def test_dataset_reader_rejects_malformed_choice_column(tmp_path):
 
 def test_sets_round_trip(tmp_path):
     ds = small_dataset(N=15, J=5)
-    sets = [draw_sampled_set(Protocol("uniform_wor", m=3), o,
-                             derive_stream(2, o.obs_id))
-            for o in ds.observations]
+    sets = SetTable.from_sets([
+        draw_sampled_set(Protocol("uniform_wor", m=3), o.chosen, o.n_alts,
+                         derive_stream(2, o.obs_id))
+        for o in ds.observations])
     p = tmp_path / "s.csv"
     write_sets_csv(p, sets, {"dataset_hash": "xyz"})
     back, meta = read_sets_csv(p, n_obs=15, J=5)
@@ -136,9 +141,10 @@ def test_sets_round_trip(tmp_path):
 
 def test_sets_reader_checks_observation_count(tmp_path):
     ds = small_dataset(N=4, J=4)
-    sets = [draw_sampled_set(Protocol("uniform_wor", m=2), o,
-                             derive_stream(2, o.obs_id))
-            for o in ds.observations]
+    sets = SetTable.from_sets([
+        draw_sampled_set(Protocol("uniform_wor", m=2), o.chosen, o.n_alts,
+                         derive_stream(2, o.obs_id))
+        for o in ds.observations])
     p = tmp_path / "s.csv"
     write_sets_csv(p, sets, {})
     with pytest.raises(InvalidInputError):
@@ -192,3 +198,77 @@ def test_manifest_round_trip_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert read_manifest(p1) == payload
     assert b"time" not in p1.read_bytes().lower()
+
+
+# ---------------------------------------------------------------------------
+# the column writer against the row-wise reference, and bulk-reader round trips
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+               0.1, 1.0 / 3.0, float("nan"), float("inf"), float("-inf")]
+
+
+def float_arrays(n, finite=False):
+    edge = [v for v in EDGE_FLOATS if np.isfinite(v)] if finite else EDGE_FLOATS
+    elements = st.one_of(st.floats(allow_nan=not finite,
+                                   allow_infinity=not finite),
+                         st.sampled_from(edge))
+    return hnp.arrays(np.float64, n, elements=elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_writer_matches_the_row_reference(tmp_path_factory, data):
+    n = data.draw(st.integers(0, 25))
+    ints = data.draw(hnp.arrays(np.int64, n, elements=st.integers(
+        -2 ** 63, 2 ** 63 - 1)))
+    floats = data.draw(float_arrays(n))
+    flags = data.draw(hnp.arrays(np.bool_, n))
+    mixed = data.draw(st.lists(st.one_of(st.integers(), st.floats(),
+                                         st.booleans()),
+                               min_size=n, max_size=n))
+    text = data.draw(st.lists(st.text(alphabet='ab ,"\n;=[]'),
+                              min_size=n, max_size=n))
+    fields = ["i", "x", "flag", "mixed", "text,quoted"]
+    path = tmp_path_factory.mktemp("w") / "t.csv"
+    storage._write_columns(path, {"h": "v"}, fields,
+                           [ints, floats, flags, mixed, text])
+    rows = [list(r) for r in zip(ints, floats, flags, mixed, text)]
+    assert path.read_text(encoding="utf-8") == render_csv({"h": "v"}, fields,
+                                                          rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bulk_readers_round_trip_bit_for_bit(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 6))
+    J = data.draw(st.integers(1, 4))
+    K = data.draw(st.integers(1, 3))
+    X = data.draw(float_arrays((n, J, K), finite=True))
+    chosen = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, J - 1)))
+    ind = data.draw(hnp.arrays(np.int64, n, elements=st.integers(
+        -2 ** 63, 2 ** 63 - 1)))
+    ds = Dataset.from_arrays(X, chosen, ind)
+    d = tmp_path_factory.mktemp("rt")
+    write_dataset_csv(d / "d.csv", ds, {"config_hash": "h"})
+    back, _ = read_dataset_csv(d / "d.csv")
+    assert back.attribute_tensor().tobytes() == X.tobytes()
+    assert np.array_equal(back.chosen_ids(), chosen)
+    assert np.array_equal(back.individual_ids(), ind)
+
+    lcp_cells = st.one_of(st.floats(max_value=0.0, allow_nan=False,
+                                    allow_infinity=False),
+                          st.sampled_from([v for v in EDGE_FLOATS
+                                           if np.isfinite(v) and v <= 0.0]))
+    sets = SetTable.from_sets([
+        SampledSet(members, data.draw(hnp.arrays(np.float64, members.size,
+                                                 elements=lcp_cells)))
+        for members in (np.array(data.draw(st.lists(
+            st.integers(0, J - 1), min_size=1, max_size=J, unique=True)))
+            for _ in range(n))])
+    write_sets_csv(d / "s.csv", sets, {})
+    back_sets, _ = read_sets_csv(d / "s.csv", n_obs=n, J=J)
+    assert np.array_equal(back_sets.member_ids, sets.member_ids)
+    assert np.array_equal(back_sets.pad, sets.pad)
+    assert back_sets.log_cond_prob.tobytes() == sets.log_cond_prob.tobytes()
