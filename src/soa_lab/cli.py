@@ -81,10 +81,9 @@ VERB_KEYS = {verb: {"seed", "output.dir", *keys.split()} for verb, keys in {
 }.items()}
 
 
-def parse_config_text(text: str, source: str = "<config>",
-                      keys: set[str] | None = None) -> dict[str, str]:
-    """Key/value pairs of a config; ``keys``, when given, are the only
-    keys allowed."""
+def parse_config_text(text: str, keys: set[str],
+                      source: str = "<config>") -> dict[str, str]:
+    """Key/value pairs of a config whose keys must all be in ``keys``."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -99,17 +98,10 @@ def parse_config_text(text: str, source: str = "<config>",
             raise ConfigError(f"{source}:{lineno}: empty key")
         if key in pairs:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        if keys is not None and key not in keys:
+        if key not in keys:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         pairs[key] = value
     return pairs
-
-
-def parse_config_file(path, keys: set[str] | None = None) -> dict[str, str]:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file {p} does not exist")
-    return parse_config_text(p.read_text(encoding="utf-8"), str(p), keys)
 
 
 class Config:
@@ -152,6 +144,14 @@ class Config:
             "a comma-separated list of numbers")
 
 
+def parse_config_file(path, keys: set[str]) -> Config:
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file {p} does not exist")
+    return Config(parse_config_text(p.read_text(encoding="utf-8"), keys, str(p)),
+                  keys)
+
+
 def build_protocol(cfg: Config) -> Protocol:
     kind = cfg.get("protocol.kind")
     if kind == "uniform_wor":
@@ -163,10 +163,8 @@ def build_protocol(cfg: Config) -> Protocol:
 
 
 def build_prior(cfg: Config, K: int) -> Prior:
-    mean = cfg.get_floats("prior.mean", None)
-    if mean is None:
-        mean = np.zeros(K)
-    elif mean.size == 1:
+    mean = cfg.get_floats("prior.mean", np.zeros(K))
+    if mean.size == 1:
         mean = np.full(K, mean[0])
     cov = cfg.get_floats("prior.cov", None)
     if cov is None:
@@ -187,9 +185,8 @@ def build_grid(cfg: Config, K: int) -> GridSpec:
     lo = cfg.get_floats("grid.lo", np.array([-8.0]))
     hi = cfg.get_floats("grid.hi", np.array([8.0]))
     points = cfg.get_int("grid.points", 201)
-    lo = np.full(K, lo[0]) if lo.size == 1 else lo
-    hi = np.full(K, hi[0]) if hi.size == 1 else hi
-    return GridSpec.make(lo, hi, [points] * K)
+    return GridSpec.make(np.full(K, lo[0]) if lo.size == 1 else lo,
+                         np.full(K, hi[0]) if hi.size == 1 else hi, [points] * K)
 
 
 def _square_from(values: np.ndarray, K: int, key: str) -> np.ndarray:
@@ -294,10 +291,9 @@ def cmd_fit(cfg: Config, out_dir: Path, chash: str) -> None:
              f"se={float(se)!r}")
             for name, value, se in zip(names, values, result.std_errors)]
     if estimator == "mmnl_msl":
-        for i in range(dataset.K):
-            for j in range(i + 1):
-                rows.append((run_id, chash, f"sigma[{i + 1},{j + 1}]",
-                             float(result.sigma[i, j]), ""))
+        rows += [(run_id, chash, f"sigma[{i + 1},{j + 1}]",
+                  float(result.sigma[i, j]), "")
+                 for i in range(dataset.K) for j in range(i + 1)]
     rows.append((run_id, chash, "loglik", float(result.loglik), ""))
     rows.append((run_id, chash, "converged", int(result.converged), ""))
     rows.append((run_id, chash, "iterations", int(result.iterations), ""))
@@ -332,15 +328,13 @@ def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
                               seed=seed)
         draws.param_names = [f"beta_{k + 1}" for k in range(dataset.K)]
     elif method == "gibbs":
-        K = dataset.K
-        m0 = cfg.get_floats("prior.m0", None)
-        a0 = cfg.get_floats("prior.a0", None)
-        s0 = cfg.get_floats("prior.s0", None)
+        K, default = dataset.K, MmnlPriors.default_for(dataset.K)
+        a0, s0 = cfg.get_floats("prior.a0", None), cfg.get_floats("prior.s0", None)
         priors = MmnlPriors(
-            m0=np.zeros(K) if m0 is None else m0,
-            A0=100.0 * np.eye(K) if a0 is None else _square_from(a0, K, "prior.a0"),
-            v0=cfg.get_float("prior.v0", float(K + 2)),
-            S0=np.eye(K) if s0 is None else _square_from(s0, K, "prior.s0"))
+            m0=cfg.get_floats("prior.m0", default.m0),
+            A0=default.A0 if a0 is None else _square_from(a0, K, "prior.a0"),
+            v0=cfg.get_float("prior.v0", default.v0),
+            S0=default.S0 if s0 is None else _square_from(s0, K, "prior.s0"))
         thin = cfg.get_int("bayes.thin", 1)
         gibbs_cfg = GibbsConfig(
             iterations=iterations, burn_in=burn_in, thin=thin, seed=seed,
@@ -420,10 +414,8 @@ def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
     resid_decomp = abs(kl_divergence_grid(p_true, p_samp) - (llr + log_ibf))
 
     coverage = np.array(list(report.r_coverage.values()))
-    r_sums = {}
-    for (obs_idx, _), r in report.r_coverage.items():
-        r_sums[obs_idx] = r_sums.get(obs_idx, 0.0) + r
-    r_sum_err = max(abs(v - 1.0) for v in r_sums.values())
+    obs_idx = np.array([obs for obs, _ in report.r_coverage])
+    r_sum_err = float(np.max(np.abs(np.bincount(obs_idx, coverage) - 1.0)))
 
     return [design_id, label, mode,
             ";".join(map(repr, beta_star.beta.tolist())),
@@ -521,15 +513,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        keys = VERB_KEYS[args.command]
-        pairs = parse_config_file(args.config, keys)
+        cfg = parse_config_file(args.config, VERB_KEYS[args.command])
         if args.seed is not None:
-            pairs["seed"] = str(args.seed)
+            cfg.pairs["seed"] = str(args.seed)
         if args.out is not None:
-            pairs["output.dir"] = args.out
-        cfg = Config(pairs, keys)
+            cfg.pairs["output.dir"] = args.out
         out_dir = Path(cfg.get("output.dir"))
-        chash = storage.config_hash(pairs)
+        chash = storage.config_hash(cfg.pairs)
         out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out_dir, chash)
         return 0

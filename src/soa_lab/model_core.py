@@ -246,11 +246,10 @@ class SetTable:
         shape = (n_obs, int(sizes.max(initial=0)))
         member_ids = np.zeros(shape, dtype=int)
         log_cond_prob = np.full(shape, -np.inf)
-        pad = np.ones(shape, dtype=bool)
         member_ids[obs, col] = alt[order]
         log_cond_prob[obs, col] = lcp[order]
-        pad[obs, col] = False
-        return cls(member_ids, log_cond_prob, pad)
+        return cls(member_ids, log_cond_prob,
+                   np.arange(shape[1]) >= sizes[:, None])
 
     @classmethod
     def from_sets(cls, sets: list[SampledSet]) -> "SetTable":

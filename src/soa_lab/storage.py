@@ -24,7 +24,7 @@ from .model_core import Dataset, SetTable
 
 # Config keys with these prefixes never influence results, so they are
 # excluded from the config hash.
-HASH_EXCLUDED_PREFIXES = ("output.", "runtime.")
+HASH_EXCLUDED_PREFIXES = ("output.",)
 
 HASH_LEN = 12
 
@@ -69,13 +69,17 @@ def _cells(column) -> list[str]:
     return labels[index].tolist()
 
 
+_CHUNK_ROWS = 1 << 16  # rows rendered per write, so memory stays bounded
+
+
 def _write_columns(path, headers: dict[str, str], fieldnames: list[str],
                    columns: list) -> None:
-    lines = [f"# {key}={value}" for key, value in headers.items()]
-    lines.append(",".join(map(_cell, fieldnames)))
-    lines.extend(map(",".join, zip(*map(_cells, columns))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
-                          newline="")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in headers.items())
+        fh.write(",".join(map(_cell, fieldnames)) + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [_cells(c[start:start + _CHUNK_ROWS]) for c in columns]
+            fh.write("".join(row + "\n" for row in map(",".join, zip(*chunk))))
 
 
 def write_csv(path, headers: dict[str, str], fieldnames: list[str],
@@ -110,18 +114,26 @@ def _data_lines(path, skip: int):
 
 
 def _load_table(path, skip: int, dtype: np.dtype) -> np.ndarray:
-    """Parse every data row in bulk; on failure name the first bad line."""
+    """Parse every data row in bulk; on failure bisect to the first bad
+    line and name it, for about one more parse of the file."""
+    def error(lines):  # np.loadtxt's complaint about these rows, if any
+        try:
+            np.loadtxt([line for _, line in lines], dtype=dtype, delimiter=",",
+                       comments="#")
+        except ValueError as exc:
+            return str(exc).split(" at row ")[0]
     try:
         return np.loadtxt(path, dtype=dtype, delimiter=",", comments="#",
                           skiprows=skip, ndmin=1, encoding="utf-8")
     except ValueError as exc:
-        for lineno, line in _data_lines(path, skip):
-            try:
-                np.loadtxt([line], dtype=dtype, delimiter=",", comments="#")
-            except ValueError as row_exc:
-                message = str(row_exc).split(" at row ")[0]
-                raise InvalidInputError(f"{path}:{lineno}: {message}") from None
-        raise InvalidInputError(f"{path}: {exc}") from None
+        lines = list(_data_lines(path, skip))
+        while len(lines) > 1:
+            half = len(lines) // 2
+            lines = lines[:half] if error(lines[:half]) else lines[half:]
+        message = error(lines)  # _read_head has seen at least one data row
+        if message is None:
+            raise InvalidInputError(f"{path}: {exc}") from None
+        raise InvalidInputError(f"{path}:{lines[0][0]}: {message}") from None
 
 
 def _check_rows(path, skip: int, bad: np.ndarray, message) -> None:
@@ -242,8 +254,7 @@ def read_sets_csv(path, n_obs: int, J: int) -> tuple[SetTable, dict[str, str]]:
 def write_report_csv(path, rows: list[tuple], headers: dict[str, str]) -> None:
     """rows: (run_id, config_hash, metric, value, context)."""
     write_csv(path, headers,
-              ["run_id", "config_hash", "metric", "value", "context"],
-              [list(r) for r in rows])
+              ["run_id", "config_hash", "metric", "value", "context"], rows)
 
 
 def write_draws_csv(path, draws, headers: dict[str, str], thin: int = 1) -> None:

@@ -40,16 +40,16 @@ output.dir={out}
 # ---------------------------------------------------------------------------
 
 def test_parse_config_text():
-    pairs = parse_config_text("a.b=1\n# comment\n\nc=x y\n")
+    pairs = parse_config_text("a.b=1\n# comment\n\nc=x y\n", {"a.b", "c"})
     assert pairs == {"a.b": "1", "c": "x y"}
 
 
 def test_parse_rejects_bad_lines_and_duplicates():
     from soa_lab import ConfigError
     with pytest.raises(ConfigError):
-        parse_config_text("not a pair\n")
+        parse_config_text("not a pair\n", {"a"})
     with pytest.raises(ConfigError):
-        parse_config_text("a=1\na=2\n")
+        parse_config_text("a=1\na=2\n", {"a"})
 
 
 def test_missing_config_file_is_exit_2(tmp_path):

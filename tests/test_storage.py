@@ -41,8 +41,8 @@ def test_config_hash_is_order_insensitive_and_filtered():
     b = {"seed": "1", "dgp.j": "5", "dgp.n": "100"}
     assert config_hash(a) == config_hash(b)
     assert len(config_hash(a)) == 12
-    # output/runtime settings never perturb the hash
-    c = dict(a, **{"output.dir": "/tmp/x", "runtime.threads": "8"})
+    # the output directory never perturbs the hash
+    c = dict(a, **{"output.dir": "/tmp/x"})
     assert config_hash(c) == config_hash(a)
     d = dict(a, seed="2")
     assert config_hash(d) != config_hash(a)
@@ -151,6 +151,27 @@ def test_sets_reader_checks_observation_count(tmp_path):
         read_sets_csv(p, n_obs=5, J=4)
 
 
+def test_a_bad_row_is_named_after_a_logarithmic_number_of_parses(
+        tmp_path, monkeypatch):
+    ds = small_dataset(N=4096, J=4)
+    p = tmp_path / "d.csv"
+    write_dataset_csv(p, ds, {})
+    lines = p.read_text().splitlines()
+    n_rows = len(lines) - 1
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",abc"   # last row
+    lines[-3] = lines[-3] + ",1.0"                     # an earlier one
+    p.write_text("\n".join(lines) + "\n")
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: (
+        calls.append(1), loadtxt(*a, **k))[1])
+    with pytest.raises(InvalidInputError,
+                       match=rf"d.csv:{len(lines) - 2}: .*7 were found"):
+        read_dataset_csv(p)
+    # one bulk parse, one per halving, one to word the message
+    assert len(calls) <= 2 + int(np.ceil(np.log2(n_rows)))
+
+
 # ---------------------------------------------------------------------------
 # report, draws, summary, manifest
 # ---------------------------------------------------------------------------
@@ -237,6 +258,20 @@ def test_column_writer_matches_the_row_reference(tmp_path_factory, data):
     rows = [list(r) for r in zip(ints, floats, flags, mixed, text)]
     assert path.read_text(encoding="utf-8") == render_csv({"h": "v"}, fields,
                                                           rows)
+
+
+def test_column_writer_bytes_do_not_depend_on_the_chunk_size(tmp_path,
+                                                             monkeypatch):
+    n = len(EDGE_FLOATS)
+    fields = ["i", "x", "mixed"]
+    columns = [np.arange(n) * (2 ** 62 // n), np.array(EDGE_FLOATS),
+               [1, 2.5, True, "a,b"] * 3 + [0, -0.0, 7]]
+    rows = [list(r) for r in zip(*columns)]
+    for chunk in (1, 2, 4, n, 1 << 16):
+        monkeypatch.setattr(storage, "_CHUNK_ROWS", chunk)
+        storage._write_columns(tmp_path / "t.csv", {"h": "v"}, fields, columns)
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == render_csv(
+            {"h": "v"}, fields, rows)
 
 
 @settings(max_examples=40, deadline=None)
