@@ -17,7 +17,7 @@ from .model_core import (CORRECTION_MODES, Alternative, Dataset, Observation,
                          canonical_corrections, log_softmax,
                          log_sum_exp,
                          mnl_prob_full, mnl_prob_sampled_corrected, utilities)
-from .protocols import (PROTOCOL_KINDS, EnumeratedSet, Protocol,
+from .protocols import (PROTOCOL_KINDS, Protocol,
                         correction_vector, derive_stream, draw_sampled_set,
                         enumerate_feasible_sets, enumerate_sets)
 from .synth import (COVARIATE_LAWS, MmnlDgpConfig, MnlDgpConfig, generate_mmnl,

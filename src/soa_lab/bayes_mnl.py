@@ -33,11 +33,8 @@ class Prior:
 
     mean: np.ndarray
     covariance: np.ndarray
-    kind: str = "normal"
 
     def __post_init__(self):
-        if self.kind != "normal":
-            raise InvalidInputError("only normal priors are supported")
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         self.covariance = np.atleast_2d(np.asarray(self.covariance, dtype=float))
         k = self.mean.shape[0]
@@ -55,13 +52,19 @@ class Prior:
         return self.mean.shape[0]
 
     def log_density(self, beta: np.ndarray) -> np.ndarray | float:
-        """Log density at one point (K,) or a batch (P, K)."""
+        """Log density at one point (K,) or a batch (P, K).
+
+        The Cholesky solve is a forward substitution done elementwise over
+        the batch, so a row gets the same bits alone as inside any batch.
+        """
         b = np.asarray(beta, dtype=float)
         squeeze = b.ndim == 1
         dev = np.atleast_2d(b) - self.mean
-        z = np.linalg.solve(self._chol, dev.T)
-        quad = np.sum(z * z, axis=0)
-        out = self._log_norm - 0.5 * quad
+        z = []
+        for k in range(self.dim):
+            z.append((dev[:, k] - sum(self._chol[k, i] * z[i] for i in range(k)))
+                     * (1.0 / self._chol[k, k]))
+        out = self._log_norm - 0.5 * sum(zk * zk for zk in z)
         return float(out[0]) if squeeze else out
 
 
@@ -139,9 +142,8 @@ def log_posterior_kernel(beta: np.ndarray, likelihood: ChoiceArrays,
     """Log prior plus (quasi) log-likelihood: the one posterior kernel.
 
     ``beta`` is one point (K,), giving a float, or a batch (P, K), giving
-    (P,) values; a batch row can differ from the same point evaluated alone
-    in the last bit, through the prior's linear solve.  ``likelihood`` is
-    the prepared choice likelihood, built once per run.
+    (P,) values.  ``likelihood`` is the prepared choice likelihood, built
+    once per run.
     """
     return prior.log_density(beta) + likelihood.loglik(beta)
 

@@ -47,8 +47,7 @@ from .errors import (CapacityError, ConfigError, InvalidInputError,
                      InvalidStateError, NumericalDegeneracyError)
 from .grids import GridSpec
 from .mle import ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
-from .model_core import (Dataset, SampledSet, SetTable, UtilityParams,
-                         log_softmax)
+from .model_core import Dataset, SetTable, UtilityParams, log_softmax
 from .protocols import Protocol, derive_stream, draw_sampled_set, enumerate_sets
 from .synth import MmnlDgpConfig, MnlDgpConfig, generate_mmnl, generate_mnl
 
@@ -404,18 +403,16 @@ def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
 
     # One concrete (Y, D): the realized choices with the first feasible set
     # per observation, comparing grid-KL against its two-term decomposition.
-    picked = [enumerate_sets(protocol, o, o.chosen)[0] for o in design.observations]
-    as_sampled = SetTable.from_sets([SampledSet(e.member_ids, e.log_cond_prob)
-                                     for e in picked])
+    as_sampled = SetTable.from_sets([enumerate_sets(protocol, design.J, c)[0]
+                                     for c in design.chosen_ids().tolist()])
     p_true = grid_posterior(design, None, prior, grid, check_doubling=False)
     p_samp = grid_posterior(design, (as_sampled, mode), prior, grid,
                             check_doubling=False)
     llr, log_ibf = kl_decomposition(p_true, p_samp)
     resid_decomp = abs(kl_divergence_grid(p_true, p_samp) - (llr + log_ibf))
 
-    coverage = np.array(list(report.r_coverage.values()))
-    obs_idx = np.array([obs for obs, _ in report.r_coverage])
-    r_sum_err = float(np.max(np.abs(np.bincount(obs_idx, coverage) - 1.0)))
+    coverage = report.r_coverage
+    r_sum_err = float(np.max(np.abs(coverage.sum(axis=1) - 1.0)))
 
     return [design_id, label, mode,
             ";".join(map(repr, beta_star.beta.tolist())),

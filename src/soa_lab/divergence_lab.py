@@ -21,14 +21,14 @@ chosen):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from .grids import GridSpec, log_trapezoid
-from .model_core import (Observation, SampledSet, UtilityParams, log_softmax,
+from .model_core import (Observation, SetTable, UtilityParams, log_softmax,
                          log_sum_exp, utilities)
 from .protocols import (Protocol, correction_vector, enumerate_feasible_sets,
                         enumerate_sets)
@@ -38,15 +38,18 @@ _MIN_GRID_POINTS = 51
 
 @dataclass
 class DivergenceReport:
-    """Bundle of the oracle quantities for one (design, protocol, mode)."""
+    """Bundle of the oracle quantities for one (design, protocol, mode).
+
+    ``r_coverage`` is (n_obs, S): R at beta_star for every observation and
+    every row of :func:`enumerate_feasible_sets`.
+    """
 
     expected_quasi_ll: float
     expected_true_ll: float
     expected_divergence: float
-    r_coverage: dict
+    r_coverage: np.ndarray
     kl_term_a: float
     kl_term_b: float
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -70,29 +73,77 @@ class ProtocolComparison:
 
 
 # ---------------------------------------------------------------------------
+# the per-set kernel
+# ---------------------------------------------------------------------------
+
+def _set_kernel(observation: Observation, sets: SetTable, mode: str, beta):
+    """The corrected softmax of one observation over every row of ``sets``.
+
+    ``beta`` is UtilityParams, one point (K,) or a batch (P, K); a batch puts
+    a leading P axis on every output except ``c``.  For S rows of width m:
+
+    * ``log_r`` (S,): log coverage ln R(D);
+    * ``lp_proc`` (S, m): process member log-probabilities (lcp corrections);
+    * ``lp_eval`` (S, m): evaluated member log-probabilities (mode corrections);
+    * ``c`` (S, m): the mode's corrections;
+    * ``lp_full`` (S, m): ln P(i | beta, C) of each member.
+
+    Padding is -inf in the log-probabilities and 0 in ``c``.
+    """
+    V = utilities(observation, beta)
+    Vm = V[..., sets.member_ids]
+    c = correction_vector(sets.log_cond_prob, mode)
+    lp_full = np.where(sets.pad, -np.inf, log_softmax(V)[..., sets.member_ids])
+    lp_proc = log_softmax(Vm + sets.log_cond_prob)
+    lp_eval = log_softmax(np.where(sets.pad, -np.inf, Vm + c))
+    log_r = log_sum_exp(lp_full + sets.log_cond_prob)
+    return log_r, lp_proc, lp_eval, c, lp_full
+
+
+def _feasible_kernel(observation: Observation, protocol: Protocol, mode: str,
+                     beta) -> tuple[SetTable, tuple]:
+    """An observation's feasible sets and the kernel over them."""
+    sets = enumerate_feasible_sets(protocol, observation.n_alts)
+    return sets, _set_kernel(observation, sets, mode, beta)
+
+
+def _expect(lp: np.ndarray, values: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """sum over each row's members of exp(lp) * values."""
+    return np.sum(np.exp(lp) * np.where(pad, 0.0, values), axis=-1)
+
+
+def _split_divergence(sets: SetTable, kernel: tuple) -> np.ndarray:
+    """sum_D R [ sum_i P(i|beta,D) c_i - ln( sum_D e^{V+c} / sum_C e^V ) ]."""
+    log_r, lp_proc, _, c, lp_full = kernel
+    return np.sum(np.exp(log_r) * (_expect(lp_proc, c, sets.pad)
+                                   - log_sum_exp(lp_full + c)), axis=-1)
+
+
+def _value(x):
+    """A float for one point, the (P,) array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+# ---------------------------------------------------------------------------
 # coverage and expected quasi log-likelihood
 # ---------------------------------------------------------------------------
 
-def coverage_r(observation: Observation, enumerated_set, beta: UtilityParams) -> float:
-    """Share of the full exponentiated-utility mass the set accounts for,
+def coverage_r(observation: Observation, sets: SetTable, beta) -> np.ndarray:
+    """R of every row of ``sets``, (S,) at one point or (P, S) for a batch:
+    the share of the full exponentiated-utility mass the set accounts for,
     after weighting each member by its conditional set probability."""
-    V = utilities(observation, beta)
-    members = np.asarray(enumerated_set.member_ids, dtype=int)
-    lcp = np.asarray(enumerated_set.log_cond_prob, dtype=float)
-    return float(np.exp(log_sum_exp(V[members] + lcp) - log_sum_exp(V)))
+    return np.exp(_set_kernel(observation, sets, "none", beta)[0])
 
 
-def expected_true_ll(observation: Observation, beta_star: UtilityParams,
-                     beta: UtilityParams) -> float:
+def expected_true_ll(observation: Observation, beta_star, beta):
     """sum_i P(i | beta_star, C) ln P(i | beta, C)."""
     lp_star = log_softmax(utilities(observation, beta_star))
-    lp = log_softmax(utilities(observation, beta))
-    return float(np.exp(lp_star) @ lp)
+    return _value(np.sum(np.exp(lp_star)
+                         * log_softmax(utilities(observation, beta)), axis=-1))
 
 
 def expected_quasi_ll(observation: Observation, protocol: Protocol,
-                      beta_star: UtilityParams, beta: UtilityParams,
-                      correction_mode: str) -> float:
+                      beta_star, beta, correction_mode: str):
     """Expected sampled-set log-likelihood, choice-first ordering.
 
     Outer sum over the chosen alternative weighted by the full-model
@@ -100,22 +151,19 @@ def expected_quasi_ll(observation: Observation, protocol: Protocol,
     it, weighted by the set's conditional probability; the summand is the
     log corrected sampled probability evaluated at beta.
     """
-    V_star = utilities(observation, beta_star)
-    V = utilities(observation, beta)
-    p_star = np.exp(log_softmax(V_star))
+    p_star = np.exp(log_softmax(utilities(observation, beta_star)))
     total = 0.0
     for i in range(observation.n_alts):
-        for es in enumerate_sets(protocol, observation, i):
-            c = correction_vector(es.log_cond_prob, correction_mode)
-            lp_eval = log_softmax(V[es.member_ids] + c)
-            pos = int(np.nonzero(es.member_ids == i)[0][0])
-            total += p_star[i] * np.exp(es.log_prob_given_chosen) * lp_eval[pos]
-    return float(total)
+        sets = enumerate_sets(protocol, observation.n_alts, i)
+        lp_eval = _set_kernel(observation, sets, correction_mode, beta)[2]
+        at_i = (sets.member_ids == i) & ~sets.pad
+        total = total + p_star[..., i] * (lp_eval[..., at_i]
+                                          @ np.exp(sets.log_cond_prob[at_i]))
+    return _value(total)
 
 
 def expected_quasi_ll_setwise(observation: Observation, protocol: Protocol,
-                              beta_star: UtilityParams, beta: UtilityParams,
-                              correction_mode: str) -> float:
+                              beta_star, beta, correction_mode: str):
     """Same expectation, regrouped set-first: sum_D R(D) sum_i P(i|D) ln(...).
 
     Independent code path used to verify the choice-first ordering; the
@@ -123,17 +171,12 @@ def expected_quasi_ll_setwise(observation: Observation, protocol: Protocol,
     sampling probabilities (they come from rewriting the joint), regardless
     of the evaluated correction mode.
     """
-    V_star = utilities(observation, beta_star)
-    V = utilities(observation, beta)
-    lse_star = log_sum_exp(V_star)
-    total = 0.0
-    for members, lcp in enumerate_feasible_sets(protocol, observation.n_alts):
-        r = np.exp(log_sum_exp(V_star[members] + lcp) - lse_star)
-        p_proc = np.exp(log_softmax(V_star[members] + lcp))
-        c = correction_vector(lcp, correction_mode)
-        lp_eval = log_softmax(V[members] + c)
-        total += r * float(p_proc @ lp_eval)
-    return float(total)
+    sets, (log_r, lp_proc, *_) = _feasible_kernel(observation, protocol,
+                                                  correction_mode, beta_star)
+    lp_eval = _feasible_kernel(observation, protocol, correction_mode,
+                               beta)[1][2]
+    return _value(np.sum(np.exp(log_r) * _expect(lp_proc, lp_eval, sets.pad),
+                         axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,44 +184,28 @@ def expected_quasi_ll_setwise(observation: Observation, protocol: Protocol,
 # ---------------------------------------------------------------------------
 
 def expected_divergence(observation: Observation, protocol: Protocol,
-                        beta: UtilityParams, correction_mode: str) -> float:
+                        beta, correction_mode: str):
     """Split-form expected gap between sampled and full log-likelihood.
 
     sum_D R(D) [ sum_i P(i|beta,D) c_i  -  ln( sum_D e^{V+c} / sum_C e^V ) ];
     for mcfadden corrections the second piece reduces to -sum_D R ln R.
     """
-    V = utilities(observation, beta)
-    lse_full = log_sum_exp(V)
-    total = 0.0
-    for members, lcp in enumerate_feasible_sets(protocol, observation.n_alts):
-        log_num = log_sum_exp(V[members] + lcp)
-        r = np.exp(log_num - lse_full)
-        p_proc = np.exp(V[members] + lcp - log_num)
-        c = correction_vector(lcp, correction_mode)
-        log_ratio_c = log_sum_exp(V[members] + c) - lse_full
-        total += r * (float(p_proc @ c) - log_ratio_c)
-    return float(total)
+    return _value(_split_divergence(*_feasible_kernel(
+        observation, protocol, correction_mode, beta)))
 
 
 def expected_divergence_direct(observation: Observation, protocol: Protocol,
-                               beta: UtilityParams, correction_mode: str) -> float:
+                               beta, correction_mode: str):
     """Direct form: sum_D R sum_i P(i|beta,D) [ln P_eval(i|beta,D) - ln P(i|beta,C)]."""
-    V = utilities(observation, beta)
-    lp_full = log_softmax(V)
-    lse_full = log_sum_exp(V)
-    total = 0.0
-    for members, lcp in enumerate_feasible_sets(protocol, observation.n_alts):
-        log_num = log_sum_exp(V[members] + lcp)
-        r = np.exp(log_num - lse_full)
-        p_proc = np.exp(V[members] + lcp - log_num)
-        c = correction_vector(lcp, correction_mode)
-        lp_eval = log_softmax(V[members] + c)
-        total += r * float(p_proc @ (lp_eval - lp_full[members]))
-    return float(total)
+    sets, (log_r, lp_proc, lp_eval, _, lp_full) = _feasible_kernel(
+        observation, protocol, correction_mode, beta)
+    gap = (_expect(lp_proc, lp_eval, sets.pad)
+           - _expect(lp_proc, lp_full, sets.pad))
+    return _value(np.sum(np.exp(log_r) * gap, axis=-1))
 
 
 def divergence_uniform_closed_form(observation: Observation, protocol: Protocol,
-                                   beta: UtilityParams) -> float:
+                                   beta):
     """Closed form for uniform conditioning with its own corrections:
 
     -sum_D pi_dagger * ratio(D) * ln ratio(D),   ratio = sum_D e^V / sum_C e^V.
@@ -188,75 +215,15 @@ def divergence_uniform_closed_form(observation: Observation, protocol: Protocol,
     """
     if protocol.kind != "uniform_wor":
         raise InvalidInputError("closed form needs the uniform protocol")
-    V = utilities(observation, beta)
-    lse_full = log_sum_exp(V)
-    total = 0.0
-    for members, lcp in enumerate_feasible_sets(protocol, observation.n_alts):
-        ratio = np.exp(log_sum_exp(V[members]) - lse_full)
-        total -= np.exp(lcp[0]) * ratio * np.log(ratio)
-    return float(total)
+    sets, kernel = _feasible_kernel(observation, protocol, "none", beta)
+    log_ratio = log_sum_exp(kernel[4])
+    return _value(-np.sum(np.exp(sets.log_cond_prob[:, 0]) * np.exp(log_ratio)
+                          * log_ratio, axis=-1))
 
 
 # ---------------------------------------------------------------------------
 # KL terms on a parameter grid
 # ---------------------------------------------------------------------------
-
-class _ObsGridTables:
-    """Per-observation enumerated-set quantities over all grid points.
-
-    ``V`` is (J, P) utilities across the lattice.  For each feasible set the
-    tables hold coverage, the evaluated-mode ratio log, and the process-
-    probability-weighted correction sum, all shaped (P,).  Pair tables index
-    (chosen, set) combinations for the joint enumerations.
-    """
-
-    def __init__(self, observation: Observation, protocol: Protocol,
-                 mode: str, points: np.ndarray):
-        X = observation.attribute_matrix()
-        self.V = X @ points.T                        # (J, P)
-        self.lse_full = _lse_cols(self.V)            # (P,)
-        self.lp_full = self.V - self.lse_full        # log P(i | beta, C)
-        self.sets = enumerate_feasible_sets(protocol, observation.n_alts)
-        self.r = []            # coverage per set, (P,)
-        self.log_ratio_c = []  # ln(sum_D e^{V+c} / sum_C e^V), (P,)
-        self.c_term = []       # sum_i P_process(i|D) c_i, (P,)
-        self.lp_eval = []      # (m, P) evaluated log member probabilities
-        self.lp_proc = []      # (m, P) process log member probabilities
-        self.corrections = []
-        for members, lcp in self.sets:
-            Vd = self.V[members] + lcp[:, None]
-            log_num = _lse_cols(Vd)
-            self.r.append(np.exp(log_num - self.lse_full))
-            lp_proc = Vd - log_num
-            c = correction_vector(lcp, mode)
-            Vc = self.V[members] + c[:, None]
-            log_num_c = _lse_cols(Vc)
-            self.log_ratio_c.append(log_num_c - self.lse_full)
-            self.c_term.append(np.exp(lp_proc).T @ c)
-            self.lp_eval.append(Vc - log_num_c)
-            self.lp_proc.append(lp_proc)
-            self.corrections.append(c)
-
-    def a_integrand(self) -> np.ndarray:
-        """sum_D R (ln ratio_c - sum_i P_proc c_i) at each grid point."""
-        out = np.zeros_like(self.lse_full)
-        for r, lr, ct in zip(self.r, self.log_ratio_c, self.c_term):
-            out += r * (lr - ct)
-        return out
-
-    def pairs(self):
-        """(chosen id, set index, log pi(D|chosen)) for all feasible pairs."""
-        out = []
-        for s, (members, lcp) in enumerate(self.sets):
-            for pos, i in enumerate(members):
-                out.append((int(i), s, float(lcp[pos]), pos))
-        return out
-
-
-def _lse_cols(M: np.ndarray) -> np.ndarray:
-    m = np.max(M, axis=0)
-    return m + np.log(np.sum(np.exp(M - m), axis=0))
-
 
 def _check_grid(grid: GridSpec, K: int) -> None:
     if grid.dim != K:
@@ -266,18 +233,26 @@ def _check_grid(grid: GridSpec, K: int) -> None:
             f"grid needs at least {_MIN_GRID_POINTS} points per dimension")
 
 
-def _grid_tables(design, protocol: Protocol, correction_mode: str, prior,
-                 grid: GridSpec) -> tuple[np.ndarray, np.ndarray,
-                                          list[_ObsGridTables]]:
-    """Quadrature weights, log prior and per-observation tables on the grid."""
+def _lattice(design, protocol: Protocol, correction_mode: str, prior,
+             grid: GridSpec) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """Quadrature weights, log prior, and per observation its expected
+    divergence on the lattice and its (chosen, set) pairs as
+    (ln pi(D|i), ln P(i | beta, C), ln P_eval(i | beta, D)) triples, in set
+    order, then member order."""
     _check_grid(grid, design.K)
     points = grid.lattice()
-    tables = [_ObsGridTables(obs, protocol, correction_mode, points)
-              for obs in design.observations]
-    return grid.weights(), prior.log_density(points), tables
+    divergence, pairs = [], []
+    for obs in design.observations:
+        sets, kernel = _feasible_kernel(obs, protocol, correction_mode, points)
+        divergence.append(_split_divergence(sets, kernel))
+        s, pos = np.nonzero(~sets.pad)
+        pairs.append(list(zip(sets.log_cond_prob[s, pos].tolist(),
+                              np.ascontiguousarray(kernel[4][:, s, pos].T),
+                              np.ascontiguousarray(kernel[2][:, s, pos].T))))
+    return grid.weights(), prior.log_density(points), divergence, pairs
 
 
-def _joint_outcomes(tables: list[_ObsGridTables], protocol: Protocol):
+def _joint_outcomes(pairs: list, protocol: Protocol):
     """Every joint (choices, sets) outcome of a design, in product order.
 
     Yields (ln pi, ll_true, ll_samp): the log probability of the sets given
@@ -287,29 +262,27 @@ def _joint_outcomes(tables: list[_ObsGridTables], protocol: Protocol):
     """
     cap = protocol.enumeration_cap
     combos = 1
-    for t in tables:
-        combos *= len(t.pairs())
+    for obs_pairs in pairs:
+        combos *= len(obs_pairs)
         if combos > cap:
             raise CapacityError(
                 f"joint enumeration would exceed {cap} (choice, set) combinations")
-    n_points = tables[0].lse_full.shape[0]
-    for combo in product(*[t.pairs() for t in tables]):
+    n_points = pairs[0][0][1].shape[0]
+    for combo in product(*pairs):
         ll_true = np.zeros(n_points)
         ll_samp = np.zeros(n_points)
         log_pi = 0.0
-        for t, (i, s, lpi, pos) in zip(tables, combo):
-            ll_true += t.lp_full[i]
-            ll_samp += t.lp_eval[s][pos]
+        for lpi, lp_true, lp_samp in combo:
+            ll_true += lp_true
+            ll_samp += lp_samp
             log_pi += lpi
         yield log_pi, ll_true, ll_samp
 
 
 def _term_a(weights: np.ndarray, log_prior: np.ndarray,
-            tables: list[_ObsGridTables]) -> float:
-    a_sum = np.zeros(log_prior.shape[0])
-    for t in tables:
-        a_sum += t.a_integrand()
-    return float(np.sum(weights * np.exp(log_prior) * a_sum))
+            divergence: list) -> float:
+    """-integral of prior x sum_n expected_divergence_n."""
+    return float(np.sum(weights * np.exp(log_prior) * -sum(divergence)))
 
 
 def kl_term_a(design, protocol: Protocol, correction_mode: str, prior,
@@ -320,8 +293,8 @@ def kl_term_a(design, protocol: Protocol, correction_mode: str, prior,
     ratio of true to corrected-sampled likelihoods, regrouped per
     observation; it is non-positive under uniform conditioning.
     """
-    return _term_a(*_grid_tables(design, protocol, correction_mode, prior,
-                                 grid))
+    return _term_a(*_lattice(design, protocol, correction_mode, prior,
+                             grid)[:3])
 
 
 def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
@@ -333,11 +306,12 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
     choices and sets.  Their sum is the expected KL divergence from the
     full-set posterior to the sampled-set posterior.
     """
-    weights, log_prior, tables = _grid_tables(design, protocol,
-                                              correction_mode, prior, grid)
-    term_a = _term_a(weights, log_prior, tables)
+    weights, log_prior, divergence, pairs = _lattice(design, protocol,
+                                                     correction_mode, prior,
+                                                     grid)
+    term_a = _term_a(weights, log_prior, divergence)
     term_b = 0.0
-    for log_pi, ll_true, ll_samp in _joint_outcomes(tables, protocol):
+    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs, protocol):
         log_m_true = log_trapezoid(log_prior + ll_true, weights)
         log_m_samp = log_trapezoid(log_prior + ll_samp, weights)
         term_b += np.exp(log_pi + log_m_true) * (log_m_samp - log_m_true)
@@ -352,10 +326,10 @@ def kl_term_a_joint(design, protocol: Protocol, correction_mode: str, prior,
     outcome by prior x full-model likelihood x set probabilities and
     integrates the log likelihood ratio, with no coverage regrouping.
     """
-    weights, log_prior, tables = _grid_tables(design, protocol,
-                                              correction_mode, prior, grid)
+    weights, log_prior, _, pairs = _lattice(design, protocol,
+                                            correction_mode, prior, grid)
     total = 0.0
-    for log_pi, ll_true, ll_samp in _joint_outcomes(tables, protocol):
+    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs, protocol):
         integrand = np.exp(log_prior + ll_true + log_pi) * (ll_true - ll_samp)
         total += float(np.sum(weights * integrand))
     return total
@@ -381,28 +355,17 @@ def kl_term_a_entropy_form(design, protocol: Protocol, prior,
     s_plain = []   # per obs: sum_D ratio
     s_log = []     # per obs: sum_D ratio ln ratio
     for obs in design.observations:
-        X = obs.attribute_matrix()
-        V = X @ points.T
-        lse_full = _lse_cols(V)
-        plain = np.zeros(points.shape[0])
-        logged = np.zeros(points.shape[0])
         sets = enumerate_feasible_sets(protocol, obs.n_alts)
-        log_pi_dagger += float(sets[0][1][0])
-        for members, _ in sets:
-            log_ratio = _lse_cols(V[members]) - lse_full
-            ratio = np.exp(log_ratio)
-            plain += ratio
-            logged += ratio * log_ratio
-        s_plain.append(plain)
-        s_log.append(logged)
+        V = utilities(obs, points)
+        log_ratio = (log_sum_exp(np.where(sets.pad, -np.inf, V[:, sets.member_ids]))
+                     - log_sum_exp(V)[:, None])
+        ratio = np.exp(log_ratio)
+        s_plain.append(np.sum(ratio, axis=1))
+        s_log.append(np.sum(ratio * log_ratio, axis=1))
+        log_pi_dagger += float(sets.log_cond_prob[0, 0])
 
-    inner = np.zeros(points.shape[0])
-    for m in range(len(s_plain)):
-        term = s_log[m].copy()
-        for n in range(len(s_plain)):
-            if n != m:
-                term *= s_plain[n]
-        inner += term
+    inner = sum(s_log[m] * np.prod(s_plain[:m] + s_plain[m + 1:], axis=0)
+                for m in range(len(s_plain)))
     integrand = np.exp(log_prior + log_pi_dagger) * inner
     return float(np.sum(weights * integrand))
 
@@ -416,10 +379,10 @@ def expected_kl_direct(design, protocol: Protocol, correction_mode: str, prior,
     probability.  Equals kl_terms().a + kl_terms().b up to float error while
     sharing no regrouping with that computation.
     """
-    weights, log_prior, tables = _grid_tables(design, protocol,
-                                              correction_mode, prior, grid)
+    weights, log_prior, _, pairs = _lattice(design, protocol,
+                                            correction_mode, prior, grid)
     total = 0.0
-    for log_pi, ll_true, ll_samp in _joint_outcomes(tables, protocol):
+    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs, protocol):
         lk_true = log_prior + ll_true
         lk_samp = log_prior + ll_samp
         lm_true = log_trapezoid(lk_true, weights)
@@ -464,8 +427,7 @@ def build_divergence_report(design, protocol: Protocol, correction_mode: str,
 
     The three expectation scalars are evaluated at beta = beta_star, where
     expected_divergence = expected_quasi_ll - expected_true_ll holds as an
-    identity; the coverage table maps (observation index, member tuple) to
-    R at beta_star.
+    identity.
     """
     eq = sum(expected_quasi_ll(obs, protocol, beta_star, beta_star,
                                correction_mode)
@@ -474,12 +436,9 @@ def build_divergence_report(design, protocol: Protocol, correction_mode: str,
              for obs in design.observations)
     ed = sum(expected_divergence(obs, protocol, beta_star, correction_mode)
              for obs in design.observations)
-    coverage = {}
-    for idx, obs in enumerate(design.observations):
-        for members, lcp in enumerate_feasible_sets(protocol, obs.n_alts):
-            es = SampledSet(members, lcp)
-            coverage[(idx, tuple(int(j) for j in members))] = coverage_r(
-                obs, es, beta_star)
+    sets = enumerate_feasible_sets(protocol, design.J)
+    coverage = np.array([coverage_r(obs, sets, beta_star)
+                         for obs in design.observations])
     terms = kl_terms(design, protocol, correction_mode, prior, grid)
     return DivergenceReport(
         expected_quasi_ll=float(eq),
@@ -488,7 +447,4 @@ def build_divergence_report(design, protocol: Protocol, correction_mode: str,
         r_coverage=coverage,
         kl_term_a=terms.a,
         kl_term_b=terms.b,
-        metadata={"protocol_kind": protocol.kind,
-                  "correction_mode": correction_mode,
-                  "grid": grid},
     )

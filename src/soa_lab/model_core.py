@@ -276,18 +276,19 @@ class SetTable:
 # numerical kernels
 # ---------------------------------------------------------------------------
 
-def log_sum_exp(values) -> float:
-    """log(sum(exp(values))) with max-shift; safe for entries up to ~1e308's log."""
+def log_sum_exp(values) -> float | np.ndarray:
+    """log(sum(exp(values))) over the last axis with max-shift: a float for
+    a vector, an array for a stack of them; -inf entries add nothing."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise InvalidInputError("log_sum_exp of an empty vector")
-    m = np.max(v)
-    if not np.isfinite(m):
-        # All -inf collapses to -inf; a +inf or nan input is a caller bug.
-        if m == -np.inf:
-            return -np.inf
+    if np.any(np.isnan(v) | (v == np.inf)):
         raise InvalidInputError("log_sum_exp requires finite (or -inf) entries")
-    return float(m + np.log(np.sum(np.exp(v - m))))
+    m = np.max(v, axis=-1, keepdims=True)
+    m = np.where(np.isneginf(m), 0.0, m)  # an all -inf vector sums to -inf
+    with np.errstate(divide="ignore"):
+        out = (m + np.log(np.sum(np.exp(v - m), axis=-1, keepdims=True)))[..., 0]
+    return float(out) if v.ndim == 1 else out
 
 
 def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -308,12 +309,14 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.where(np.isneginf(lse), -np.inf, out)
 
 
-def utilities(observation: Observation, params: UtilityParams) -> np.ndarray:
-    """Vector of linear utilities for every alternative of an observation."""
+def utilities(observation: Observation, params) -> np.ndarray:
+    """Linear utilities of every alternative of an observation: (J,) for
+    UtilityParams or one point (K,), (P, J) for a batch (P, K)."""
     X = observation.attribute_matrix()
-    if X.shape[1] != params.beta.shape[0]:
+    beta = np.asarray(getattr(params, "beta", params), dtype=float)
+    if X.shape[1] != beta.shape[-1]:
         raise InvalidInputError("parameter length does not match attributes")
-    return X @ params.beta
+    return beta @ X.T
 
 
 def mnl_prob_full(v: np.ndarray) -> np.ndarray:

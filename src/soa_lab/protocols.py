@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, InvalidStateError
-from .model_core import CORRECTION_MODES, Observation, SampledSet
+from .model_core import CORRECTION_MODES, SampledSet, SetTable
 
 PROTOCOL_KINDS = ("uniform_wor", "importance_independent")
 
@@ -86,24 +86,6 @@ class Protocol:
                     f" choice set has J={J}")
 
 
-@dataclass
-class EnumeratedSet:
-    """One feasible set for a fixed chosen alternative, with probabilities.
-
-    ``log_prob_given_chosen`` is the log probability of drawing exactly this
-    set given the fixed chosen alternative; ``log_cond_prob`` holds the same
-    quantity conditional on each member having been the chosen one instead.
-    """
-
-    member_ids: np.ndarray
-    log_prob_given_chosen: float
-    log_cond_prob: np.ndarray
-
-    def __post_init__(self):
-        self.member_ids = np.asarray(self.member_ids, dtype=int)
-        self.log_cond_prob = np.asarray(self.log_cond_prob, dtype=float)
-
-
 def _importance_log_cond_probs(members: np.ndarray, J: int,
                                log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """ln pi(D|j) for every member j under independent inclusion.
@@ -146,70 +128,67 @@ def draw_sampled_set(protocol: Protocol, chosen: int, J: int,
     return SampledSet(members, _importance_log_cond_probs(members, J, log_p, log_q))
 
 
-def enumerate_sets(protocol: Protocol, observation: Observation,
-                   chosen: int) -> list[EnumeratedSet]:
-    """Every feasible set containing ``chosen``, with exact probabilities.
-
-    Probabilities over the returned list sum to one (law of total
-    probability for the draw conditional on the chosen alternative).
-    """
-    J = observation.n_alts
-    protocol.check_for(J)
+def enumerate_sets(protocol: Protocol, J: int, chosen: int) -> SetTable:
+    """Every feasible set containing ``chosen``, one row each, with exact
+    conditional probabilities; ln pi(D|chosen) sits in the chosen
+    alternative's column, and those probabilities sum to one over the rows
+    (law of total probability for the draw given the chosen alternative)."""
     if not 0 <= chosen < J:
         raise InvalidInputError(f"chosen id {chosen} outside 0..{J - 1}")
-    others = [j for j in range(J) if j != chosen]
-
-    if protocol.kind == "uniform_wor":
-        count = math.comb(J - 1, protocol.m - 1)
-        _check_cap(count, protocol)
-        log_pi = -math.log(count)
-        sets = []
-        for combo in combinations(others, protocol.m - 1):
-            members = np.sort(np.array((chosen,) + combo, dtype=int))
-            sets.append(EnumeratedSet(members, log_pi,
-                                      np.full(members.size, log_pi)))
-        return sets
-
-    count = 2 ** (J - 1)
-    _check_cap(count, protocol)
-    p = protocol.inclusion_probs
-    log_p = np.log(p)
-    log_q = np.log1p(-p)
-    sets = []
-    for size in range(len(others) + 1):
-        for combo in combinations(others, size):
-            members = np.sort(np.array((chosen,) + combo, dtype=int))
-            lcp = _importance_log_cond_probs(members, J, log_p, log_q)
-            pos = int(np.nonzero(members == chosen)[0][0])
-            sets.append(EnumeratedSet(members, float(lcp[pos]), lcp))
-    return sets
+    return _enumerate(protocol, J, chosen)
 
 
-def enumerate_feasible_sets(protocol: Protocol, J: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def enumerate_feasible_sets(protocol: Protocol, J: int) -> SetTable:
     """All sets the protocol can produce for ANY chosen alternative.
 
-    Returns (member_ids, log_cond_prob) pairs.  This is the summation domain
-    of the set-first orderings of the divergence oracles: uniform_wor yields
-    every size-m subset, importance_independent every non-empty subset.
+    This is the summation domain of the set-first orderings of the
+    divergence oracles: uniform_wor yields every size-m subset,
+    importance_independent every non-empty subset.
     """
-    protocol.check_for(J)
-    if protocol.kind == "uniform_wor":
-        count = math.comb(J, protocol.m)
-        _check_cap(count, protocol)
-        log_pi = -math.log(math.comb(J - 1, protocol.m - 1))
-        return [(np.array(c, dtype=int), np.full(protocol.m, log_pi))
-                for c in combinations(range(J), protocol.m)]
+    return _enumerate(protocol, J, None)
 
-    count = 2 ** J - 1
-    _check_cap(count, protocol)
+
+def _enumerate(protocol: Protocol, J: int, chosen: int | None) -> SetTable:
+    """Rows ordered by size, then lexicographically over the alternatives
+    other than ``chosen`` (all of them when ``chosen`` is None); members
+    ascend within a row."""
+    protocol.check_for(J)
+    universe = [j for j in range(J) if j != chosen]
+    fixed = int(chosen is not None)
+    sizes = ([protocol.m - fixed] if protocol.kind == "uniform_wor"
+             else range(1 - fixed, len(universe) + 1))
+    _check_cap(sum(math.comb(len(universe), k) for k in sizes), protocol)
+    blocks = []
+    for k in sizes:
+        n = math.comb(len(universe), k)
+        combos = np.fromiter(chain.from_iterable(combinations(universe, k)),
+                             dtype=int, count=n * k).reshape(n, k)
+        block = np.zeros((n, J), dtype=bool)
+        block[np.arange(n)[:, None], combos] = True
+        blocks.append(block)
+    inside = np.concatenate(blocks)
+    if chosen is not None:
+        inside[:, chosen] = True
+
+    # Stable sorts put each row's members (then its non-members) first,
+    # in ascending order.
+    n_in = inside.sum(axis=1)
+    members = np.argsort(~inside, axis=1, kind="stable")[:, :n_in.max()]
+    pad = np.arange(members.shape[1]) >= n_in[:, None]
+    members[pad] = 0
+    if protocol.kind == "uniform_wor":
+        log_pi = -math.log(math.comb(J - 1, protocol.m - 1))
+        return SetTable(members, np.where(pad, -np.inf, log_pi), pad)
+
+    # ln pi(D|j) = sum_{k in D, k != j} ln p_k + sum_{k not in D} ln(1 - p_k),
+    # formed as for a drawn set (_importance_log_cond_probs), row by row.
     log_p = np.log(protocol.inclusion_probs)
-    log_q = np.log1p(-protocol.inclusion_probs)
-    out = []
-    for size in range(1, J + 1):
-        for combo in combinations(range(J), size):
-            members = np.array(combo, dtype=int)
-            out.append((members, _importance_log_cond_probs(members, J, log_p, log_q)))
-    return out
+    lp_in = np.where(pad, 0.0, log_p[members])
+    outside = np.argsort(inside, axis=1, kind="stable")[:, :J - n_in.min()]
+    log_out = np.where(np.arange(outside.shape[1]) >= (J - n_in)[:, None],
+                       0.0, np.log1p(-protocol.inclusion_probs)[outside])
+    lcp = (lp_in.sum(axis=1)[:, None] - lp_in) + log_out.sum(axis=1)[:, None]
+    return SetTable(members, np.where(pad, -np.inf, np.minimum(lcp, 0.0)), pad)
 
 
 def correction_vector(log_cond_prob: np.ndarray, mode: str) -> np.ndarray:

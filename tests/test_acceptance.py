@@ -11,7 +11,7 @@ import numpy as np
 
 from soa_lab import (Alternative, ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      MmnlDgpConfig, MmnlPriors, MnlDgpConfig, Observation,
-                     Prior, Protocol, SampledSet, SetTable, UtilityParams,
+                     Prior, Protocol, SetTable, UtilityParams,
                      canonical_corrections, derive_stream,
                      divergence_uniform_closed_form, draw_sampled_set,
                      enumerate_sets, expected_divergence,
@@ -69,8 +69,8 @@ def test_criterion_01_probability_identities():
 
 def _frequency_check(protocol, J, chosen, n_draws, rng):
     obs = Observation(0, [Alternative(j, [0.0]) for j in range(J)], chosen)
-    table = {tuple(e.member_ids): np.exp(e.log_prob_given_chosen)
-             for e in enumerate_sets(protocol, obs, chosen)}
+    table = {tuple(e.member_ids): np.exp(e.log_cond_prob[e.position_of(chosen)])
+             for e in enumerate_sets(protocol, J, chosen)}
     norm_err = abs(sum(table.values()) - 1.0)
     counts = {k: 0 for k in table}
     for _ in range(n_draws):
@@ -91,11 +91,8 @@ def test_criterion_02_protocol_exactness():
     parts = []
     uni = Protocol("uniform_wor", m=3)
     for chosen in range(6):
-        total = sum(np.exp(e.log_prob_given_chosen)
-                    for e in enumerate_sets(
-                        uni, Observation(0, [Alternative(j, [0.0])
-                                             for j in range(6)], chosen),
-                        chosen))
+        total = sum(np.exp(e.log_cond_prob[e.position_of(chosen)])
+                    for e in enumerate_sets(uni, 6, chosen))
         parts.append(abs(total - 1.0) <= 1e-12)
     norm_u, sig_u = _frequency_check(uni, 6, 2, n_draws, rng)
     imp = Protocol("importance_independent",
@@ -215,10 +212,9 @@ def test_criterion_05_kl_machinery():
                     worst_entropy,
                     abs(kt.a - kl_term_a_entropy_form(design, proto, prior,
                                                       grid)))
-            picked = [enumerate_sets(proto, o, o.chosen)[0]
-                      for o in design.observations]
             as_sampled = SetTable.from_sets(
-                [SampledSet(e.member_ids, e.log_cond_prob) for e in picked])
+                [enumerate_sets(proto, design.J, o.chosen)[0]
+                 for o in design.observations])
             p_true = grid_posterior(design, None, prior, grid,
                                     check_doubling=False)
             p_samp = grid_posterior(design, (as_sampled, "mcfadden"), prior,

@@ -159,6 +159,23 @@ def test_metropolis_is_reproducible_and_chain_count_invariant():
     assert not np.array_equal(a.draws, d.draws)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), K=st.integers(1, 3),
+       P=st.integers(1, 40))
+def test_prior_density_row_alone_equals_row_in_batch(seed, K, P):
+    """A point gets the same bits alone as inside a batch of any size."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(K, K))
+    prior = Prior(rng.normal(size=K), A @ A.T + 0.3 * np.eye(K))
+    batch = rng.normal(scale=3.0, size=(P, K))
+    values = prior.log_density(batch)
+    assert values.shape == (P,)
+    for p in range(P):
+        alone = prior.log_density(batch[p])
+        assert isinstance(alone, float)
+        assert alone == values[p]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), n_chains=st.integers(1, 4),
        K=st.integers(1, 3), burn_in=st.sampled_from([0, 30, 50, 99, 151]),

@@ -7,6 +7,8 @@ or quadrature paths that shifts the numbers will be caught.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soa_lab import (Alternative, CapacityError, Dataset, GridSpec,
                      InvalidInputError, Observation, Prior, Protocol,
@@ -95,9 +97,8 @@ def test_coverage_is_third_for_pairs_with_equal_utilities():
     proto = Protocol("uniform_wor", m=2)
     feasible = enumerate_feasible_sets(proto, 3)
     assert len(feasible) == 3
-    for members, lcp in feasible:
-        es = type("E", (), {"member_ids": members, "log_cond_prob": lcp})
-        assert abs(coverage_r(obs, es, UtilityParams([0.0])) - 1.0 / 3.0) < 1e-14
+    for r in coverage_r(obs, feasible, UtilityParams([0.0])):
+        assert abs(r - 1.0 / 3.0) < 1e-14
 
 
 def test_coverage_sums_to_one_and_stays_in_unit_interval():
@@ -111,9 +112,7 @@ def test_coverage_sums_to_one_and_stays_in_unit_interval():
                  Protocol("importance_independent",
                           inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
         total = 0.0
-        for members, lcp in enumerate_feasible_sets(proto, J):
-            es = type("E", (), {"member_ids": members, "log_cond_prob": lcp})
-            r = coverage_r(obs, es, beta)
+        for r in coverage_r(obs, enumerate_feasible_sets(proto, J), beta):
             assert 0.0 < r <= 1.0 + 1e-12
             total += r
         assert abs(total - 1.0) < 1e-12
@@ -123,9 +122,10 @@ def test_full_coverage_when_set_is_everything():
     rng = np.random.default_rng(12)
     obs = random_observation(rng, 4, 1)
     proto = Protocol("uniform_wor", m=4)
-    (members, lcp), = enumerate_feasible_sets(proto, 4)
-    es = type("E", (), {"member_ids": members, "log_cond_prob": lcp})
-    assert abs(coverage_r(obs, es, UtilityParams(rng.normal(size=1))) - 1.0) < 1e-14
+    feasible = enumerate_feasible_sets(proto, 4)
+    assert len(feasible) == 1
+    r, = coverage_r(obs, feasible, UtilityParams(rng.normal(size=1)))
+    assert abs(r - 1.0) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +198,43 @@ def test_closed_form_rejects_nonuniform_protocols():
         divergence_uniform_closed_form(obs, IMP, BSTAR)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(2, 5), K=st.integers(1, 3),
+       P=st.integers(1, 4),
+       case=st.sampled_from([("uniform_wor", "mcfadden"), ("uniform_wor", "none"),
+                             ("uniform_wor", "uniform_constant"),
+                             ("importance_independent", "mcfadden"),
+                             ("importance_independent", "none")]))
+def test_oracles_batch_equals_points(seed, J, K, P, case):
+    """A (P, K) batch gives the per-point values; one (K,) point a float."""
+    rng = np.random.default_rng(seed)
+    obs = random_observation(rng, J, K)
+    kind, mode = case
+    proto = (Protocol(kind, m=int(rng.integers(2, J + 1)))
+             if kind == "uniform_wor" else
+             Protocol(kind, inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
+    bs, b = rng.normal(size=(2, P, K))
+    oracles = [lambda x, y: expected_true_ll(obs, x, y),
+               lambda x, y: expected_quasi_ll(obs, proto, x, y, mode),
+               lambda x, y: expected_quasi_ll_setwise(obs, proto, x, y, mode),
+               lambda x, y: expected_divergence(obs, proto, y, mode),
+               lambda x, y: expected_divergence_direct(obs, proto, y, mode)]
+    if kind == "uniform_wor":
+        oracles.append(lambda x, y: divergence_uniform_closed_form(obs, proto, y))
+    for oracle in oracles:
+        batch = oracle(bs, b)
+        assert batch.shape == (P,)
+        for p in range(P):
+            point = oracle(bs[p], b[p])
+            assert isinstance(point, float)
+            assert abs(batch[p] - point) <= 1e-12
+    sets = enumerate_feasible_sets(proto, J)
+    batch = coverage_r(obs, sets, b)
+    assert batch.shape == (P, len(sets))
+    for p in range(P):
+        assert np.max(np.abs(batch[p] - coverage_r(obs, sets, b[p]))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # posterior information loss
 # ---------------------------------------------------------------------------
@@ -248,11 +285,8 @@ def test_report_bundles_consistent_numbers():
     assert abs(rep.kl_term_a - (-0.9923036221998851)) < 1e-12
     # coverage table covers every (observation, feasible set) pair and sums
     # to one within each observation
-    sums = {}
-    for (obs_idx, _), r in rep.r_coverage.items():
-        sums[obs_idx] = sums.get(obs_idx, 0.0) + r
-    assert set(sums) == {0, 1}
-    assert all(abs(s - 1.0) < 1e-12 for s in sums.values())
+    assert rep.r_coverage.shape == (2, len(enumerate_feasible_sets(UNI, 4)))
+    assert np.all(np.abs(rep.r_coverage.sum(axis=1) - 1.0) < 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from enumeration_reference import reference_sets
 from soa_lab import (Alternative, CapacityError, InvalidInputError,
                      InvalidStateError, Observation, Protocol, SampledSet,
                      correction_vector, derive_stream, draw_sampled_set,
@@ -52,9 +53,9 @@ def test_protocol_validation():
 def test_uniform_enumeration_sums_to_one(J, m):
     proto = Protocol("uniform_wor", m=m)
     obs = make_obs(J, chosen=1)
-    sets = enumerate_sets(proto, obs, 1)
+    sets = enumerate_sets(proto, obs.n_alts, 1)
     assert len(sets) == math.comb(J - 1, m - 1)
-    total = sum(np.exp(s.log_prob_given_chosen) for s in sets)
+    total = sum(np.exp(s.log_cond_prob[s.position_of(1)]) for s in sets)
     assert abs(total - 1.0) < 1e-12
     for s in sets:
         assert 1 in s.member_ids
@@ -67,9 +68,9 @@ def test_uniform_enumeration_sums_to_one(J, m):
 def test_importance_enumeration_sums_to_one(J):
     proto = importance_protocol(J)
     obs = make_obs(J, chosen=J - 1)
-    sets = enumerate_sets(proto, obs, J - 1)
+    sets = enumerate_sets(proto, obs.n_alts, J - 1)
     assert len(sets) == 2 ** (J - 1)
-    total = sum(np.exp(s.log_prob_given_chosen) for s in sets)
+    total = sum(np.exp(s.log_cond_prob[s.position_of(J - 1)]) for s in sets)
     assert abs(total - 1.0) < 1e-12
 
 
@@ -78,7 +79,7 @@ def test_importance_probability_closed_form():
     proto = importance_protocol(5, seed=7)
     p = proto.inclusion_probs
     obs = make_obs(5, chosen=2)
-    for es in enumerate_sets(proto, obs, 2):
+    for es in enumerate_sets(proto, obs.n_alts, 2):
         members = set(es.member_ids.tolist())
         for pos, j in enumerate(es.member_ids):
             expect = 1.0
@@ -95,18 +96,35 @@ def test_feasible_sets_cover_every_chosen_view():
         feasible = enumerate_feasible_sets(proto, 5)
         for i in range(5):
             total = 0.0
-            for members, lcp in feasible:
-                pos = np.nonzero(members == i)[0]
+            for s in feasible:
+                pos = np.nonzero(s.member_ids == i)[0]
                 if pos.size:
-                    total += float(np.exp(lcp[pos[0]]))
+                    total += float(np.exp(s.log_cond_prob[pos[0]]))
             assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("J", range(2, 8))
+def test_table_matches_reference_loops(J):
+    """Same rows in the same order, same members, ln pi within 1e-12, for
+    every chosen alternative and for the feasible case."""
+    protos = ([Protocol("uniform_wor", m=m) for m in range(2, J + 1)]
+              + [importance_protocol(J, seed=s) for s in range(3)])
+    for proto in protos:
+        for chosen in [None] + list(range(J)):
+            table = (enumerate_feasible_sets(proto, J) if chosen is None
+                     else enumerate_sets(proto, J, chosen))
+            want = reference_sets(proto, J, chosen)
+            assert len(table) == len(want)
+            for row, (members, lcp) in zip(table, want):
+                assert np.array_equal(row.member_ids, members)
+                assert np.max(np.abs(row.log_cond_prob - lcp)) <= 1e-12
 
 
 def test_enumeration_capacity_error_names_count():
     proto = Protocol("uniform_wor", m=12, enumeration_cap=1000)
     obs = make_obs(24)
     with pytest.raises(CapacityError) as err:
-        enumerate_sets(proto, obs, 0)
+        enumerate_sets(proto, obs.n_alts, 0)
     assert str(math.comb(23, 11)) in str(err.value)
 
 
@@ -135,10 +153,10 @@ def test_uniform_draw_frequencies_match_enumeration():
     for _ in range(n_draws):
         s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
         counts[tuple(s.member_ids)] = counts.get(tuple(s.member_ids), 0) + 1
-    sets = enumerate_sets(proto, obs, 0)
+    sets = enumerate_sets(proto, obs.n_alts, 0)
     assert len(counts) == len(sets)
     for es in sets:
-        p = np.exp(es.log_prob_given_chosen)
+        p = np.exp(es.log_cond_prob[es.position_of(0)])
         se = math.sqrt(p * (1 - p) / n_draws)
         observed = counts.get(tuple(es.member_ids), 0) / n_draws
         assert abs(observed - p) < 3 * se + 1e-12
@@ -153,8 +171,8 @@ def test_importance_draw_frequencies_match_enumeration():
     for _ in range(n_draws):
         s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
         counts[tuple(s.member_ids)] = counts.get(tuple(s.member_ids), 0) + 1
-    for es in enumerate_sets(proto, obs, 1):
-        p = np.exp(es.log_prob_given_chosen)
+    for es in enumerate_sets(proto, obs.n_alts, 1):
+        p = np.exp(es.log_cond_prob[es.position_of(1)])
         se = math.sqrt(p * (1 - p) / n_draws)
         observed = counts.get(tuple(es.member_ids), 0) / n_draws
         assert abs(observed - p) < 3 * se + 1e-12
@@ -164,7 +182,8 @@ def test_importance_draw_carries_exact_conditional_probs():
     obs = make_obs(6, chosen=3)
     proto = importance_protocol(6, seed=9)
     rng = np.random.default_rng(1)
-    enumerated = {tuple(m): lcp for m, lcp in enumerate_feasible_sets(proto, 6)}
+    enumerated = {tuple(s.member_ids): s.log_cond_prob
+                  for s in enumerate_feasible_sets(proto, 6)}
     for _ in range(50):
         s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
         assert np.max(np.abs(s.log_cond_prob
