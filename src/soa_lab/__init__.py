@@ -13,10 +13,8 @@ from .errors import (CapacityError, ConfigError, InsufficientDrawsError,
                      InvalidInputError, InvalidStateError,
                      NumericalDegeneracyError, UnsupportedDimensionError)
 from .model_core import (CORRECTION_MODES, Alternative, Dataset, Observation,
-                         SampledSet, SetTable, UtilityParams,
-                         canonical_corrections, log_softmax,
-                         log_sum_exp,
-                         mnl_prob_full, mnl_prob_sampled_corrected, utilities)
+                         SampledSet, SetTable, UtilityParams, log_softmax,
+                         log_sum_exp, utilities)
 from .protocols import (PROTOCOL_KINDS, Protocol,
                         correction_vector, derive_stream, draw_sampled_set,
                         enumerate_feasible_sets, enumerate_sets)

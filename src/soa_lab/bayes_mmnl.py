@@ -20,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .mle import ChoiceArrays
 from .model_core import CORRECTION_MODES, Dataset, SetTable
-from .bayes_mnl import PosteriorDraws
+from .bayes_mnl import PosteriorDraws, mvn_log_density
 
 # Multiplicative step-3 adaptation: every ADAPT_WINDOW burn-in iterations,
 # each individual's proposal scale is nudged toward TARGET_ACCEPT.
@@ -51,6 +49,20 @@ def _chol_pd(M: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise NumericalDegeneracyError(f"{what} is not positive definite")
+
+
+def _inverse_from_chol(L: np.ndarray) -> np.ndarray:
+    """(L L')^-1 from its lower Cholesky factor L by two triangular solves.
+
+    np.linalg.solve never exchanges rows of an upper-triangular matrix, so
+    the lower system L X = I is solved in its reversed (upper) form; both
+    solves are then plain substitutions.  The result is column-major, the
+    layout of a LAPACK solution: a matrix-vector product sums in an order
+    set by the layout, so the layout is part of the mu draw's bits.
+    """
+    eye = np.eye(L.shape[0])
+    L_inv = np.linalg.solve(L[::-1, ::-1], eye)[::-1, ::-1]
+    return np.asfortranarray(np.linalg.solve(L.T, L_inv))
 
 
 @dataclass
@@ -159,13 +171,8 @@ def gibbs_step_mu(state: MixingState, priors: MmnlPriors,
     times (A0^-1 m0 + Sigma^-1 sum_n beta_n).
     """
     N = state.n_individuals
-    L_sig = _chol_pd(state.sigma, "sigma")
-    eye = np.eye(priors.dim)
-    sig_inv = solve_triangular(L_sig.T, solve_triangular(L_sig, eye, lower=True),
-                               lower=False)
-    L_a0 = np.linalg.cholesky(priors.A0)
-    a0_inv = solve_triangular(L_a0.T, solve_triangular(L_a0, eye, lower=True),
-                              lower=False)
+    sig_inv = _inverse_from_chol(_chol_pd(state.sigma, "sigma"))
+    a0_inv = _inverse_from_chol(np.linalg.cholesky(priors.A0))
     precision = a0_inv + N * sig_inv
     cov = np.linalg.inv(precision)
     cov = 0.5 * (cov + cov.T)
@@ -182,27 +189,34 @@ def sigma_posterior_params(state: MixingState,
 
 def gibbs_step_sigma(state: MixingState, priors: MmnlPriors,
                      rng: np.random.Generator) -> np.ndarray:
-    """Draw Sigma from inverted Wishart(v0 + N, S0 + sum_n dev dev')."""
+    """Draw Sigma from inverted Wishart(v0 + N, S0 + sum_n dev dev').
+
+    Bartlett decomposition (Smith & Hocking 1972, AS 53): A is lower
+    triangular with standard normals below the diagonal and chi variates
+    with dof - K + 1 .. dof degrees of freedom on it, so A^-1 is the
+    Cholesky factor of an inverted-Wishart(dof, I) draw and (C A^-1)(C A^-1)'
+    one of inverted-Wishart(dof, C C').  The generator gives the K(K-1)/2
+    normals first, then the K chi-squares.
+    """
     dof, scale = sigma_posterior_params(state, priors)
-    _chol_pd(scale, "inverted-Wishart scale")
-    draw = stats.invwishart.rvs(df=dof, scale=scale, random_state=rng)
-    draw = np.asarray(draw, dtype=float).reshape(priors.dim, priors.dim)
+    C = _chol_pd(scale, "inverted-Wishart scale")
+    K = priors.dim
+    A = np.zeros((K, K))
+    A[np.tril_indices(K, -1)] = rng.normal(size=K * (K - 1) // 2)
+    A[np.diag_indices(K)] = rng.chisquare(dof - K + 1 + np.arange(K)) ** 0.5
+    if K == 1:
+        # A scalar square (pow), not x * x: rarely, the two differ in the
+        # last bit, and this form keeps the draws of every K=1 chain.
+        draw = np.array([[(C[0, 0] / A[0, 0]) ** 2]])
+    else:
+        CA = np.linalg.solve(A.T, C.T).T
+        draw = CA @ CA.T
     return 0.5 * (draw + draw.T)
 
 
 # ---------------------------------------------------------------------------
 # the full sampler
 # ---------------------------------------------------------------------------
-
-def _mvn_logpdf_rows(B: np.ndarray, mu: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Rows of B under N(mu, L L'); returns (N,) log densities."""
-    dev = np.atleast_2d(B) - mu
-    z = solve_triangular(L, dev.T, lower=True)
-    K = mu.shape[0]
-    return (-0.5 * np.sum(z * z, axis=0)
-            - np.sum(np.log(np.diag(L)))
-            - 0.5 * K * np.log(2.0 * np.pi))
-
 
 def _vech(M: np.ndarray) -> np.ndarray:
     i, j = np.tril_indices(M.shape[0])
@@ -279,8 +293,8 @@ def run_gibbs(dataset: Dataset, priors: MmnlPriors,
         log_u = np.log(rng_beta.random(N))
         prop = state.beta_all + rho[:, None] * (z @ L.T)
         ll_prop = panel_loglik(prop)
-        lp_cur = _mvn_logpdf_rows(state.beta_all, state.mu, L)
-        lp_prop = _mvn_logpdf_rows(prop, state.mu, L)
+        lp_cur = mvn_log_density(state.beta_all, state.mu, L)
+        lp_prop = mvn_log_density(prop, state.mu, L)
         accept = log_u < (ll_prop + lp_prop) - (ll_cur + lp_cur)
         state.beta_all = np.where(accept[:, None], prop, state.beta_all)
         ll_cur = np.where(accept, ll_prop, ll_cur)

@@ -40,32 +40,42 @@ class Prior:
         k = self.mean.shape[0]
         if self.covariance.shape != (k, k):
             raise InvalidInputError("prior covariance must be K x K")
+        if not (np.all(np.isfinite(self.mean))
+                and np.all(np.isfinite(self.covariance))):
+            raise InvalidInputError("prior mean and covariance must be finite")
         try:
             self._chol = np.linalg.cholesky(self.covariance)
         except np.linalg.LinAlgError as exc:
             raise InvalidInputError("prior covariance must be PD") from exc
-        self._log_norm = -0.5 * k * math.log(2.0 * math.pi) \
-            - float(np.sum(np.log(np.diag(self._chol))))
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
     def log_density(self, beta: np.ndarray) -> np.ndarray | float:
-        """Log density at one point (K,) or a batch (P, K).
+        """Log density at one point (K,) or a batch (P, K)."""
+        return mvn_log_density(beta, self.mean, self._chol)
 
-        The Cholesky solve is a forward substitution done elementwise over
-        the batch, so a row gets the same bits alone as inside any batch.
-        """
-        b = np.asarray(beta, dtype=float)
-        squeeze = b.ndim == 1
-        dev = np.atleast_2d(b) - self.mean
-        z = []
-        for k in range(self.dim):
-            z.append((dev[:, k] - sum(self._chol[k, i] * z[i] for i in range(k)))
-                     * (1.0 / self._chol[k, k]))
-        out = self._log_norm - 0.5 * sum(zk * zk for zk in z)
-        return float(out[0]) if squeeze else out
+
+def mvn_log_density(beta: np.ndarray, mean: np.ndarray,
+                    chol: np.ndarray) -> np.ndarray | float:
+    """Log density of N(mean, chol chol') at one point (K,) or a batch (P, K).
+
+    The Cholesky solve is a forward substitution done elementwise over the
+    batch, so a row gets the same bits alone as inside any batch.
+    """
+    b = np.asarray(beta, dtype=float)
+    squeeze = b.ndim == 1
+    dev = np.atleast_2d(b) - mean
+    K = mean.shape[0]
+    z = []
+    for k in range(K):
+        z.append((dev[:, k] - sum(chol[k, i] * z[i] for i in range(k)))
+                 * (1.0 / chol[k, k]))
+    log_norm = -0.5 * K * math.log(2.0 * math.pi) \
+        - float(np.sum(np.log(np.diag(chol))))
+    out = log_norm - 0.5 * sum(zk * zk for zk in z)
+    return float(out[0]) if squeeze else out
 
 
 @dataclass

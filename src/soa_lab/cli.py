@@ -431,6 +431,10 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
     m = cfg.get_int("divergence.m", 2)
     T = cfg.get_int("divergence.t", 1)
     n_designs = cfg.get_int("divergence.n_designs", 3)
+    for key, size in (("divergence.j", J), ("divergence.k", K),
+                      ("divergence.t", T)):
+        if size < 1:
+            raise ConfigError(f"config key {key!r}: {size} is below 1")
     mode = cfg.get("correction.mode", "mcfadden")
     prior = build_prior(cfg, K)
     grid = build_grid(cfg, K)

@@ -317,44 +317,3 @@ def utilities(observation: Observation, params) -> np.ndarray:
     if X.shape[1] != beta.shape[-1]:
         raise InvalidInputError("parameter length does not match attributes")
     return beta @ X.T
-
-
-def mnl_prob_full(v: np.ndarray) -> np.ndarray:
-    """Choice probabilities over the full set: exp(v_j)/sum_k exp(v_k)."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError("utilities must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("utilities must be finite")
-    return np.exp(log_softmax(v))
-
-
-def canonical_corrections(c: np.ndarray) -> np.ndarray:
-    """Shift a correction vector so its maximum is exactly zero.
-
-    Shifting by a constant cannot change any probability, and it makes a
-    shared-constant correction vector vanish bit-for-bit, so corrected and
-    uncorrected computations coincide exactly whenever they should.
-    """
-    c = np.asarray(c, dtype=float)
-    return c - np.max(c)
-
-
-def mnl_prob_sampled_corrected(v_members: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Probabilities over a sampled subset with additive utility corrections.
-
-    P_j = exp(v_j + c_j) / sum_k exp(v_k + c_k), computed with the correction
-    vector re-centred (a no-op for the result) and max-shifted utilities.
-    """
-    v = np.asarray(v_members, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if v.shape != c.shape:
-        raise InvalidInputError(
-            f"utility/correction length mismatch: {v.shape} vs {c.shape}")
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError("utilities must be a non-empty 1-d vector")
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(c))):
-        raise InvalidInputError("utilities and corrections must be finite")
-    return np.exp(log_softmax(v + canonical_corrections(c)))
-
-

@@ -62,6 +62,9 @@ class MmnlDgpConfig:
             raise InvalidInputError("mu_star length must equal K")
         if self.sigma_star.shape != (self.K, self.K):
             raise InvalidInputError("sigma_star must be K x K")
+        if not (np.all(np.isfinite(self.mu_star))
+                and np.all(np.isfinite(self.sigma_star))):
+            raise InvalidInputError("mu_star and sigma_star must be finite")
         if not np.allclose(self.sigma_star, self.sigma_star.T, atol=1e-12):
             raise InvalidInputError("sigma_star must be symmetric")
         if np.min(np.linalg.eigvalsh(self.sigma_star)) <= 0.0:

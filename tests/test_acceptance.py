@@ -12,7 +12,7 @@ import numpy as np
 from soa_lab import (Alternative, ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      MmnlDgpConfig, MmnlPriors, MnlDgpConfig, Observation,
                      Prior, Protocol, SetTable, UtilityParams,
-                     canonical_corrections, derive_stream,
+                     derive_stream,
                      divergence_uniform_closed_form, draw_sampled_set,
                      enumerate_sets, expected_divergence,
                      expected_divergence_direct, expected_quasi_ll,
@@ -21,12 +21,13 @@ from soa_lab import (Alternative, ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      gibbs_step_sigma, grid_posterior, kl_decomposition,
                      kl_divergence_grid, kl_term_a_entropy_form, kl_terms,
                      log_posterior_kernel, log_softmax, MixingState,
-                     mnl_prob_full, mnl_prob_sampled_corrected,
                      protocol_comparison,
                      quasi_loglik, quasi_loglik_grad, run_gibbs, rw_metropolis,
                      sigma_posterior_params)
 from soa_lab.cli import main as cli_main
 from soa_lab.optimize import central_diff_grad
+from probability_reference import (canonical_corrections, mnl_prob_full,
+                                   mnl_prob_sampled_corrected)
 
 
 def _report(num: int, label: str, ok: bool, elapsed: float, budget: float,

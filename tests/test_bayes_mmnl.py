@@ -8,6 +8,10 @@ correction-mode cancellation under uniform conditioning).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
+from scipy.linalg import solve_triangular
 
 from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, InvalidInputError,
                      MixingState, MmnlDgpConfig, MmnlPriors, Protocol,
@@ -82,6 +86,51 @@ def test_sigma_step_draws_are_pd_and_symmetric():
         S = gibbs_step_sigma(state, priors, rng)
         assert np.array_equal(S, S.T)
         assert np.min(np.linalg.eigvalsh(S)) > 0.0
+
+
+def _random_spd(rng, K):
+    A = rng.normal(size=(K, K + 2))
+    return A @ A.T * rng.exponential(1.0) + 0.05 * np.eye(K)
+
+
+def _spd_inverse_reference(M):
+    L = np.linalg.cholesky(M)
+    eye = np.eye(M.shape[0])
+    return solve_triangular(L.T, solve_triangular(L, eye, lower=True),
+                            lower=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 3),
+       N=st.integers(1, 40))
+def test_conjugate_steps_equal_scipy_bitwise(seed, K, N):
+    """Both conjugate steps reproduce scipy's formulation bit for bit from
+    the same generator state: the inverted-Wishart draw of
+    stats.invwishart.rvs, and the normal draw built on triangular-solve
+    inverses."""
+    rng = np.random.default_rng(seed)
+    state = MixingState(rng.normal(size=K), _random_spd(rng, K),
+                        rng.normal(size=(N, K)))
+    priors = MmnlPriors(rng.normal(size=K), _random_spd(rng, K),
+                        K - 1 + rng.exponential(5.0) + 0.01,
+                        _random_spd(rng, K))
+
+    dof, scale = sigma_posterior_params(state, priors)
+    want = stats.invwishart.rvs(df=dof, scale=scale,
+                                random_state=np.random.default_rng(seed))
+    want = np.asarray(want, dtype=float).reshape(K, K)
+    got = gibbs_step_sigma(state, priors, np.random.default_rng(seed))
+    assert np.array_equal(got, 0.5 * (want + want.T))
+
+    sig_inv = _spd_inverse_reference(state.sigma)
+    a0_inv = _spd_inverse_reference(priors.A0)
+    cov = np.linalg.inv(a0_inv + N * sig_inv)
+    cov = 0.5 * (cov + cov.T)
+    mean = cov @ (a0_inv @ priors.m0 + sig_inv @ state.beta_all.sum(axis=0))
+    want_mu = mean + np.linalg.cholesky(cov) @ np.random.default_rng(
+        seed).standard_normal(K)
+    got_mu = gibbs_step_mu(state, priors, np.random.default_rng(seed))
+    assert np.array_equal(got_mu, want_mu)
 
 
 def test_default_priors():

@@ -176,6 +176,14 @@ def test_prior_density_row_alone_equals_row_in_batch(seed, K, P):
         assert alone == values[p]
 
 
+@pytest.mark.parametrize("mean,cov", [
+    ([np.nan], [[1.0]]), ([0.0], [[np.nan]]), ([np.inf, 0.0], np.eye(2)),
+], ids=["nan_mean", "nan_cov", "inf_mean"])
+def test_prior_refuses_non_finite_parameters(mean, cov):
+    with pytest.raises(InvalidInputError, match="finite"):
+        Prior(mean, cov)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), n_chains=st.integers(1, 4),
        K=st.integers(1, 3), burn_in=st.sampled_from([0, 30, 50, 99, 151]),

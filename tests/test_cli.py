@@ -362,6 +362,37 @@ output.dir={out}
     assert run(["divergence", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("key", ["divergence.j", "divergence.t",
+                                 "divergence.k"])
+def test_divergence_sizes_below_one_are_exit_2(tmp_path, capsys, key):
+    cfg = write_config(tmp_path / "dzero.cfg",
+                       f"{key}=0\nseed=2\noutput.dir={tmp_path / 'o'}\n")
+    assert run(["divergence", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["prior.mean", "prior.cov"])
+def test_divergence_refuses_a_non_finite_prior(tmp_path, capsys, key):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "dnan.cfg",
+                       f"{key}=nan\nseed=2\noutput.dir={out}\n")
+    assert run(["divergence", "--config", cfg]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "divergence.csv").exists()
+
+
+def test_generate_refuses_a_non_finite_mixing_mean(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = generate_config(tmp_path, out, model="mmnl")
+    write_config(tmp_path / cfg, (tmp_path / cfg).read_text().replace(
+        "dgp.mu_star=0.8", "dgp.mu_star=nan"))
+    assert run(["generate", "--config", cfg]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed inputs, numerical failures, one likelihood build per verb
 # ---------------------------------------------------------------------------

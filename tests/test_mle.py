@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.stats import qmc
 
 from soa_lab import mle
 from soa_lab import (Alternative, Dataset, InvalidInputError, MmnlDgpConfig,
@@ -14,6 +16,7 @@ from soa_lab import (Alternative, Dataset, InvalidInputError, MmnlDgpConfig,
                      fit_mmnl_msl, fit_mnl, generate_mmnl, generate_mnl,
                      halton_normal_draws, log_softmax, pack_theta, quasi_loglik,
                      quasi_loglik_grad, theta_labels, unpack_theta)
+from soa_lab.draws import halton_points
 from soa_lab.optimize import central_diff_grad
 from wn_reference import compute_wn
 
@@ -176,6 +179,21 @@ def test_halton_blocks_are_contiguous_slices_of_one_sequence():
     whole = halton_normal_draws(1, 60, 2).reshape(60, 2)
     split = halton_normal_draws(3, 20, 2).reshape(60, 2)
     assert np.array_equal(whole, split)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_halton_points_equal_scipy_bitwise(dim):
+    for n in (1, 7, 1000, 50000):
+        sampler = qmc.Halton(d=dim, scramble=False)
+        sampler.fast_forward(50)
+        assert np.array_equal(halton_points(n, dim), sampler.random(n))
+
+
+def test_halton_normal_draws_within_16_ulps_of_scipy():
+    z = halton_normal_draws(100, 500, 5).reshape(-1, 5)
+    want = stats.norm.ppf(halton_points(50000, 5))
+    ulps = np.abs(z - want) / np.spacing(np.abs(want))
+    assert np.max(ulps) <= 16
 
 
 def test_halton_draws_look_standard_normal():

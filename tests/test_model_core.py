@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soa_lab import (Alternative, Dataset, InvalidInputError, Observation,
-                     SampledSet, UtilityParams, canonical_corrections,
-                     log_softmax, log_sum_exp, mnl_prob_full,
-                     mnl_prob_sampled_corrected, utilities)
+                     SampledSet, UtilityParams, log_softmax, log_sum_exp,
+                     utilities)
+from probability_reference import (canonical_corrections, mnl_prob_full,
+                                   mnl_prob_sampled_corrected)
 
 finite_floats = st.floats(min_value=-30.0, max_value=30.0,
                           allow_nan=False, allow_infinity=False)

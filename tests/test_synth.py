@@ -86,3 +86,7 @@ def test_dgp_validation():
     with pytest.raises(InvalidInputError):
         MmnlDgpConfig(N=5, T=1, J=3, K=1, mu_star=np.array([0.0]),
                       sigma_star=np.array([[-1.0]]))  # not PD
+    for mu, sig in [(np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0), (0.0, np.inf)]:
+        with pytest.raises(InvalidInputError, match="finite"):
+            MmnlDgpConfig(N=5, T=1, J=3, K=1, mu_star=np.array([mu]),
+                          sigma_star=np.array([[sig]]))
