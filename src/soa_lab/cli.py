@@ -432,7 +432,7 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
     T = cfg.get_int("divergence.t", 1)
     n_designs = cfg.get_int("divergence.n_designs", 3)
     for key, size in (("divergence.j", J), ("divergence.k", K),
-                      ("divergence.t", T)):
+                      ("divergence.t", T), ("divergence.n_designs", n_designs)):
         if size < 1:
             raise ConfigError(f"config key {key!r}: {size} is below 1")
     mode = cfg.get("correction.mode", "mcfadden")

@@ -34,6 +34,8 @@ from .protocols import (Protocol, correction_vector, enumerate_feasible_sets,
                         enumerate_sets)
 
 _MIN_GRID_POINTS = 51
+# Grid cells (outcomes x lattice points) per block of the joint outcome loop.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -236,9 +238,9 @@ def _check_grid(grid: GridSpec, K: int) -> None:
 def _lattice(design, protocol: Protocol, correction_mode: str, prior,
              grid: GridSpec) -> tuple[np.ndarray, np.ndarray, list, list]:
     """Quadrature weights, log prior, and per observation its expected
-    divergence on the lattice and its (chosen, set) pairs as
-    (ln pi(D|i), ln P(i | beta, C), ln P_eval(i | beta, D)) triples, in set
-    order, then member order."""
+    divergence on the lattice and its (chosen, set) pairs as the arrays
+    ln pi(D|i) (L,), ln P(i | beta, C) (L, P) and ln P_eval(i | beta, D)
+    (L, P), in set order, then member order."""
     _check_grid(grid, design.K)
     points = grid.lattice()
     divergence, pairs = [], []
@@ -246,37 +248,57 @@ def _lattice(design, protocol: Protocol, correction_mode: str, prior,
         sets, kernel = _feasible_kernel(obs, protocol, correction_mode, points)
         divergence.append(_split_divergence(sets, kernel))
         s, pos = np.nonzero(~sets.pad)
-        pairs.append(list(zip(sets.log_cond_prob[s, pos].tolist(),
-                              np.ascontiguousarray(kernel[4][:, s, pos].T),
-                              np.ascontiguousarray(kernel[2][:, s, pos].T))))
+        pairs.append((sets.log_cond_prob[s, pos],
+                      np.ascontiguousarray(kernel[4][:, s, pos].T),
+                      np.ascontiguousarray(kernel[2][:, s, pos].T)))
     return grid.weights(), prior.log_density(points), divergence, pairs
 
 
-def _joint_outcomes(pairs: list, protocol: Protocol):
-    """Every joint (choices, sets) outcome of a design, in product order.
+def _outer_add(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Every row of ``acc`` plus every row of ``values``, ``acc`` slowest."""
+    return (acc[:, None] + values[None]).reshape((-1,) + values.shape[1:])
 
-    Yields (ln pi, ll_true, ll_samp): the log probability of the sets given
-    the choices, and the full-set and evaluated-mode log-likelihoods of the
-    choices on the grid.  Refuses, before the first outcome, to enumerate
-    more than the protocol's cap.
+
+def _joint_outcomes(pairs: list, protocol: Protocol):
+    """Every joint (choices, sets) outcome of a design, in product order,
+    in blocks of at most ``_BLOCK_CELLS`` grid cells (or one outcome).
+
+    Yields (ln pi (n,), ll_true (n, P), ll_samp (n, P)): the log probability
+    of the sets given the choices, and the full-set and evaluated-mode
+    log-likelihoods of the choices on the grid, one row per outcome.  Each
+    row sums its observations' pairs first to last, starting from zero.
+    Refuses, before the first block, to enumerate more than the protocol's
+    cap.
     """
     cap = protocol.enumeration_cap
     combos = 1
     for obs_pairs in pairs:
-        combos *= len(obs_pairs)
+        combos *= len(obs_pairs[0])
         if combos > cap:
             raise CapacityError(
                 f"joint enumeration would exceed {cap} (choice, set) combinations")
-    n_points = pairs[0][0][1].shape[0]
-    for combo in product(*pairs):
-        ll_true = np.zeros(n_points)
-        ll_samp = np.zeros(n_points)
-        log_pi = 0.0
-        for lpi, lp_true, lp_samp in combo:
-            ll_true += lp_true
-            ll_samp += lp_samp
-            log_pi += lpi
-        yield log_pi, ll_true, ll_samp
+    n_points = pairs[0][1].shape[1]
+    rows = max(1, _BLOCK_CELLS // n_points)
+    # A block is one combination of the observations before ``split``, a
+    # slice of ``chunk`` pairs of observation ``split`` and every
+    # combination of the observations after it.
+    split, tail = len(pairs) - 1, 1
+    while split > 0 and tail * len(pairs[split][0]) <= rows:
+        tail *= len(pairs[split][0])
+        split -= 1
+    chunk = rows // tail
+    zero = (np.zeros(1), np.zeros((1, n_points)), np.zeros((1, n_points)))
+    for prefix in product(*(range(len(p[0])) for p in pairs[:split])):
+        head = zero
+        for obs_pairs, i in zip(pairs, prefix):
+            head = tuple(h + a[i:i + 1] for h, a in zip(head, obs_pairs))
+        for lo in range(0, len(pairs[split][0]), chunk):
+            block = tuple(_outer_add(h, a[lo:lo + chunk])
+                          for h, a in zip(head, pairs[split]))
+            for obs_pairs in pairs[split + 1:]:
+                block = tuple(_outer_add(b, a)
+                              for b, a in zip(block, obs_pairs))
+            yield block
 
 
 def _term_a(weights: np.ndarray, log_prior: np.ndarray,
@@ -314,8 +336,10 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
     for log_pi, ll_true, ll_samp in _joint_outcomes(pairs, protocol):
         log_m_true = log_trapezoid(log_prior + ll_true, weights)
         log_m_samp = log_trapezoid(log_prior + ll_samp, weights)
-        term_b += np.exp(log_pi + log_m_true) * (log_m_samp - log_m_true)
-    return KlTerms(term_a, float(term_b))
+        for b in (np.exp(log_pi + log_m_true)
+                  * (log_m_samp - log_m_true)).tolist():
+            term_b += b
+    return KlTerms(term_a, term_b)
 
 
 def kl_term_a_joint(design, protocol: Protocol, correction_mode: str, prior,
@@ -330,8 +354,10 @@ def kl_term_a_joint(design, protocol: Protocol, correction_mode: str, prior,
                                             correction_mode, prior, grid)
     total = 0.0
     for log_pi, ll_true, ll_samp in _joint_outcomes(pairs, protocol):
-        integrand = np.exp(log_prior + ll_true + log_pi) * (ll_true - ll_samp)
-        total += float(np.sum(weights * integrand))
+        integrand = (np.exp(log_prior + ll_true + log_pi[:, None])
+                     * (ll_true - ll_samp))
+        for a in np.sum(weights * integrand, axis=-1).tolist():
+            total += a
     return total
 
 
@@ -385,13 +411,14 @@ def expected_kl_direct(design, protocol: Protocol, correction_mode: str, prior,
     for log_pi, ll_true, ll_samp in _joint_outcomes(pairs, protocol):
         lk_true = log_prior + ll_true
         lk_samp = log_prior + ll_samp
-        lm_true = log_trapezoid(lk_true, weights)
-        lm_samp = log_trapezoid(lk_samp, weights)
+        lm_true = log_trapezoid(lk_true, weights)[:, None]
+        lm_samp = log_trapezoid(lk_samp, weights)[:, None]
         p_true = np.exp(lk_true - lm_true)
-        kl = float(np.sum(weights * p_true *
-                          ((lk_true - lm_true) - (lk_samp - lm_samp))))
-        total += np.exp(log_pi + lm_true) * kl
-    return float(total)
+        kl = np.sum(weights * p_true *
+                    ((lk_true - lm_true) - (lk_samp - lm_samp)), axis=-1)
+        for d in (np.exp(log_pi + lm_true[:, 0]) * kl).tolist():
+            total += d
+    return total
 
 
 def protocol_comparison(designs: list, protocols: list[tuple[str, Protocol]],

@@ -70,10 +70,18 @@ class GridSpec:
                         tuple(2 * p - 1 for p in self.points))
 
 
-def log_trapezoid(log_values: np.ndarray, weights: np.ndarray) -> float:
-    """log of sum_i w_i exp(log_values_i), max-shifted."""
+def log_trapezoid(log_values: np.ndarray, weights: np.ndarray):
+    """log of sum_i w_i exp(log_values_i) over the last axis, max-shifted.
+
+    A float for a 1-D input, one value per row for an (n, P) input.  A row
+    whose max is not finite gives -inf.
+    """
     lv = np.asarray(log_values, dtype=float)
-    m = np.max(lv)
-    if not np.isfinite(m):
-        return -np.inf
-    return float(m + np.log(np.sum(weights * np.exp(lv - m))))
+    m = np.max(lv, axis=-1, keepdims=True)
+    finite = np.isfinite(m)
+    # Rows with a non-finite max are left at -inf, so they raise no warning.
+    shifted = np.subtract(lv, m, out=np.full_like(lv, -np.inf), where=finite)
+    total = np.sum(weights * np.exp(shifted), axis=-1, keepdims=True)
+    out = np.where(finite, m + np.log(np.where(finite, total, 1.0)),
+                   -np.inf)[..., 0]
+    return float(out) if out.ndim == 0 else out

@@ -1,0 +1,91 @@
+"""The per-outcome joint (choice, set) loop, kept as a slow reference for
+the block reductions in ``soa_lab.divergence_lab``.
+
+Each outcome is one row of the product of the observations' (chosen, set)
+pairs; the three reductions below visit them one at a time, in product
+order, and must give the same bits as the block versions.
+"""
+
+from itertools import product
+
+import numpy as np
+
+from soa_lab import divergence_lab as dlab
+from soa_lab.errors import CapacityError
+from soa_lab.grids import log_trapezoid
+
+
+def _lattice(design, protocol, correction_mode, prior, grid):
+    """``divergence_lab._lattice`` with each observation's pair arrays
+    turned into a list of (ln pi, ln P(i|beta,C), ln P_eval(i|beta,D))."""
+    weights, log_prior, divergence, pairs = dlab._lattice(
+        design, protocol, correction_mode, prior, grid)
+    return weights, log_prior, divergence, [
+        list(zip(lpi.tolist(), lp_true, lp_samp))
+        for lpi, lp_true, lp_samp in pairs]
+
+
+def joint_outcomes(pairs: list, protocol):
+    """Every joint (choices, sets) outcome of a design, in product order.
+
+    Yields (ln pi, ll_true, ll_samp): the log probability of the sets given
+    the choices, and the full-set and evaluated-mode log-likelihoods of the
+    choices on the grid.  Refuses, before the first outcome, to enumerate
+    more than the protocol's cap.
+    """
+    cap = protocol.enumeration_cap
+    combos = 1
+    for obs_pairs in pairs:
+        combos *= len(obs_pairs)
+        if combos > cap:
+            raise CapacityError(
+                f"joint enumeration would exceed {cap} (choice, set) combinations")
+    n_points = pairs[0][0][1].shape[0]
+    for combo in product(*pairs):
+        ll_true = np.zeros(n_points)
+        ll_samp = np.zeros(n_points)
+        log_pi = 0.0
+        for lpi, lp_true, lp_samp in combo:
+            ll_true += lp_true
+            ll_samp += lp_samp
+            log_pi += lpi
+        yield log_pi, ll_true, ll_samp
+
+
+def kl_terms(design, protocol, correction_mode, prior, grid):
+    weights, log_prior, divergence, pairs = _lattice(design, protocol,
+                                                     correction_mode, prior,
+                                                     grid)
+    term_a = dlab._term_a(weights, log_prior, divergence)
+    term_b = 0.0
+    for log_pi, ll_true, ll_samp in joint_outcomes(pairs, protocol):
+        log_m_true = log_trapezoid(log_prior + ll_true, weights)
+        log_m_samp = log_trapezoid(log_prior + ll_samp, weights)
+        term_b += np.exp(log_pi + log_m_true) * (log_m_samp - log_m_true)
+    return dlab.KlTerms(term_a, float(term_b))
+
+
+def kl_term_a_joint(design, protocol, correction_mode, prior, grid):
+    weights, log_prior, _, pairs = _lattice(design, protocol,
+                                            correction_mode, prior, grid)
+    total = 0.0
+    for log_pi, ll_true, ll_samp in joint_outcomes(pairs, protocol):
+        integrand = np.exp(log_prior + ll_true + log_pi) * (ll_true - ll_samp)
+        total += float(np.sum(weights * integrand))
+    return total
+
+
+def expected_kl_direct(design, protocol, correction_mode, prior, grid):
+    weights, log_prior, _, pairs = _lattice(design, protocol,
+                                            correction_mode, prior, grid)
+    total = 0.0
+    for log_pi, ll_true, ll_samp in joint_outcomes(pairs, protocol):
+        lk_true = log_prior + ll_true
+        lk_samp = log_prior + ll_samp
+        lm_true = log_trapezoid(lk_true, weights)
+        lm_samp = log_trapezoid(lk_samp, weights)
+        p_true = np.exp(lk_true - lm_true)
+        kl = float(np.sum(weights * p_true *
+                          ((lk_true - lm_true) - (lk_samp - lm_samp))))
+        total += np.exp(log_pi + lm_true) * kl
+    return float(total)

@@ -363,14 +363,17 @@ output.dir={out}
 
 
 @pytest.mark.parametrize("key", ["divergence.j", "divergence.t",
-                                 "divergence.k"])
+                                 "divergence.k", "divergence.n_designs"])
 def test_divergence_sizes_below_one_are_exit_2(tmp_path, capsys, key):
-    cfg = write_config(tmp_path / "dzero.cfg",
-                       f"{key}=0\nseed=2\noutput.dir={tmp_path / 'o'}\n")
-    assert run(["divergence", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert repr(key) in err
-    assert "Traceback" not in err
+    out = tmp_path / "o"
+    for size in (0, -1):
+        cfg = write_config(tmp_path / "dzero.cfg",
+                           f"{key}={size}\nseed=2\noutput.dir={out}\n")
+        assert run(["divergence", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err
+        assert "Traceback" not in err
+        assert not (out / "divergence.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["prior.mean", "prior.cov"])

@@ -5,11 +5,16 @@ desk-scale design and then pinned, so any later change to the enumeration
 or quadrature paths that shifts the numbers will be caught.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import joint_reference
+from soa_lab import divergence_lab
 from soa_lab import (Alternative, CapacityError, Dataset, GridSpec,
                      InvalidInputError, Observation, Prior, Protocol,
                      UtilityParams, build_divergence_report, coverage_r,
@@ -307,3 +312,49 @@ def test_joint_enumeration_capacity_guard():
     tight = Protocol("uniform_wor", m=2, enumeration_cap=10)
     with pytest.raises(CapacityError):
         kl_terms(ds, tight, "mcfadden", PRIOR, GRID)
+
+
+# ---------------------------------------------------------------------------
+# block reductions of the joint (choice, set) outcomes
+# ---------------------------------------------------------------------------
+
+def _pairs_per_observation(protocol, J):
+    if protocol.kind == "uniform_wor":
+        return math.comb(J, protocol.m) * protocol.m
+    return J * 2 ** (J - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), K=st.integers(1, 2),
+       T=st.integers(1, 3),
+       case=st.sampled_from([("uniform_wor", "mcfadden"), ("uniform_wor", "none"),
+                             ("uniform_wor", "uniform_constant"),
+                             ("importance_independent", "mcfadden"),
+                             ("importance_independent", "none")]))
+def test_joint_block_reductions_equal_the_outcome_loop_bitwise(seed, J, K, T,
+                                                               case):
+    """kl_terms, expected_kl_direct and kl_term_a_joint give the bits of the
+    one-outcome-at-a-time loop, at the default block size and with blocks
+    of one row, so that block boundaries fall inside the product."""
+    rng = np.random.default_rng(seed)
+    kind, mode = case
+    proto = (Protocol(kind, m=int(rng.integers(2, J + 1)))
+             if kind == "uniform_wor" else
+             Protocol(kind, inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
+    # Keep the reference loop small: at most 2000 joint outcomes.
+    while _pairs_per_observation(proto, J) ** T > 2000:
+        T -= 1
+    design = Dataset.from_arrays(rng.normal(size=(T, J, K)),
+                                 rng.integers(J, size=T))
+    prior = Prior(np.zeros(K), 4.0 * np.eye(K))
+    grid = GridSpec.make([-5.0] * K, [5.0] * K, [51] * K)
+    args = (design, proto, mode, prior, grid)
+    want = (joint_reference.kl_terms(*args),
+            joint_reference.expected_kl_direct(*args),
+            joint_reference.kl_term_a_joint(*args))
+    for cells in (divergence_lab._BLOCK_CELLS, 1):
+        with mock.patch.object(divergence_lab, "_BLOCK_CELLS", cells):
+            kt = kl_terms(*args)
+            assert (kt.a, kt.b) == (want[0].a, want[0].b)
+            assert expected_kl_direct(*args) == want[1]
+            assert kl_term_a_joint(*args) == want[2]

@@ -1,9 +1,12 @@
 """Tensor-product trapezoid grids and log-space quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from soa_lab import GridSpec, InvalidInputError, log_trapezoid
+from soa_lab import (Alternative, Dataset, GridSpec, InvalidInputError,
+                     Observation, Prior, Protocol, kl_terms, log_trapezoid)
 
 
 def test_weights_integrate_constant_to_volume():
@@ -53,6 +56,50 @@ def test_log_trapezoid_survives_huge_log_values():
     val = log_trapezoid(log_f, g.weights())
     assert np.isfinite(val)
     assert abs((val - 800.0) - log_trapezoid(-0.5 * x ** 2, g.weights())) < 1e-10
+
+
+def test_log_trapezoid_on_rows_equals_each_row_alone():
+    g = GridSpec.make(-3.0, 3.0, 201)
+    rng = np.random.default_rng(4)
+    rows = rng.normal(scale=30.0, size=(7, 201))
+    rows[3] += 900.0
+    out = log_trapezoid(rows, g.weights())
+    assert out.shape == (7,)
+    for r in range(7):
+        assert out[r] == log_trapezoid(rows[r], g.weights())
+
+
+def test_log_trapezoid_non_finite_rows_give_minus_inf_and_float_for_1d():
+    g = GridSpec.make(-1.0, 1.0, 51)
+    rows = np.zeros((3, 51))
+    rows[1] = -np.inf
+    rows[2, 5] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_trapezoid(rows, g.weights())
+        assert out[1] == -np.inf and out[2] == -np.inf
+        assert log_trapezoid(rows[1], g.weights()) == -np.inf
+    assert abs(out[0] - np.log(2.0)) < 1e-12
+    assert type(log_trapezoid(rows[0], g.weights())) is float
+    assert type(log_trapezoid(rows[1], g.weights())) is float
+
+
+def test_kl_terms_on_the_desk_design_raises_no_runtime_warning():
+    design = Dataset([
+        Observation(0, [Alternative(j, [v]) for j, v in
+                        enumerate([0.9, -0.3, 0.1, -1.4])], 2),
+        Observation(1, [Alternative(j, [v]) for j, v in
+                        enumerate([-0.6, 0.4, 1.1, 0.2])], 0)])
+    prior = Prior(np.zeros(1), 4.0 * np.eye(1))
+    grid = GridSpec.make(-6.0, 6.0, 161)
+    protocols = (Protocol("uniform_wor", m=2),
+                 Protocol("importance_independent",
+                          inclusion_probs=np.array([0.8, 0.6, 0.4, 0.2])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for protocol in protocols:
+            for mode in ("mcfadden", "none"):
+                kl_terms(design, protocol, mode, prior, grid)
 
 
 def test_refined_doubles_resolution():
