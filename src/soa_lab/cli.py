@@ -440,7 +440,9 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
     grid = build_grid(cfg, K)
     beta_cfg = cfg.get_floats("divergence.beta_star", None)
 
-    rows = []
+    # Every row is checked against the enumeration caps before the first
+    # is computed, so a run that will be refused does no work.
+    todo = []
     for d in range(n_designs):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, d)))
         X = rng.normal(size=(T, J, K))
@@ -459,10 +461,13 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
                 raise ConfigError("uniform_constant corrections are only valid "
                                   "for the uniform protocol")
             try:
-                rows.append(_divergence_row(d, label, mode, design, protocol,
-                                            beta_star, prior, grid))
+                dlab.check_joint_cap(design, protocol)
             except CapacityError as exc:
                 raise CapacityError(f"design {d} ({label}): {exc}") from exc
+            todo.append((d, label, design, protocol, beta_star))
+    rows = [_divergence_row(d, label, mode, design, protocol, beta_star, prior,
+                            grid)
+            for d, label, design, protocol, beta_star in todo]
 
     path = out_dir / "divergence.csv"
     storage.write_csv(path, {"config_hash": chash, "command": "divergence"},

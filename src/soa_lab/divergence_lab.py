@@ -31,7 +31,7 @@ from .grids import GridSpec, log_trapezoid
 from .model_core import (Observation, SetTable, UtilityParams, log_softmax,
                          log_sum_exp, utilities)
 from .protocols import (Protocol, correction_vector, enumerate_feasible_sets,
-                        enumerate_sets)
+                        enumerate_sets, feasible_pair_count)
 
 _MIN_GRID_POINTS = 51
 # Grid cells (outcomes x lattice points) per block of the joint outcome loop.
@@ -259,6 +259,23 @@ def _outer_add(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (acc[:, None] + values[None]).reshape((-1,) + values.shape[1:])
 
 
+def _check_joint_cap(pair_counts: list, protocol: Protocol) -> None:
+    cap = protocol.enumeration_cap
+    combos = 1
+    for count in pair_counts:
+        combos *= count
+        if combos > cap:
+            raise CapacityError(
+                f"joint enumeration would exceed {cap} (choice, set) combinations")
+
+
+def check_joint_cap(design, protocol: Protocol) -> None:
+    """Refuse a design as :func:`kl_terms` would, before any work: for too
+    many feasible sets, then for too many joint (choice, set) outcomes."""
+    _check_joint_cap([feasible_pair_count(protocol, obs.n_alts)
+                      for obs in design.observations], protocol)
+
+
 def _joint_outcomes(pairs: list, protocol: Protocol):
     """Every joint (choices, sets) outcome of a design, in product order,
     in blocks of at most ``_BLOCK_CELLS`` grid cells (or one outcome).
@@ -270,13 +287,7 @@ def _joint_outcomes(pairs: list, protocol: Protocol):
     Refuses, before the first block, to enumerate more than the protocol's
     cap.
     """
-    cap = protocol.enumeration_cap
-    combos = 1
-    for obs_pairs in pairs:
-        combos *= len(obs_pairs[0])
-        if combos > cap:
-            raise CapacityError(
-                f"joint enumeration would exceed {cap} (choice, set) combinations")
+    _check_joint_cap([len(p[0]) for p in pairs], protocol)
     n_points = pairs[0][1].shape[1]
     rows = max(1, _BLOCK_CELLS // n_points)
     # A block is one combination of the observations before ``split``, a

@@ -7,22 +7,27 @@ log-likelihood
 
 with an analytic gradient.  The mixing estimator maximizes a simulated
 log-likelihood over theta = (mu, vech of the Cholesky factor of Sigma,
-log-diagonal), with fixed Halton draws and an optional per-observation
-expansion factor W that re-weights each draw by how well the sampled set
-covers that draw's full-set probabilities relative to the mixture average.
+log-diagonal), with fixed Halton draws.  With the exact expansion factor
+each individual's simulated probability of their choices on their sampled
+sets, mean_r prod_t P(i_t | beta_r, D_t) num_tr, is divided by the
+per-individual panel denominator mean_r prod_t num_tr, where num_tr
+weights the sampled members' full-set probabilities at draw r by their
+conditional set probabilities.  One kernel returns this objective and its
+analytic score in a single pass over the draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .draws import halton_normal_draws
 from .errors import InvalidInputError
 from .model_core import Dataset, SetTable, UtilityParams, log_softmax
-from .optimize import (central_diff_grad, hessian_from_f, hessian_from_grad,
+# hessian_from_f is not called here; perfbench/tracing.py wraps it by name
+# as mle.hessian_from_f, until the run trace moves into the package.
+from .optimize import (hessian_from_f, hessian_from_grad,  # noqa: F401
                        maximize, std_errors_from_hessian)
 from .protocols import correction_vector
 
@@ -59,9 +64,9 @@ class ChoiceArrays:
     Built once per run, then evaluated at any number of coefficient points.
     Rows are observations; columns are the members of each row's evaluation
     set (full set when ``sampled`` is None, else the sampled subset, padded
-    with -inf utilities).  For sampled sets the padded member ids and raw
-    log conditional probabilities (``member_idx``, ``log_pi``) are kept for
-    the expansion factor.
+    with -inf utilities).  For sampled sets the raw log conditional
+    probabilities (``log_pi``, -inf on padding) are kept for the expansion
+    factor.
     """
 
     def __init__(self, dataset: Dataset, sampled: SetTable | None,
@@ -98,7 +103,6 @@ class ChoiceArrays:
             self.pad = pad
             self.chosen_pos = np.argmax(hits, axis=1)
             self.log_pi = sampled.log_cond_prob
-            self.member_idx = ids
         self.any_pad = bool(self.pad.any())
         self.n = n
         self.K = dataset.K
@@ -246,34 +250,122 @@ def theta_labels(K: int) -> list[str]:
 # maximum simulated likelihood
 # ---------------------------------------------------------------------------
 
-def expansion_log_terms(arrays: ChoiceArrays, beta: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray] | None:
-    """ln numerator (R, n) and ln denominator (n,) of the expansion factor.
+def _log_sum_weights(values: np.ndarray, axis: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """ln sum exp along ``axis`` (kept as a length-1 axis) and the softmax
+    weights exp(values - lse); nan wherever the whole slice is -inf."""
+    m = np.max(values, axis=axis, keepdims=True)
+    e = np.subtract(values, m)
+    np.exp(e, out=e)
+    s = np.sum(e, axis=axis, keepdims=True)
+    e /= s
+    return m + np.log(s), e
 
-    ``beta`` holds the mixing draws as (R, n, K).  For observation n and
-    draw r, W = num / den: the numerator weights the sampled members'
-    full-set probabilities at beta_r by the members' conditional set
-    probabilities; the denominator applies the same weights to full-set
-    probabilities averaged over all R draws.  None when a denominator
-    collapses to zero.
+
+class _SimulatedLikelihood:
+    """The simulated panel log-likelihood of the mixing model and its score.
+
+    Per individual n with draws beta_r = mu + L z_nr (Train 2009, ch. 10):
+
+        l_n = ln sum_r exp(A_nr) - ln sum_r exp(B_nr)
+        A_nr = sum_t [ln P(i_t | beta_r, D_t) + ln num_tr],  B_nr = sum_t ln num_tr
+
+    with the exact expansion factor (``use_wn``), whose denominator is the
+    individual's whole panel, mean_r prod_t num_tr.  Without it B_nr = ln R
+    and A_nr drops the ln num terms: l_n = ln mean_r prod_t P(i_t | beta_r, D_t).
+
+    Built once per fit from a panel :class:`ChoiceArrays` and the Halton
+    block z (n_individuals, R, K).  Arrays are held coefficient- and
+    alternative-major, (K or alternatives, R, rows), so every reduction
+    over alternatives runs across whole (R, rows) planes.
     """
-    v_full = np.einsum("njk,rnk->rnj", arrays.X, beta)
-    lp_full = log_softmax(v_full, axis=-1)                  # (R, n, J)
-    member_idx, log_pi = arrays.member_idx, arrays.log_pi
-    lp_mem = np.take_along_axis(
-        lp_full, np.broadcast_to(member_idx, lp_full.shape[:1] + member_idx.shape),
-        axis=-1)
-    weighted = log_pi[None] + lp_mem
-    m = np.max(weighted, axis=-1, keepdims=True)
-    log_num = (m + np.log(np.sum(np.exp(weighted - m), axis=-1,
-                                 keepdims=True)))[..., 0]
-    p_mix = np.exp(lp_full).mean(axis=0)                    # (n, J)
-    den = np.sum(np.exp(log_pi) * np.where(
-        np.isfinite(log_pi),
-        np.take_along_axis(p_mix, member_idx, axis=-1), 0.0), axis=-1)
-    if np.any(den <= 0.0):
-        return None
-    return log_num, np.log(den)
+
+    def __init__(self, view: ChoiceArrays, z: np.ndarray, use_wn: bool):
+        def planes(a: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+        self.view, self.use_wn, self.K = view, use_wn, view.K
+        self.z = planes(np.swapaxes(z[view.obs_to_ind], 0, 1))   # (K, R, n)
+        self.x_mem = planes(np.swapaxes(view.X_mem, 0, 1))        # (K, m, n)
+        self.c_eval = np.where(view.pad, -np.inf, view.c_shift).T[:, None]
+        self.x_chosen = view.x_chosen.T                           # (K, n)
+        self.c_chosen = view.c_shift[np.arange(view.n), view.chosen_pos]
+        self.log_r = np.log(z.shape[1])
+        if use_wn:
+            self.x_full = planes(np.swapaxes(view.X, 0, 1))       # (K, J, n)
+            self.log_pi = view.log_pi.T[:, None]                  # (m, 1, n)
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def expansion_numerator(self, beta: np.ndarray, v_mem: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """ln num (R, n) and its gradient in beta (K, R, n).
+
+        For observation t and draw r, num = sum_{j in D_t} pi(D_t | j)
+        P(j | beta_r, C): the sampled members' full-set probabilities
+        weighted by their conditional set probabilities (Guevara &
+        Ben-Akiva 2013).  Its gradient is sum_{j in D} q_j x_j -
+        sum_{j in C} P_j x_j with q_j = pi_j P_j / num.  ``v_mem`` holds
+        the members' uncorrected utilities (m, R, n).
+        """
+        lse_full, p_full = _log_sum_weights(
+            np.einsum("kjn,krn->jrn", self.x_full, beta), axis=0)
+        lse_mem, q = _log_sum_weights(v_mem + self.log_pi, axis=0)
+        grad = (np.einsum("mrn,kmn->krn", q, self.x_mem)
+                - np.einsum("jrn,kjn->krn", p_full, self.x_full))
+        return (lse_mem - lse_full)[0], grad
+
+    def value_and_score(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """sum_n l_n at ``theta`` and its analytic gradient, in one pass.
+
+        The score weights each draw's gradient in beta by softmax_r(A) and
+        softmax_r(B), then takes the chain rule through beta = mu + L z and
+        the log-diagonal of L.  A theta whose value is not finite (a line
+        search probing an extreme scale) gives (-inf, nan score).
+        """
+        K, view = self.K, self.view
+        failed = -np.inf, np.full(theta.size, np.nan)
+        with np.errstate(all="ignore"):
+            mu, L = unpack_theta(theta, K)
+            if not np.all(np.isfinite(L)):
+                return failed
+            beta = mu[:, None, None] + np.einsum("kl,lrn->krn", L, self.z)
+            v_mem = np.einsum("kmn,krn->mrn", self.x_mem, beta)
+            lse, p = _log_sum_weights(v_mem + self.c_eval, axis=0)
+            lp_chosen = (np.einsum("kn,krn->rn", self.x_chosen, beta)
+                         + self.c_chosen - lse[0])                  # (R, n)
+            d_row = (self.x_chosen[:, None]
+                     - np.einsum("mrn,kmn->krn", p, self.x_mem))  # (K, R, n)
+            if self.use_wn:
+                log_num, d_num = self.expansion_numerator(beta, v_mem)
+                ll_a, w_a = _log_sum_weights(
+                    view.panel_sum(lp_chosen + log_num), axis=0)
+                ll_b, w_b = _log_sum_weights(view.panel_sum(log_num), axis=0)
+                per_ind = ll_a - ll_b
+                w_a = w_a[:, view.obs_to_ind]
+                d_beta = w_a * d_row + (w_a - w_b[:, view.obs_to_ind]) * d_num
+            else:
+                ll_a, w_a = _log_sum_weights(view.panel_sum(lp_chosen), axis=0)
+                per_ind = ll_a - self.log_r
+                d_beta = w_a[:, view.obs_to_ind] * d_row
+            if not np.all(np.isfinite(per_ind)):
+                return failed
+            d_L = d_beta.reshape(K, -1) @ self.z.reshape(K, -1).T
+        rows, cols = np.tril_indices(K)
+        d_vech = d_L[rows, cols] * np.where(rows == cols, L[rows, cols], 1.0)
+        return float(np.sum(per_ind)), np.concatenate(
+            [d_beta.sum(axis=(1, 2)), d_vech])
+
+    def loglik(self, theta: np.ndarray) -> float:
+        """The objective; keeps the score at ``theta`` for :meth:`score`."""
+        f, g = self.value_and_score(theta)
+        self._last = np.array(theta, dtype=float), g
+        return f
+
+    def score(self, theta: np.ndarray) -> np.ndarray:
+        """The score; reused from the last :meth:`loglik` call at ``theta``."""
+        if self._last is not None and np.array_equal(self._last[0], theta):
+            return self._last[1]
+        return self.value_and_score(theta)[1]
 
 
 def fit_mmnl_msl(dataset: Dataset, sampled: SetTable | None,
@@ -282,49 +374,28 @@ def fit_mmnl_msl(dataset: Dataset, sampled: SetTable | None,
                  max_iter: int = 200) -> FitResult:
     """Maximum simulated likelihood for the normal-mixing panel logit.
 
-    Per individual: ln[(1/R) sum_r prod_t W_nt(beta_r) P(i_nt | beta_r, set_nt)],
-    with beta_r = mu + L z_r.  The Halton draw block is generated once and
-    reused for every objective evaluation; with ``wn_mode='naive_one'`` the
-    expansion factor is identically one.  ``sampled=None`` fits on full sets
-    (the expansion factor is then exactly one and is skipped).
+    The objective is :class:`_SimulatedLikelihood`'s, on a Halton draw
+    block that is generated once and reused for every evaluation.
+    ``wn_mode='naive_one'`` sets the expansion factor to one;
+    ``sampled=None`` fits on full sets, where it is exactly one and is
+    skipped.  Each objective call also computes the score, which the
+    following gradient call at the same point reuses; standard errors come
+    from central differences of the score.
     """
     if wn_mode not in WN_MODES:
         raise InvalidInputError(f"unknown Wn mode {wn_mode!r}")
     K = dataset.K
     view = ChoiceArrays.panel(dataset, sampled, corrections)
     use_wn = wn_mode == "exact_full_set" and sampled is not None
-
-    z = halton_normal_draws(view.n_individuals, r_draws, K)  # (N, R, K)
-    z_obs = z[view.obs_to_ind]                                # (n_obs, R, K)
-    log_r = np.log(r_draws)
-
-    def sim_loglik(theta: np.ndarray) -> float:
-        mu, L = unpack_theta(theta, K)
-        if not np.all(np.isfinite(L)):
-            return -np.inf
-        beta = np.swapaxes(mu + np.einsum("nrk,jk->nrj", z_obs, L), 0, 1)
-        lp = view.chosen_log_probs(beta)                      # (R, n_obs)
-        if use_wn:
-            terms = expansion_log_terms(view, beta)
-            if terms is None:
-                return -np.inf
-            log_num, log_den = terms
-            lp = lp + log_num - log_den[None]
-        per_ind = view.panel_sum(lp)                          # (R, N)
-        m = np.max(per_ind, axis=0)
-        if not np.all(np.isfinite(m)):
-            return -np.inf
-        lse = m + np.log(np.sum(np.exp(per_ind - m), axis=0))
-        return float(np.sum(lse - log_r))
-
-    grad = partial(central_diff_grad, sim_loglik, h=1e-5)
+    likelihood = _SimulatedLikelihood(
+        view, halton_normal_draws(view.n_individuals, r_draws, K), use_wn)
     if init is None:
         init = pack_theta(np.zeros(K), np.exp(-1.0) * np.eye(K))
-    res = maximize(sim_loglik, grad, init, tol=tol, max_iter=max_iter)
-    se = std_errors_from_hessian(hessian_from_f(sim_loglik, res.x))
+    res = maximize(likelihood.loglik, likelihood.score, init, tol=tol,
+                   max_iter=max_iter)
+    se = std_errors_from_hessian(hessian_from_grad(likelihood.score, res.x))
     mu, L = unpack_theta(res.x, K)
     return FitResult(res.x, se, res.f, res.converged, res.iterations,
                      mu=mu, sigma=L @ L.T, chol=L,
-                     notes={"wn_mode": wn_mode,
-                            "wn_denominator": "draw_averaged",
+                     notes={"wn_mode": wn_mode, "wn_denominator": "panel",
                             "r_draws": r_draws})

@@ -148,16 +148,29 @@ def enumerate_feasible_sets(protocol: Protocol, J: int) -> SetTable:
     return _enumerate(protocol, J, None)
 
 
+def feasible_pair_count(protocol: Protocol, J: int) -> int:
+    """How many (member, set) pairs :func:`enumerate_feasible_sets` yields,
+    counted without enumerating; refuses what it refuses, as it does."""
+    return sum(math.comb(J, k) * k for k in _free_sizes(protocol, J, None))
+
+
+def _free_sizes(protocol: Protocol, J: int, chosen: int | None) -> list[int]:
+    """The number of members besides ``chosen`` in each size of feasible
+    set, after checking the protocol and the cap on the set count."""
+    protocol.check_for(J)
+    fixed = int(chosen is not None)
+    sizes = ([protocol.m - fixed] if protocol.kind == "uniform_wor"
+             else list(range(1 - fixed, J - fixed + 1)))
+    _check_cap(sum(math.comb(J - fixed, k) for k in sizes), protocol)
+    return sizes
+
+
 def _enumerate(protocol: Protocol, J: int, chosen: int | None) -> SetTable:
     """Rows ordered by size, then lexicographically over the alternatives
     other than ``chosen`` (all of them when ``chosen`` is None); members
     ascend within a row."""
-    protocol.check_for(J)
+    sizes = _free_sizes(protocol, J, chosen)
     universe = [j for j in range(J) if j != chosen]
-    fixed = int(chosen is not None)
-    sizes = ([protocol.m - fixed] if protocol.kind == "uniform_wor"
-             else range(1 - fixed, len(universe) + 1))
-    _check_cap(sum(math.comb(len(universe), k) for k in sizes), protocol)
     blocks = []
     for k in sizes:
         n = math.comb(len(universe), k)

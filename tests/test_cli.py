@@ -351,6 +351,34 @@ output.dir={out}
     assert run(["divergence", "--config", cfg]) == 4
 
 
+def test_divergence_refuses_before_the_first_row(tmp_path, capsys,
+                                                 monkeypatch):
+    """J=5, m=2, T=4: the uniform row (20^4 joint outcomes) is within the
+    cap, the importance row (80^4) is not; the run is refused before the
+    uniform row's joint loop starts."""
+    from soa_lab import divergence_lab
+
+    calls = []
+    real = divergence_lab._joint_outcomes
+    monkeypatch.setattr(divergence_lab, "_joint_outcomes",
+                        lambda *a: calls.append(a) or real(*a))
+    out = tmp_path / "divrow"
+    cfg = write_config(tmp_path / "drow.cfg", f"""
+divergence.j=5
+divergence.m=2
+divergence.t=4
+divergence.n_designs=2
+seed=2
+output.dir={out}
+""")
+    assert run(["divergence", "--config", cfg]) == 4
+    assert capsys.readouterr().err == (
+        "error: design 0 (importance_seeded): joint enumeration would exceed "
+        "1000000 (choice, set) combinations\n")
+    assert calls == []
+    assert not (out / "divergence.csv").exists()
+
+
 def test_divergence_rejects_bad_mode_pairing(tmp_path):
     out = tmp_path / "divbad"
     cfg = write_config(tmp_path / "dbad.cfg", f"""

@@ -1,5 +1,8 @@
 """Quasi-likelihood estimators: gradients, recovery, expansion factors."""
 
+import warnings
+from itertools import product
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -16,9 +19,9 @@ from soa_lab import (Alternative, Dataset, InvalidInputError, MmnlDgpConfig,
                      fit_mmnl_msl, fit_mnl, generate_mmnl, generate_mnl,
                      halton_normal_draws, log_softmax, pack_theta, quasi_loglik,
                      quasi_loglik_grad, theta_labels, unpack_theta)
-from soa_lab.draws import halton_points
+from soa_lab.draws import halton_points, normal_inv_cdf
 from soa_lab.optimize import central_diff_grad
-from wn_reference import compute_wn
+from wn_reference import compute_wn, individual_loglik, wn_numerator
 
 
 def sampled_for(dataset, protocol, seed):
@@ -196,6 +199,17 @@ def test_halton_normal_draws_within_16_ulps_of_scipy():
     assert np.max(ulps) <= 16
 
 
+def test_normal_inv_cdf_within_4_ulps_of_statistics():
+    rng = np.random.default_rng(5)
+    p = np.concatenate([halton_points(20000, 5).ravel(),
+                        rng.uniform(size=50000),
+                        10.0 ** -rng.uniform(1, 300, size=5000),
+                        1.0 - 10.0 ** -rng.uniform(1, 16, size=5000)])
+    want = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+    got = normal_inv_cdf(p)
+    assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= 4
+
+
 def test_halton_draws_look_standard_normal():
     z = halton_normal_draws(1, 4000, 3).reshape(4000, 3)
     assert np.all(np.isfinite(z))
@@ -266,8 +280,9 @@ class _FirstObjective(Exception):
        T=st.integers(1, 3), J=st.integers(2, 5), R=st.integers(1, 5))
 def test_msl_expansion_factor_matches_reference(seed, K, importance, n_ind, T,
                                                 J, R):
-    """Every per-observation, per-draw W inside fit_mmnl_msl's objective
-    equals the scalar reference on the same Halton draws."""
+    """Every per-observation, per-draw ln num inside fit_mmnl_msl's
+    objective equals the scalar reference numerator on the same Halton
+    draws."""
     rng = np.random.default_rng(seed)
     n = n_ind * T
     ind = rng.permutation(np.repeat(10 * np.arange(n_ind), T))  # unsorted panel
@@ -284,27 +299,26 @@ def test_msl_expansion_factor_matches_reference(seed, K, importance, n_ind, T,
     L = np.linalg.cholesky(A @ A.T + 0.3 * np.eye(K))
 
     seen = {}
-    real = mle.expansion_log_terms
+    real = mle._SimulatedLikelihood.expansion_numerator
 
-    def spy(arrays, beta):
-        seen["terms"] = real(arrays, beta)
+    def spy(self, beta, v_mem):
+        seen["log_num"] = real(self, beta, v_mem)[0]
         raise _FirstObjective
 
-    with mock.patch.object(mle, "expansion_log_terms", spy), \
-            pytest.raises(_FirstObjective):
+    with mock.patch.object(mle._SimulatedLikelihood, "expansion_numerator",
+                           spy), pytest.raises(_FirstObjective):
         fit_mmnl_msl(ds, sets, "mcfadden", "exact_full_set", R,
                      init=pack_theta(mu, L))
-    log_num, log_den = seen["terms"]
-    W = np.exp(log_num - log_den)                   # (R, n), rows by individual
+    num = np.exp(seen["log_num"])                   # (R, n), rows by individual
 
     order = np.argsort(ind, kind="stable")
     z = halton_normal_draws(n_ind, R, K)[np.unique(ind, return_inverse=True)[1]]
     for row, obs_id in enumerate(order):
         obs, zn = ds.observations[obs_id], z[obs_id]
         for r in range(R):
-            want = compute_wn(UtilityParams(mu + L @ zn[r]), (mu, L @ L.T),
-                              obs, sets[obs_id], zn)
-            assert abs(W[r, row] - want) <= 1e-12 * max(1.0, want)
+            want = wn_numerator(UtilityParams(mu + L @ zn[r]), obs,
+                                sets[obs_id])
+            assert abs(num[r, row] - want) <= 1e-12 * max(1.0, want)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +356,7 @@ def test_msl_naive_and_exact_wn_agree_at_half_coverage():
     exact = fit_mmnl_msl(ds, sets, "mcfadden", wn_mode="exact_full_set",
                          r_draws=50)
     assert naive.notes["wn_mode"] == "naive_one"
-    assert exact.notes["wn_denominator"] == "draw_averaged"
+    assert exact.notes["wn_denominator"] == "panel"
     gap = np.abs(naive.estimate - exact.estimate)
     assert np.all(gap < np.maximum(naive.std_errors, 1e-3))
 
@@ -355,3 +369,147 @@ def test_msl_is_deterministic():
     b = fit_mmnl_msl(ds, None, "none", wn_mode="naive_one", r_draws=40)
     assert np.array_equal(a.estimate, b.estimate)
     assert a.loglik == b.loglik
+
+
+def _panel_objective(ds, sets, corrections, exact, z, theta):
+    """fit_mmnl_msl's objective and score at theta on draws z (N, R, K)."""
+    view = mle.ChoiceArrays.panel(ds, sets, corrections)
+    return mle._SimulatedLikelihood(view, z, exact and sets is not None
+                                    ).value_and_score(theta)
+
+
+def _random_theta(rng, K):
+    A = rng.normal(size=(K, K))
+    return pack_theta(rng.normal(size=K),
+                      np.linalg.cholesky(0.5 * A @ A.T + 0.2 * np.eye(K)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_msl_probabilities_of_every_choice_sequence_sum_to_one(seed):
+    """J=4, T=2, K=1, fixed draws: with the panel denominator the exact-W
+    probabilities of all choice sequences inside the observed sets sum to
+    one; the draw-averaged denominator does not."""
+    rng = np.random.default_rng(seed)
+    J, T, R = 4, 2, 3
+    X = rng.normal(size=(T, J, 1))
+    if seed % 2:
+        proto = Protocol("importance_independent",
+                         inclusion_probs=rng.uniform(0.2, 0.8, size=J))
+    else:
+        proto = Protocol("uniform_wor", m=2)
+    sets = SetTable.from_sets([
+        draw_sampled_set(proto, int(rng.integers(J)), J, rng) for _ in range(T)])
+    z = rng.normal(size=(1, R, 1))
+    theta = _random_theta(rng, 1)
+    mu, L = unpack_theta(theta, 1)
+    panel = averaged = 0.0
+    for choices in product(*(sets[t].member_ids.tolist() for t in range(T))):
+        ds = Dataset.from_arrays(X, np.array(choices), np.zeros(T, dtype=int))
+        panel += np.exp(_panel_objective(ds, sets, "mcfadden", True, z,
+                                         theta)[0])
+        averaged += np.exp(individual_loglik(
+            mu, L, ds.observations, [sets[t] for t in range(T)], z[0],
+            "mcfadden", "draw_averaged"))
+    assert abs(panel - 1.0) <= 1e-12
+    assert abs(averaged - 1.0) > 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), K=st.integers(1, 2),
+       exact=st.booleans(), importance=st.booleans(),
+       corrections=st.sampled_from(["mcfadden", "none"]),
+       n_ind=st.integers(1, 4), T=st.integers(1, 3), J=st.integers(2, 5),
+       R=st.integers(1, 5))
+def test_msl_objective_matches_scalar_reference(seed, K, exact, importance,
+                                                corrections, n_ind, T, J, R):
+    """The objective equals the draw-by-draw reference; at T=1 the panel
+    denominator is also the draw-averaged one, to 1e-12."""
+    rng = np.random.default_rng(seed)
+    n = n_ind * T
+    ds = Dataset.from_arrays(rng.normal(size=(n, J, K)),
+                             rng.integers(0, J, size=n),
+                             np.repeat(np.arange(n_ind), T))
+    if importance:
+        proto = Protocol("importance_independent",
+                         inclusion_probs=rng.uniform(0.1, 0.9, size=J))
+    else:
+        proto = Protocol("uniform_wor", m=int(rng.integers(2, J + 1)))
+    sets = sampled_for(ds, proto, seed)
+    z = rng.normal(size=(n_ind, R, K))
+    theta = _random_theta(rng, K)
+    mu, L = unpack_theta(theta, K)
+    got = _panel_objective(ds, sets, corrections, exact, z, theta)[0]
+    forms = ["panel" if exact else None] + (["draw_averaged"]
+                                            if exact and T == 1 else [])
+    for form in forms:
+        want = sum(individual_loglik(
+            mu, L, ds.observations[i * T:(i + 1) * T],
+            [sets[t] for t in range(i * T, (i + 1) * T)], z[i], corrections,
+            form) for i in range(n_ind))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), K=st.integers(1, 3),
+       exact=st.booleans(),
+       sets_kind=st.sampled_from(["full", "uniform", "importance"]),
+       corrections=st.sampled_from(["mcfadden", "none"]),
+       n_ind=st.integers(1, 4), T=st.integers(1, 3), J=st.integers(2, 5),
+       R=st.integers(1, 6))
+def test_msl_score_matches_central_differences(seed, K, exact, sets_kind,
+                                               corrections, n_ind, T, J, R):
+    rng = np.random.default_rng(seed)
+    n = n_ind * T
+    ds = Dataset.from_arrays(rng.normal(size=(n, J, K)),
+                             rng.integers(0, J, size=n),
+                             rng.permutation(np.repeat(np.arange(n_ind), T)))
+    if sets_kind == "full":
+        sets = None
+    elif sets_kind == "importance":
+        sets = sampled_for(ds, Protocol(
+            "importance_independent",
+            inclusion_probs=rng.uniform(0.1, 0.9, size=J)), seed)
+    else:
+        sets = sampled_for(ds, Protocol("uniform_wor",
+                                        m=int(rng.integers(2, J + 1))), seed)
+    z = rng.normal(size=(n_ind, R, K))
+    theta = _random_theta(rng, K)
+    f, g = _panel_objective(ds, sets, corrections, exact, z, theta)
+    fd = central_diff_grad(
+        lambda t: _panel_objective(ds, sets, corrections, exact, z, t)[0], theta)
+    assert np.isfinite(f)
+    assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+
+def test_msl_objective_at_an_overflowing_scale_is_minus_inf():
+    """A line-search probe at an extreme scale returns -inf, warning-free."""
+    cfg = MmnlDgpConfig(N=5, T=2, J=4, K=1, mu_star=np.array([1.0]),
+                        sigma_star=np.array([[0.5]]), seed=3)
+    ds, _ = generate_mmnl(cfg)
+    sets = sampled_for(ds, Protocol("uniform_wor", m=2), seed=4)
+    z = halton_normal_draws(5, 10, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in ([0.0, 800.0], [1e308, 0.0], [-1e308, 5.0]):
+            f, _ = _panel_objective(ds, sets, "mcfadden", True, z,
+                                    np.array(theta))
+            assert f == -np.inf
+        # Large but finite scales stay finite: the expansion numerator is
+        # formed in logs, so no member probability underflows to zero.
+        f, _ = _panel_objective(ds, sets, "mcfadden", True, z,
+                                np.array([0.0, 30.0]))
+        assert np.isfinite(f)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 21])
+def test_exact_msl_recovers_mu_on_sparse_sampled_panels(seed):
+    """N=100, T=5, J=10, m=4: the exact expansion factor used to reward a
+    large mixing scale here and land 9-18 SE above mu*."""
+    ds, _ = generate_mmnl(MmnlDgpConfig(N=100, T=5, J=10, K=1,
+                                        mu_star=np.array([1.0]),
+                                        sigma_star=np.array([[0.5]]),
+                                        seed=seed))
+    sets = sampled_for(ds, Protocol("uniform_wor", m=4), seed=seed + 1)
+    res = fit_mmnl_msl(ds, sets, "mcfadden", "exact_full_set", r_draws=50)
+    assert res.converged
+    assert abs(res.mu[0] - 1.0) <= 4 * res.std_errors[0]

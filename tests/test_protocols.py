@@ -10,6 +10,7 @@ from soa_lab import (Alternative, CapacityError, InvalidInputError,
                      InvalidStateError, Observation, Protocol, SampledSet,
                      correction_vector, derive_stream, draw_sampled_set,
                      enumerate_feasible_sets, enumerate_sets)
+from soa_lab.protocols import feasible_pair_count
 
 
 def make_obs(J, chosen=0, K=1, seed=0):
@@ -126,6 +127,22 @@ def test_enumeration_capacity_error_names_count():
     with pytest.raises(CapacityError) as err:
         enumerate_sets(proto, obs.n_alts, 0)
     assert str(math.comb(23, 11)) in str(err.value)
+
+
+@pytest.mark.parametrize("J", range(2, 8))
+def test_feasible_pair_count_matches_the_enumeration(J):
+    for proto in ([Protocol("uniform_wor", m=m) for m in range(2, J + 1)]
+                  + [importance_protocol(J)]):
+        table = enumerate_feasible_sets(proto, J)
+        assert feasible_pair_count(proto, J) == int(np.sum(~table.pad))
+
+
+def test_feasible_pair_count_refuses_what_the_enumeration_refuses():
+    proto = Protocol("uniform_wor", m=12, enumeration_cap=1000)
+    for count in (enumerate_feasible_sets, feasible_pair_count):
+        with pytest.raises(CapacityError) as err:
+            count(proto, 24)
+        assert str(math.comb(24, 12)) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
