@@ -106,9 +106,10 @@ def parse_config_text(text: str, keys: set[str],
 class Config:
     """Typed access to the flat key/value pairs, with pointed errors."""
 
-    def __init__(self, pairs: dict[str, str], keys: set[str]):
+    def __init__(self, pairs: dict[str, str], keys: set[str], path: Path):
         self.pairs = pairs
         self.keys = keys
+        self.path = path
 
     def get(self, key: str, default=_MISSING) -> str:
         assert key in self.keys, f"{key!r} is read but not declared"
@@ -142,13 +143,23 @@ class Config:
             key, default, lambda v: np.array([float(x) for x in v.split(",")]),
             "a comma-separated list of numbers")
 
+    def get_vector(self, key: str, K: int, default=_MISSING) -> np.ndarray | None:
+        """K numbers, or one number repeated K times."""
+        values = self.get_floats(key, default)
+        if values is None or values.size == K:
+            return values
+        if values.size == 1:
+            return np.full(K, values[0])
+        raise ConfigError(f"config key {key!r}: need 1 or {K} entries, "
+                          f"got {values.size}")
+
 
 def parse_config_file(path, keys: set[str]) -> Config:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
     return Config(parse_config_text(p.read_text(encoding="utf-8"), keys, str(p)),
-                  keys)
+                  keys, p)
 
 
 def build_protocol(cfg: Config) -> Protocol:
@@ -162,39 +173,25 @@ def build_protocol(cfg: Config) -> Protocol:
 
 
 def build_prior(cfg: Config, K: int) -> Prior:
-    mean = cfg.get_floats("prior.mean", np.zeros(K))
-    if mean.size == 1:
-        mean = np.full(K, mean[0])
     cov = cfg.get_floats("prior.cov", None)
-    if cov is None:
-        matrix = np.eye(K)
-    elif cov.size == 1:
-        matrix = float(cov[0]) * np.eye(K)
-    elif cov.size == K:
-        matrix = np.diag(cov)
-    elif cov.size == K * K:
-        matrix = cov.reshape(K, K)
-    else:
-        raise ConfigError("config key 'prior.cov': need a scalar, a diagonal, "
-                          "or a full K*K matrix")
-    return Prior(mean, matrix)
+    return Prior(cfg.get_vector("prior.mean", K, np.zeros(K)),
+                 np.eye(K) if cov is None else _square_from(cov, K, "prior.cov"))
 
 
 def build_grid(cfg: Config, K: int) -> GridSpec:
-    lo = cfg.get_floats("grid.lo", np.array([-8.0]))
-    hi = cfg.get_floats("grid.hi", np.array([8.0]))
-    points = cfg.get_int("grid.points", 201)
-    return GridSpec.make(np.full(K, lo[0]) if lo.size == 1 else lo,
-                         np.full(K, hi[0]) if hi.size == 1 else hi, [points] * K)
+    return GridSpec.make(cfg.get_vector("grid.lo", K, np.full(K, -8.0)),
+                         cfg.get_vector("grid.hi", K, np.full(K, 8.0)),
+                         [cfg.get_int("grid.points", 201)] * K)
 
 
 def _square_from(values: np.ndarray, K: int, key: str) -> np.ndarray:
-    if values.size == K:
-        return np.diag(values)
+    """K x K from one value (times I), K diagonal or K * K row-major entries."""
+    if values.size in (1, K):
+        return np.diag(np.broadcast_to(values, K))
     if values.size == K * K:
         return values.reshape(K, K)
-    raise ConfigError(f"config key {key!r}: need {K} diagonal entries or "
-                      f"{K * K} row-major entries")
+    raise ConfigError(f"config key {key!r}: need 1 entry, {K} diagonal "
+                      f"entries or {K * K} row-major entries")
 
 
 def load_dataset(cfg: Config) -> tuple[Dataset, str]:
@@ -305,9 +302,15 @@ def cmd_fit(cfg: Config, out_dir: Path, chash: str) -> None:
 
 
 def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
+    method = cfg.get("bayes.method")
+    # A method accepts only the keys it reads: the file is checked again
+    # without the keys that only the other method reads.
+    other = {"rw_metropolis": "bayes.thin bayes.rho bayes.store_beta_n "
+                              "prior.m0 prior.a0 prior.s0 prior.v0",
+             "gibbs": "bayes.chains bayes.proposal_scale prior.mean prior.cov"}
+    parse_config_file(cfg.path, cfg.keys - set(other.get(method, "").split()))
     dataset, ds_hash = load_dataset(cfg)
     sampled, mode = load_sets(cfg, dataset, ds_hash)
-    method = cfg.get("bayes.method")
     seed = cfg.get_int("seed")
     iterations = cfg.get_int("bayes.iterations")
     burn_in = cfg.get_int("bayes.burn_in")
@@ -374,22 +377,22 @@ _DIVERGENCE_FIELDS = [
 def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
                     protocol: Protocol, beta_star: UtilityParams, prior: Prior,
                     grid: GridSpec) -> list:
+    def worst(a, b) -> float:
+        return float(np.max(np.abs(a - b)))
+
     report = dlab.build_divergence_report(design, protocol, mode, beta_star,
                                           prior, grid)
-    resid_order = max(
-        abs(dlab.expected_quasi_ll(o, protocol, beta_star, beta_star, mode)
-            - dlab.expected_quasi_ll_setwise(o, protocol, beta_star, beta_star,
-                                             mode))
-        for o in design.observations)
-    resid_forms = max(
-        abs(dlab.expected_divergence(o, protocol, beta_star, mode)
-            - dlab.expected_divergence_direct(o, protocol, beta_star, mode))
-        for o in design.observations)
+    resid_order = worst(
+        dlab.expected_quasi_ll(design, protocol, beta_star, beta_star, mode),
+        dlab.expected_quasi_ll_setwise(design, protocol, beta_star, beta_star,
+                                       mode))
+    resid_forms = worst(
+        dlab.expected_divergence(design, protocol, beta_star, mode),
+        dlab.expected_divergence_direct(design, protocol, beta_star, mode))
     if protocol.kind == "uniform_wor":
-        resid_closed = max(
-            abs(dlab.divergence_uniform_closed_form(o, protocol, beta_star)
-                - dlab.expected_divergence(o, protocol, beta_star, "mcfadden"))
-            for o in design.observations)
+        resid_closed = worst(
+            dlab.divergence_uniform_closed_form(design, protocol, beta_star),
+            dlab.expected_divergence(design, protocol, beta_star, "mcfadden"))
         # The entropy form is the mcfadden A; reuse the report's when it has it.
         term_a = (report.kl_term_a if mode == "mcfadden" else
                   dlab.kl_term_a(design, protocol, "mcfadden", prior, grid))
@@ -438,7 +441,7 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
     mode = cfg.get("correction.mode", "mcfadden")
     prior = build_prior(cfg, K)
     grid = build_grid(cfg, K)
-    beta_cfg = cfg.get_floats("divergence.beta_star", None)
+    beta_cfg = cfg.get_vector("divergence.beta_star", K, None)
 
     # Every row is checked against the enumeration caps before the first
     # is computed, so a run that will be refused does no work.

@@ -7,6 +7,11 @@ split, and closed forms, and the two terms of the expected posterior KL
 divergence together with independent re-assemblies used to cross-check
 them.  Nothing in this module is Monte Carlo.
 
+Every oracle takes a design (N observations sharing J and K), enumerates
+the protocol's set table once per call and runs one masked kernel over
+blocks of its (N, J, K) attribute tensor.  The per-observation oracles give
+one value per observation: (N,) at one beta, (P, N) for a batch of P.
+
 Notation used in the formulas below, for one observation with utilities V
 over the full set C and a subset D with member log conditional sampling
 probabilities lcp (one per member, conditioning on that member having been
@@ -28,8 +33,8 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from .grids import GridSpec, log_trapezoid
-from .model_core import (Observation, SetTable, UtilityParams, log_softmax,
-                         log_sum_exp, utilities)
+from .model_core import (SetTable, UtilityParams, log_softmax, log_sum_exp,
+                         utilities)
 from .protocols import (Protocol, correction_vector, enumerate_feasible_sets,
                         enumerate_sets, feasible_pair_count)
 
@@ -75,38 +80,53 @@ class ProtocolComparison:
 
 
 # ---------------------------------------------------------------------------
-# the per-set kernel
+# the per-set kernel over a design
 # ---------------------------------------------------------------------------
 
-def _set_kernel(observation: Observation, sets: SetTable, mode: str, beta):
-    """The corrected softmax of one observation over every row of ``sets``.
+def _set_kernel(X: np.ndarray, sets: SetTable, mode: str, beta):
+    """The corrected softmax of every observation of an (n, J, K) attribute
+    array over every row of ``sets``.
 
     ``beta`` is UtilityParams, one point (K,) or a batch (P, K); a batch puts
     a leading P axis on every output except ``c``.  For S rows of width m:
 
-    * ``log_r`` (S,): log coverage ln R(D);
-    * ``lp_proc`` (S, m): process member log-probabilities (lcp corrections);
-    * ``lp_eval`` (S, m): evaluated member log-probabilities (mode corrections);
+    * ``log_r`` (n, S): log coverage ln R(D);
+    * ``lp_proc`` (n, S, m): process member log-probabilities (lcp corrections);
+    * ``lp_eval`` (n, S, m): evaluated member log-probabilities (mode corrections);
     * ``c`` (S, m): the mode's corrections;
-    * ``lp_full`` (S, m): ln P(i | beta, C) of each member.
+    * ``lp_full`` (n, S, m): ln P(i | beta, C) of each member.
 
     Padding is -inf in the log-probabilities and 0 in ``c``.
     """
-    V = utilities(observation, beta)
-    Vm = V[..., sets.member_ids]
+    V = utilities(X, beta)
+    # Flat indices keep an observation's (S, m) values contiguous at a point
+    # and a batch's P axis innermost: every sum runs as for one observation.
+    flat = (np.arange(len(X)) * X.shape[1])[:, None, None] + sets.member_ids
+    lead = V.shape[:-2] + (-1,)
+    Vm = V.reshape(lead)[..., flat]
     c = correction_vector(sets.log_cond_prob, mode)
-    lp_full = np.where(sets.pad, -np.inf, log_softmax(V)[..., sets.member_ids])
+    lp_full = np.where(sets.pad, -np.inf, log_softmax(V).reshape(lead)[..., flat])
+    log_r = log_sum_exp(lp_full + sets.log_cond_prob)
     lp_proc = log_softmax(Vm + sets.log_cond_prob)
     lp_eval = log_softmax(np.where(sets.pad, -np.inf, Vm + c))
-    log_r = log_sum_exp(lp_full + sets.log_cond_prob)
     return log_r, lp_proc, lp_eval, c, lp_full
 
 
-def _feasible_kernel(observation: Observation, protocol: Protocol, mode: str,
-                     beta) -> tuple[SetTable, tuple]:
-    """An observation's feasible sets and the kernel over them."""
-    sets = enumerate_feasible_sets(protocol, observation.n_alts)
-    return sets, _set_kernel(observation, sets, mode, beta)
+def _blocks(design, sets: SetTable, *betas) -> list[slice]:
+    """Slices of the design's observations: as many per block as keep the
+    (P, n, S, m) kernel at the largest of ``betas`` in ``_BLOCK_CELLS``, >= 1."""
+    points = max(np.size(getattr(b, "beta", b)) for b in betas) // design.K
+    rows = max(1, _BLOCK_CELLS // (points * sets.member_ids.size))
+    return [slice(lo, lo + rows) for lo in range(0, design.n_obs, rows)]
+
+
+def _per_block(design, sets: SetTable, mode: str, betas: tuple, reduce,
+               axis: int = -1) -> np.ndarray:
+    """``reduce`` of each block's kernels at ``betas``, joined along ``axis``."""
+    X = design.attribute_tensor()
+    return np.concatenate(
+        [reduce(*(_set_kernel(X[block], sets, mode, beta) for beta in betas))
+         for block in _blocks(design, sets, *betas)], axis)
 
 
 def _expect(lp: np.ndarray, values: np.ndarray, pad: np.ndarray) -> np.ndarray:
@@ -121,51 +141,51 @@ def _split_divergence(sets: SetTable, kernel: tuple) -> np.ndarray:
                                    - log_sum_exp(lp_full + c)), axis=-1)
 
 
-def _value(x):
-    """A float for one point, the (P,) array for a batch."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 # ---------------------------------------------------------------------------
-# coverage and expected quasi log-likelihood
+# per-observation oracles
 # ---------------------------------------------------------------------------
 
-def coverage_r(observation: Observation, sets: SetTable, beta) -> np.ndarray:
-    """R of every row of ``sets``, (S,) at one point or (P, S) for a batch:
-    the share of the full exponentiated-utility mass the set accounts for,
-    after weighting each member by its conditional set probability."""
-    return np.exp(_set_kernel(observation, sets, "none", beta)[0])
+def coverage_r(design, sets: SetTable, beta) -> np.ndarray:
+    """R of every observation and row of ``sets``, (N, S) or (P, N, S): the
+    share of the full exponentiated-utility mass the set accounts for, after
+    weighting each member by its conditional set probability."""
+    return _per_block(design, sets, "none", (beta,),
+                      lambda k: np.exp(k[0]), axis=-2)
 
 
-def expected_true_ll(observation: Observation, beta_star, beta):
-    """sum_i P(i | beta_star, C) ln P(i | beta, C)."""
-    lp_star = log_softmax(utilities(observation, beta_star))
-    return _value(np.sum(np.exp(lp_star)
-                         * log_softmax(utilities(observation, beta)), axis=-1))
+def expected_true_ll(design, beta_star, beta) -> np.ndarray:
+    """sum_i P(i | beta_star, C) ln P(i | beta, C) of each observation."""
+    lp_star, lp = (log_softmax(utilities(design.attribute_tensor(), b))
+                   for b in (beta_star, beta))
+    return np.sum(np.exp(lp_star) * lp, axis=-1)
 
 
-def expected_quasi_ll(observation: Observation, protocol: Protocol,
-                      beta_star, beta, correction_mode: str):
-    """Expected sampled-set log-likelihood, choice-first ordering.
+def expected_quasi_ll(design, protocol: Protocol, beta_star, beta,
+                      correction_mode: str) -> np.ndarray:
+    """Expected sampled-set log-likelihood of each observation, choice-first.
 
     Outer sum over the chosen alternative weighted by the full-model
     probability at beta_star; inner sum over every feasible set containing
     it, weighted by the set's conditional probability; the summand is the
     log corrected sampled probability evaluated at beta.
     """
-    p_star = np.exp(log_softmax(utilities(observation, beta_star)))
+    p_star = np.exp(log_softmax(utilities(design.attribute_tensor(),
+                                          beta_star)))
     total = 0.0
-    for i in range(observation.n_alts):
-        sets = enumerate_sets(protocol, observation.n_alts, i)
-        lp_eval = _set_kernel(observation, sets, correction_mode, beta)[2]
+    for i in range(design.J):
+        sets = enumerate_sets(protocol, design.J, i)
         at_i = (sets.member_ids == i) & ~sets.pad
-        total = total + p_star[..., i] * (lp_eval[..., at_i]
-                                          @ np.exp(sets.log_cond_prob[at_i]))
-    return _value(total)
+        weights = np.exp(sets.log_cond_prob[at_i])[:, None]
+        # One dot product per contiguous row: the same bits in any design.
+        inner = _per_block(design, sets, correction_mode, (beta,), lambda k: (
+            np.ascontiguousarray(k[2][..., at_i])[..., None, :]
+            @ weights)[..., 0, 0])
+        total = total + p_star[..., i] * inner
+    return total
 
 
-def expected_quasi_ll_setwise(observation: Observation, protocol: Protocol,
-                              beta_star, beta, correction_mode: str):
+def expected_quasi_ll_setwise(design, protocol: Protocol, beta_star, beta,
+                              correction_mode: str) -> np.ndarray:
     """Same expectation, regrouped set-first: sum_D R(D) sum_i P(i|D) ln(...).
 
     Independent code path used to verify the choice-first ordering; the
@@ -173,41 +193,35 @@ def expected_quasi_ll_setwise(observation: Observation, protocol: Protocol,
     sampling probabilities (they come from rewriting the joint), regardless
     of the evaluated correction mode.
     """
-    sets, (log_r, lp_proc, *_) = _feasible_kernel(observation, protocol,
-                                                  correction_mode, beta_star)
-    lp_eval = _feasible_kernel(observation, protocol, correction_mode,
-                               beta)[1][2]
-    return _value(np.sum(np.exp(log_r) * _expect(lp_proc, lp_eval, sets.pad),
-                         axis=-1))
+    sets = enumerate_feasible_sets(protocol, design.J)
+    return _per_block(design, sets, correction_mode, (beta_star, beta),
+                      lambda star, k: np.sum(np.exp(star[0]) * _expect(
+                          star[1], k[2], sets.pad), axis=-1))
 
 
-# ---------------------------------------------------------------------------
-# expected divergence between sampled and full log-likelihoods
-# ---------------------------------------------------------------------------
-
-def expected_divergence(observation: Observation, protocol: Protocol,
-                        beta, correction_mode: str):
+def expected_divergence(design, protocol: Protocol, beta,
+                        correction_mode: str) -> np.ndarray:
     """Split-form expected gap between sampled and full log-likelihood.
 
     sum_D R(D) [ sum_i P(i|beta,D) c_i  -  ln( sum_D e^{V+c} / sum_C e^V ) ];
     for mcfadden corrections the second piece reduces to -sum_D R ln R.
     """
-    return _value(_split_divergence(*_feasible_kernel(
-        observation, protocol, correction_mode, beta)))
+    sets = enumerate_feasible_sets(protocol, design.J)
+    return _per_block(design, sets, correction_mode, (beta,),
+                      lambda k: _split_divergence(sets, k))
 
 
-def expected_divergence_direct(observation: Observation, protocol: Protocol,
-                               beta, correction_mode: str):
+def expected_divergence_direct(design, protocol: Protocol, beta,
+                               correction_mode: str) -> np.ndarray:
     """Direct form: sum_D R sum_i P(i|beta,D) [ln P_eval(i|beta,D) - ln P(i|beta,C)]."""
-    sets, (log_r, lp_proc, lp_eval, _, lp_full) = _feasible_kernel(
-        observation, protocol, correction_mode, beta)
-    gap = (_expect(lp_proc, lp_eval, sets.pad)
-           - _expect(lp_proc, lp_full, sets.pad))
-    return _value(np.sum(np.exp(log_r) * gap, axis=-1))
+    sets = enumerate_feasible_sets(protocol, design.J)
+    return _per_block(design, sets, correction_mode, (beta,), lambda k: np.sum(
+        np.exp(k[0]) * (_expect(k[1], k[2], sets.pad)
+                        - _expect(k[1], k[4], sets.pad)), axis=-1))
 
 
-def divergence_uniform_closed_form(observation: Observation, protocol: Protocol,
-                                   beta):
+def divergence_uniform_closed_form(design, protocol: Protocol,
+                                   beta) -> np.ndarray:
     """Closed form for uniform conditioning with its own corrections:
 
     -sum_D pi_dagger * ratio(D) * ln ratio(D),   ratio = sum_D e^V / sum_C e^V.
@@ -217,10 +231,11 @@ def divergence_uniform_closed_form(observation: Observation, protocol: Protocol,
     """
     if protocol.kind != "uniform_wor":
         raise InvalidInputError("closed form needs the uniform protocol")
-    sets, kernel = _feasible_kernel(observation, protocol, "none", beta)
-    log_ratio = log_sum_exp(kernel[4])
-    return _value(-np.sum(np.exp(sets.log_cond_prob[:, 0]) * np.exp(log_ratio)
-                          * log_ratio, axis=-1))
+    sets = enumerate_feasible_sets(protocol, design.J)
+    log_ratio = _per_block(design, sets, "none", (beta,),
+                           lambda k: log_sum_exp(k[4]), axis=-2)
+    return -np.sum(np.exp(sets.log_cond_prob[:, 0]) * np.exp(log_ratio)
+                   * log_ratio, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +251,27 @@ def _check_grid(grid: GridSpec, K: int) -> None:
 
 
 def _lattice(design, protocol: Protocol, correction_mode: str, prior,
-             grid: GridSpec) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """Quadrature weights, log prior, and per observation its expected
-    divergence on the lattice and its (chosen, set) pairs as the arrays
-    ln pi(D|i) (L,), ln P(i | beta, C) (L, P) and ln P_eval(i | beta, D)
+             grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Quadrature weights, log prior, each observation's expected divergence
+    on the lattice (N, P), and per observation its (chosen, set) pairs as the
+    arrays ln pi(D|i) (L,), ln P(i | beta, C) (L, P) and ln P_eval(i | beta, D)
     (L, P), in set order, then member order."""
     _check_grid(grid, design.K)
     points = grid.lattice()
+    sets = enumerate_feasible_sets(protocol, design.J)
+    s, pos = np.nonzero(~sets.pad)
+    log_pi = sets.log_cond_prob[s, pos]
+    X = design.attribute_tensor()
     divergence, pairs = [], []
-    for obs in design.observations:
-        sets, kernel = _feasible_kernel(obs, protocol, correction_mode, points)
-        divergence.append(_split_divergence(sets, kernel))
-        s, pos = np.nonzero(~sets.pad)
-        pairs.append((sets.log_cond_prob[s, pos],
-                      np.ascontiguousarray(kernel[4][:, s, pos].T),
-                      np.ascontiguousarray(kernel[2][:, s, pos].T)))
-    return grid.weights(), prior.log_density(points), divergence, pairs
+    for block in _blocks(design, sets, points):
+        kernel = _set_kernel(X[block], sets, correction_mode, points)
+        divergence.append(_split_divergence(sets, kernel).T)
+        ll_true, ll_samp = (np.moveaxis(k[..., s, pos], 0, -1)
+                            for k in (kernel[4], kernel[2]))
+        pairs += [(log_pi, np.ascontiguousarray(t), np.ascontiguousarray(u))
+                  for t, u in zip(ll_true, ll_samp)]
+    return (grid.weights(), prior.log_density(points),
+            np.concatenate(divergence), pairs)
 
 
 def _outer_add(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -259,24 +279,16 @@ def _outer_add(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (acc[:, None] + values[None]).reshape((-1,) + values.shape[1:])
 
 
-def _check_joint_cap(pair_counts: list, protocol: Protocol) -> None:
-    cap = protocol.enumeration_cap
-    combos = 1
-    for count in pair_counts:
-        combos *= count
-        if combos > cap:
-            raise CapacityError(
-                f"joint enumeration would exceed {cap} (choice, set) combinations")
-
-
 def check_joint_cap(design, protocol: Protocol) -> None:
-    """Refuse a design as :func:`kl_terms` would, before any work: for too
+    """Refuse a design as :func:`kl_terms` does, before any work: for too
     many feasible sets, then for too many joint (choice, set) outcomes."""
-    _check_joint_cap([feasible_pair_count(protocol, obs.n_alts)
-                      for obs in design.observations], protocol)
+    cap = protocol.enumeration_cap
+    if feasible_pair_count(protocol, design.J) ** design.n_obs > cap:
+        raise CapacityError(
+            f"joint enumeration would exceed {cap} (choice, set) combinations")
 
 
-def _joint_outcomes(pairs: list, protocol: Protocol):
+def _joint_outcomes(pairs: list):
     """Every joint (choices, sets) outcome of a design, in product order,
     in blocks of at most ``_BLOCK_CELLS`` grid cells (or one outcome).
 
@@ -284,26 +296,23 @@ def _joint_outcomes(pairs: list, protocol: Protocol):
     of the sets given the choices, and the full-set and evaluated-mode
     log-likelihoods of the choices on the grid, one row per outcome.  Each
     row sums its observations' pairs first to last, starting from zero.
-    Refuses, before the first block, to enumerate more than the protocol's
-    cap.
     """
-    _check_joint_cap([len(p[0]) for p in pairs], protocol)
-    n_points = pairs[0][1].shape[1]
+    n_pairs, n_points = pairs[0][1].shape
     rows = max(1, _BLOCK_CELLS // n_points)
     # A block is one combination of the observations before ``split``, a
     # slice of ``chunk`` pairs of observation ``split`` and every
     # combination of the observations after it.
     split, tail = len(pairs) - 1, 1
-    while split > 0 and tail * len(pairs[split][0]) <= rows:
-        tail *= len(pairs[split][0])
+    while split > 0 and tail * n_pairs <= rows:
+        tail *= n_pairs
         split -= 1
     chunk = rows // tail
     zero = (np.zeros(1), np.zeros((1, n_points)), np.zeros((1, n_points)))
-    for prefix in product(*(range(len(p[0])) for p in pairs[:split])):
+    for prefix in product(range(n_pairs), repeat=split):
         head = zero
         for obs_pairs, i in zip(pairs, prefix):
             head = tuple(h + a[i:i + 1] for h, a in zip(head, obs_pairs))
-        for lo in range(0, len(pairs[split][0]), chunk):
+        for lo in range(0, n_pairs, chunk):
             block = tuple(_outer_add(h, a[lo:lo + chunk])
                           for h, a in zip(head, pairs[split]))
             for obs_pairs in pairs[split + 1:]:
@@ -313,8 +322,8 @@ def _joint_outcomes(pairs: list, protocol: Protocol):
 
 
 def _term_a(weights: np.ndarray, log_prior: np.ndarray,
-            divergence: list) -> float:
-    """-integral of prior x sum_n expected_divergence_n."""
+            divergence: np.ndarray) -> float:
+    """-integral of prior x sum_n expected_divergence_n, n first to last."""
     return float(np.sum(weights * np.exp(log_prior) * -sum(divergence)))
 
 
@@ -339,12 +348,12 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
     choices and sets.  Their sum is the expected KL divergence from the
     full-set posterior to the sampled-set posterior.
     """
-    weights, log_prior, divergence, pairs = _lattice(design, protocol,
-                                                     correction_mode, prior,
-                                                     grid)
+    check_joint_cap(design, protocol)
+    weights, log_prior, divergence, pairs = _lattice(
+        design, protocol, correction_mode, prior, grid)
     term_a = _term_a(weights, log_prior, divergence)
     term_b = 0.0
-    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs, protocol):
+    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs):
         log_m_true = log_trapezoid(log_prior + ll_true, weights)
         log_m_samp = log_trapezoid(log_prior + ll_samp, weights)
         for b in (np.exp(log_pi + log_m_true)
@@ -361,10 +370,11 @@ def kl_term_a_joint(design, protocol: Protocol, correction_mode: str, prior,
     outcome by prior x full-model likelihood x set probabilities and
     integrates the log likelihood ratio, with no coverage regrouping.
     """
+    check_joint_cap(design, protocol)
     weights, log_prior, _, pairs = _lattice(design, protocol,
                                             correction_mode, prior, grid)
     total = 0.0
-    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs, protocol):
+    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs):
         integrand = (np.exp(log_prior + ll_true + log_pi[:, None])
                      * (ll_true - ll_samp))
         for a in np.sum(weights * integrand, axis=-1).tolist():
@@ -385,26 +395,22 @@ def kl_term_a_entropy_form(design, protocol: Protocol, prior,
         raise InvalidInputError("entropy form needs the uniform protocol")
     _check_grid(grid, design.K)
     points = grid.lattice()
-    weights = grid.weights()
-    log_prior = prior.log_density(points)
-
-    log_pi_dagger = 0.0
-    s_plain = []   # per obs: sum_D ratio
-    s_log = []     # per obs: sum_D ratio ln ratio
-    for obs in design.observations:
-        sets = enumerate_feasible_sets(protocol, obs.n_alts)
-        V = utilities(obs, points)
-        log_ratio = (log_sum_exp(np.where(sets.pad, -np.inf, V[:, sets.member_ids]))
-                     - log_sum_exp(V)[:, None])
+    sets = enumerate_feasible_sets(protocol, design.J)
+    X = design.attribute_tensor()
+    s_plain, s_log = [], []   # per obs: sum_D ratio, sum_D ratio ln ratio
+    for block in _blocks(design, sets, points):
+        V = utilities(X[block], points)
+        log_ratio = (log_sum_exp(np.where(sets.pad, -np.inf,
+                                          V[..., sets.member_ids]))
+                     - log_sum_exp(V)[..., None])
         ratio = np.exp(log_ratio)
-        s_plain.append(np.sum(ratio, axis=1))
-        s_log.append(np.sum(ratio * log_ratio, axis=1))
-        log_pi_dagger += float(sets.log_cond_prob[0, 0])
-
+        s_plain += list(np.sum(ratio, axis=-1).T)
+        s_log += list(np.sum(ratio * log_ratio, axis=-1).T)
+    log_pi_dagger = design.n_obs * float(sets.log_cond_prob[0, 0])
     inner = sum(s_log[m] * np.prod(s_plain[:m] + s_plain[m + 1:], axis=0)
                 for m in range(len(s_plain)))
-    integrand = np.exp(log_prior + log_pi_dagger) * inner
-    return float(np.sum(weights * integrand))
+    integrand = np.exp(prior.log_density(points) + log_pi_dagger) * inner
+    return float(np.sum(grid.weights() * integrand))
 
 
 def expected_kl_direct(design, protocol: Protocol, correction_mode: str, prior,
@@ -416,10 +422,11 @@ def expected_kl_direct(design, protocol: Protocol, correction_mode: str, prior,
     probability.  Equals kl_terms().a + kl_terms().b up to float error while
     sharing no regrouping with that computation.
     """
+    check_joint_cap(design, protocol)
     weights, log_prior, _, pairs = _lattice(design, protocol,
                                             correction_mode, prior, grid)
     total = 0.0
-    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs, protocol):
+    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs):
         lk_true = log_prior + ll_true
         lk_samp = log_prior + ll_samp
         lm_true = log_trapezoid(lk_true, weights)[:, None]
@@ -454,10 +461,6 @@ def protocol_comparison(designs: list, protocols: list[tuple[str, Protocol]],
     return ProtocolComparison(rows, uniform_best)
 
 
-# ---------------------------------------------------------------------------
-# report assembly
-# ---------------------------------------------------------------------------
-
 def build_divergence_report(design, protocol: Protocol, correction_mode: str,
                             beta_star: UtilityParams, prior,
                             grid: GridSpec) -> DivergenceReport:
@@ -467,22 +470,13 @@ def build_divergence_report(design, protocol: Protocol, correction_mode: str,
     expected_divergence = expected_quasi_ll - expected_true_ll holds as an
     identity.
     """
-    eq = sum(expected_quasi_ll(obs, protocol, beta_star, beta_star,
-                               correction_mode)
-             for obs in design.observations)
-    et = sum(expected_true_ll(obs, beta_star, beta_star)
-             for obs in design.observations)
-    ed = sum(expected_divergence(obs, protocol, beta_star, correction_mode)
-             for obs in design.observations)
+    # Python's sum adds the observations first to last at any N.
+    eq, et, ed = (sum(values.tolist()) for values in (
+        expected_quasi_ll(design, protocol, beta_star, beta_star,
+                          correction_mode),
+        expected_true_ll(design, beta_star, beta_star),
+        expected_divergence(design, protocol, beta_star, correction_mode)))
     sets = enumerate_feasible_sets(protocol, design.J)
-    coverage = np.array([coverage_r(obs, sets, beta_star)
-                         for obs in design.observations])
     terms = kl_terms(design, protocol, correction_mode, prior, grid)
-    return DivergenceReport(
-        expected_quasi_ll=float(eq),
-        expected_true_ll=float(et),
-        expected_divergence=float(ed),
-        r_coverage=coverage,
-        kl_term_a=terms.a,
-        kl_term_b=terms.b,
-    )
+    return DivergenceReport(eq, et, ed, coverage_r(design, sets, beta_star),
+                            terms.a, terms.b)

@@ -300,20 +300,22 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     m = np.max(v, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    shifted = v - m
+    out = v - m
     with np.errstate(divide="ignore", invalid="ignore"):
-        lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-        out = shifted - lse
+        lse = np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
+        out -= lse
     # A row that is entirely -inf carries no mass; keep it -inf rather than
     # letting the (-inf) - (-inf) subtraction produce nans.
-    return np.where(np.isneginf(lse), -np.inf, out)
+    np.copyto(out, -np.inf, where=np.isneginf(lse))
+    return out
 
 
-def utilities(observation: Observation, params) -> np.ndarray:
-    """Linear utilities of every alternative of an observation: (J,) for
-    UtilityParams or one point (K,), (P, J) for a batch (P, K)."""
-    X = observation.attribute_matrix()
+def utilities(X: np.ndarray, params) -> np.ndarray:
+    """Linear utilities x'beta of an (..., J, K) attribute array: (..., J)
+    for UtilityParams or one point (K,), (P, ..., J) for a batch (P, K)."""
+    X = np.asarray(X, dtype=float)
     beta = np.asarray(getattr(params, "beta", params), dtype=float)
-    if X.shape[1] != beta.shape[-1]:
+    if X.shape[-1] != beta.shape[-1]:
         raise InvalidInputError("parameter length does not match attributes")
-    return beta @ X.T
+    return (beta @ X.reshape(-1, X.shape[-1]).T).reshape(beta.shape[:-1]
+                                                         + X.shape[:-1])

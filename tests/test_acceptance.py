@@ -112,9 +112,8 @@ def test_criterion_03_entropy_consistency():
     t0 = time.perf_counter()
     rng = np.random.default_rng(30)
     shifts = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
-    obs_list = [Observation(i, [Alternative(j, [rng.normal(shifts[j], 0.5)])
-                                for j in range(4)], 0)
-                for i in range(6)]
+    design = Dataset.from_arrays(rng.normal(shifts, 0.5, size=(6, 4))[..., None],
+                                 np.zeros(6, dtype=int))
     bstar = UtilityParams([0.5])
     uni = Protocol("uniform_wor", m=2)
     imp = Protocol("importance_independent",
@@ -122,9 +121,9 @@ def test_criterion_03_entropy_consistency():
     grid = np.round(np.arange(-2.0, 2.0 + 1e-9, 0.01), 10)
 
     def argmax_beta(proto, mode):
-        totals = [sum(expected_quasi_ll(o, proto, bstar, UtilityParams([b]),
-                                        mode) for o in obs_list)
-                  for b in grid]
+        # The whole grid as one (401, 1) batch: (401, 6) values.
+        totals = expected_quasi_ll(design, proto, bstar, grid[:, None],
+                                   mode).sum(axis=1)
         return float(grid[int(np.argmax(totals))])
 
     at_uni = argmax_beta(uni, "mcfadden")
@@ -148,8 +147,8 @@ def test_criterion_04_divergence_identities():
     for trial in range(50):
         J = int(rng.integers(3, 7))
         K = int(rng.integers(1, 3))
-        obs = Observation(0, [Alternative(j, rng.normal(size=K))
-                              for j in range(J)], int(rng.integers(J)))
+        obs = Dataset.from_arrays(rng.normal(size=(1, J, K)),
+                                  [int(rng.integers(J))])
         bstar = UtilityParams(rng.normal(size=K))
         if trial % 2 == 0:
             proto = Protocol("uniform_wor", m=int(rng.integers(2, J)))
@@ -158,17 +157,17 @@ def test_criterion_04_divergence_identities():
             proto = Protocol("importance_independent",
                              inclusion_probs=rng.uniform(0.15, 0.85, size=J))
             mode = "mcfadden" if trial % 4 == 1 else "none"
-        split = expected_divergence(obs, proto, bstar, mode)
-        direct = expected_divergence_direct(obs, proto, bstar, mode)
+        split = expected_divergence(obs, proto, bstar, mode)[0]
+        direct = expected_divergence_direct(obs, proto, bstar, mode)[0]
         worst = max(worst, abs(split - direct))
         if proto.kind == "uniform_wor":
-            closed = divergence_uniform_closed_form(obs, proto, bstar)
+            closed = divergence_uniform_closed_form(obs, proto, bstar)[0]
             worst = max(worst, abs(split - closed))
             min_uniform_divergence = min(min_uniform_divergence, closed)
         worst = max(worst,
-                    abs(expected_quasi_ll(obs, proto, bstar, bstar, mode)
+                    abs(expected_quasi_ll(obs, proto, bstar, bstar, mode)[0]
                         - expected_quasi_ll_setwise(obs, proto, bstar, bstar,
-                                                    mode)))
+                                                    mode)[0]))
     ok = worst <= 1e-10 and min_uniform_divergence > 0.0
     _report(4, "divergence identities", ok, time.perf_counter() - t0, 60.0,
             f"worst residual {worst:.2e}, "
@@ -184,10 +183,11 @@ def test_criterion_05_kl_machinery():
     rng = np.random.default_rng(1005)
     prior = Prior(np.zeros(1), 4.0 * np.eye(1))
     grid = GridSpec.make(-6.0, 6.0, 201)
-    designs = [Dataset([Observation(i, [Alternative(j, rng.normal(size=1))
-                                        for j in range(4)],
-                                    int(rng.integers(4)))
-                        for i in range(2)]) for _ in range(3)]
+    designs = []
+    for _ in range(3):
+        rows = [(rng.normal(size=(4, 1)), int(rng.integers(4))) for _ in range(2)]
+        designs.append(Dataset.from_arrays([x for x, _ in rows],
+                                           [c for _, c in rows]))
     uni = Protocol("uniform_wor", m=2)
     # random importance protocols matched to the uniform protocol's size:
     # expected set cardinality ~= 2, so the survey compares conditioning
@@ -214,8 +214,8 @@ def test_criterion_05_kl_machinery():
                     abs(kt.a - kl_term_a_entropy_form(design, proto, prior,
                                                       grid)))
             as_sampled = SetTable.from_sets(
-                [enumerate_sets(proto, design.J, o.chosen)[0]
-                 for o in design.observations])
+                [enumerate_sets(proto, design.J, c)[0]
+                 for c in design.chosen_ids().tolist()])
             p_true = grid_posterior(design, None, prior, grid,
                                     check_doubling=False)
             p_samp = grid_posterior(design, (as_sampled, "mcfadden"), prior,

@@ -414,6 +414,22 @@ def test_divergence_refuses_a_non_finite_prior(tmp_path, capsys, key):
     assert not (out / "divergence.csv").exists()
 
 
+@pytest.mark.parametrize("settings,key", [
+    ("divergence.beta_star=1, 2", "divergence.beta_star"),
+    ("divergence.k=2\nprior.mean=1, 2, 3", "prior.mean"),
+], ids=["beta_star_at_k1", "prior_mean_at_k2"])
+def test_divergence_wrong_length_parameter_is_exit_2(tmp_path, capsys,
+                                                     settings, key):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "dlen.cfg",
+                       f"{settings}\nseed=2\noutput.dir={out}\n")
+    assert run(["divergence", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err
+    assert "Traceback" not in err
+    assert not (out / "divergence.csv").exists()
+
+
 def test_generate_refuses_a_non_finite_mixing_mean(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = generate_config(tmp_path, out, model="mmnl")
@@ -546,3 +562,31 @@ def test_unknown_config_key_is_exit_2_naming_the_line(tmp_path, capsys, verb,
     assert f"{cfg}:3: unknown key {key!r}" in err
     assert "Traceback" not in err
 
+
+@pytest.mark.parametrize("method,key", [
+    ("gibbs", "bayes.chains"), ("gibbs", "bayes.proposal_scale"),
+    ("gibbs", "prior.mean"), ("gibbs", "prior.cov"),
+    ("rw_metropolis", "bayes.thin"), ("rw_metropolis", "bayes.rho"),
+    ("rw_metropolis", "bayes.store_beta_n"), ("rw_metropolis", "prior.m0"),
+    ("rw_metropolis", "prior.a0"), ("rw_metropolis", "prior.s0"),
+    ("rw_metropolis", "prior.v0"),
+])
+def test_bayes_key_the_method_does_not_read_is_exit_2(tmp_path, capsys,
+                                                      method, key):
+    """gibbs with bayes.chains = 4 used to run one chain, and rw_metropolis
+    with bayes.thin = 5 kept every draw; each now names the key's line."""
+    dataset = pipeline_generate(tmp_path, name="panel", model="mmnl", n=6, j=3)
+    out = tmp_path / "b"
+    cfg = write_config(tmp_path / "b.cfg", f"""inputs.dataset={dataset}
+bayes.method={method}
+{key}=4
+bayes.iterations=200
+bayes.burn_in=100
+seed=1
+output.dir={out}
+""")
+    assert run(["bayes", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: unknown key {key!r}" in err
+    assert "Traceback" not in err
+    assert not (out / "draws.csv").exists()

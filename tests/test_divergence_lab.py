@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 import joint_reference
 from soa_lab import divergence_lab
-from soa_lab import (Alternative, CapacityError, Dataset, GridSpec,
-                     InvalidInputError, Observation, Prior, Protocol,
-                     UtilityParams, build_divergence_report, coverage_r,
+from soa_lab import (CapacityError, Dataset, GridSpec, InvalidInputError,
+                     Prior, Protocol, UtilityParams, build_divergence_report, coverage_r,
                      divergence_uniform_closed_form, enumerate_feasible_sets,
                      enumerate_sets, expected_divergence,
                      expected_divergence_direct, expected_kl_direct,
@@ -26,15 +25,16 @@ from soa_lab import (Alternative, CapacityError, Dataset, GridSpec,
                      kl_term_a_joint, kl_terms, protocol_comparison)
 
 
+DESK_X = np.array([[0.9, -0.3, 0.1, -1.4], [-0.6, 0.4, 1.1, 0.2]])[..., None]
+
+
 def desk_observation():
-    x = [0.9, -0.3, 0.1, -1.4]
-    return Observation(0, [Alternative(j, [x[j]]) for j in range(4)], 2)
+    """The first desk observation as a one-row design."""
+    return Dataset.from_arrays(DESK_X[:1], [2])
 
 
 def desk_design():
-    return Dataset([desk_observation(),
-                    Observation(1, [Alternative(j, [v]) for j, v in
-                                    enumerate([-0.6, 0.4, 1.1, 0.2])], 0)])
+    return Dataset.from_arrays(DESK_X, [2, 0])
 
 
 BSTAR = UtilityParams([0.8])
@@ -46,8 +46,9 @@ GRID = GridSpec.make(-6.0, 6.0, 161)
 
 
 def random_observation(rng, J, K):
-    return Observation(0, [Alternative(j, rng.normal(size=K))
-                           for j in range(J)], int(rng.integers(J)))
+    """One random observation as a one-row design."""
+    return Dataset.from_arrays(rng.normal(size=(1, J, K)),
+                               [int(rng.integers(J))])
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +99,11 @@ def test_term_a_alone_is_kl_terms_a_bitwise():
 
 def test_coverage_is_third_for_pairs_with_equal_utilities():
     # J=3, m=2, flat utilities: three feasible pair-sets, each covering 1/3
-    obs = Observation(0, [Alternative(j, [0.0]) for j in range(3)], 0)
+    obs = Dataset.from_arrays(np.zeros((1, 3, 1)), [0])
     proto = Protocol("uniform_wor", m=2)
     feasible = enumerate_feasible_sets(proto, 3)
     assert len(feasible) == 3
-    for r in coverage_r(obs, feasible, UtilityParams([0.0])):
+    for r in coverage_r(obs, feasible, UtilityParams([0.0]))[0]:
         assert abs(r - 1.0 / 3.0) < 1e-14
 
 
@@ -117,7 +118,7 @@ def test_coverage_sums_to_one_and_stays_in_unit_interval():
                  Protocol("importance_independent",
                           inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
         total = 0.0
-        for r in coverage_r(obs, enumerate_feasible_sets(proto, J), beta):
+        for r in coverage_r(obs, enumerate_feasible_sets(proto, J), beta)[0]:
             assert 0.0 < r <= 1.0 + 1e-12
             total += r
         assert abs(total - 1.0) < 1e-12
@@ -129,7 +130,7 @@ def test_full_coverage_when_set_is_everything():
     proto = Protocol("uniform_wor", m=4)
     feasible = enumerate_feasible_sets(proto, 4)
     assert len(feasible) == 1
-    r, = coverage_r(obs, feasible, UtilityParams(rng.normal(size=1)))
+    r, = coverage_r(obs, feasible, UtilityParams(rng.normal(size=1)))[0]
     assert abs(r - 1.0) < 1e-14
 
 
@@ -211,7 +212,8 @@ def test_closed_form_rejects_nonuniform_protocols():
                              ("importance_independent", "mcfadden"),
                              ("importance_independent", "none")]))
 def test_oracles_batch_equals_points(seed, J, K, P, case):
-    """A (P, K) batch gives the per-point values; one (K,) point a float."""
+    """A (P, K) batch gives the per-point values: (P, 1) on a one-row
+    design, where one (K,) point gives (1,)."""
     rng = np.random.default_rng(seed)
     obs = random_observation(rng, J, K)
     kind, mode = case
@@ -228,16 +230,59 @@ def test_oracles_batch_equals_points(seed, J, K, P, case):
         oracles.append(lambda x, y: divergence_uniform_closed_form(obs, proto, y))
     for oracle in oracles:
         batch = oracle(bs, b)
-        assert batch.shape == (P,)
+        assert batch.shape == (P, 1)
         for p in range(P):
             point = oracle(bs[p], b[p])
-            assert isinstance(point, float)
+            assert point.shape == (1,)
             assert abs(batch[p] - point) <= 1e-12
     sets = enumerate_feasible_sets(proto, J)
     batch = coverage_r(obs, sets, b)
-    assert batch.shape == (P, len(sets))
+    assert batch.shape == (P, 1, len(sets))
     for p in range(P):
         assert np.max(np.abs(batch[p] - coverage_r(obs, sets, b[p]))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), N=st.integers(1, 4),
+       K=st.integers(1, 2), P=st.integers(0, 3),
+       case=st.sampled_from([("uniform_wor", "mcfadden"), ("uniform_wor", "none"),
+                             ("uniform_wor", "uniform_constant"),
+                             ("importance_independent", "mcfadden"),
+                             ("importance_independent", "none")]))
+def test_design_oracles_equal_each_observation_alone_bitwise(seed, J, N, K, P,
+                                                             case):
+    """Every oracle on an N-observation design gives, row for row and bit for
+    bit, its value on each observation alone as a one-row design: at the
+    default block size and with blocks of one observation.  P = 0 evaluates
+    at one point, P > 0 at a (P, K) batch."""
+    rng = np.random.default_rng(seed)
+    kind, mode = case
+    proto = (Protocol(kind, m=int(rng.integers(2, J + 1)))
+             if kind == "uniform_wor" else
+             Protocol(kind, inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
+    X = rng.normal(size=(N, J, K))
+    chosen = rng.integers(J, size=N)
+    design = Dataset.from_arrays(X, chosen)
+    alone = [Dataset.from_arrays(X[n:n + 1], chosen[n:n + 1]) for n in range(N)]
+    bs, b = rng.normal(size=(2, K) if P == 0 else (2, P, K))
+    sets = enumerate_feasible_sets(proto, J)
+    # (oracle, its observation axis)
+    oracles = [(lambda d: coverage_r(d, sets, b), -2),
+               (lambda d: expected_true_ll(d, bs, b), -1),
+               (lambda d: expected_quasi_ll(d, proto, bs, b, mode), -1),
+               (lambda d: expected_quasi_ll_setwise(d, proto, bs, b, mode), -1),
+               (lambda d: expected_divergence(d, proto, b, mode), -1),
+               (lambda d: expected_divergence_direct(d, proto, b, mode), -1)]
+    if kind == "uniform_wor":
+        oracles.append(
+            (lambda d: divergence_uniform_closed_form(d, proto, b), -1))
+    for cells in (divergence_lab._BLOCK_CELLS, 1):
+        with mock.patch.object(divergence_lab, "_BLOCK_CELLS", cells):
+            for oracle, axis in oracles:
+                whole = oracle(design)
+                assert whole.shape[axis] == N
+                rows = np.concatenate([oracle(d) for d in alone], axis=axis)
+                assert np.array_equal(whole, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +315,7 @@ def test_term_a_entropy_form_agrees_under_uniform():
 
 def test_protocol_survey_prefers_uniform():
     rng = np.random.default_rng(17)
-    designs = [Dataset([random_observation(rng, 4, 1)]) for _ in range(3)]
+    designs = [random_observation(rng, 4, 1) for _ in range(3)]
     protos = [("uniform_m2", Protocol("uniform_wor", m=2)),
               ("skewed", Protocol("importance_independent",
                                   inclusion_probs=np.array([0.9, 0.7, 0.3, 0.1]))),

@@ -103,7 +103,7 @@ def _small_obs():
 def test_utilities_and_linear_utility_agree():
     obs = _small_obs()
     beta = UtilityParams([0.5, -0.25])
-    v = utilities(obs, beta)
+    v = utilities(obs.attribute_matrix(), beta)
     for j, alt in enumerate(obs.alternatives):
         assert v[j] == float(alt.attributes @ beta.beta)  # x'beta, one at a time
 
