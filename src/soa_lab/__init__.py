@@ -36,7 +36,7 @@ from .divergence_lab import (ComparisonRow, DivergenceReport, KlTerms,
                              expected_divergence_direct, expected_kl_direct,
                              expected_quasi_ll, expected_quasi_ll_setwise,
                              expected_true_ll, kl_term_a,
-                             kl_term_a_entropy_form, kl_term_a_joint, kl_terms,
+                             kl_term_a_entropy_form, kl_terms,
                              protocol_comparison)
 from .draws import halton_normal_draws
 from .storage import (config_hash, file_hash, read_dataset_csv,

@@ -10,7 +10,9 @@ them.  Nothing in this module is Monte Carlo.
 Every oracle takes a design (N observations sharing J and K), enumerates
 the protocol's set table once per call and runs one masked kernel over
 blocks of its (N, J, K) attribute tensor.  The per-observation oracles give
-one value per observation: (N,) at one beta, (P, N) for a batch of P.
+one value per observation: (N,) at one beta, (P, N) for a batch of P.  One
+pass over the joint (choice, set) outcomes gives every joint sum, and
+:func:`build_divergence_report` evaluates each oracle once per row.
 
 Notation used in the formulas below, for one observation with utilities V
 over the full set C and a subset D with member log conditional sampling
@@ -45,24 +47,36 @@ _BLOCK_CELLS = 1 << 14
 
 @dataclass
 class DivergenceReport:
-    """Bundle of the oracle quantities for one (design, protocol, mode).
+    """Every oracle quantity of one (design, protocol, mode) row.
 
     ``r_coverage`` is (n_obs, S): R at beta_star for every observation and
-    every row of :func:`enumerate_feasible_sets`.
+    every row of :func:`enumerate_feasible_sets`.  The other fields are the
+    numeric columns of ``divergence.csv``, by name and in order.
     """
 
+    r_coverage: np.ndarray
     expected_quasi_ll: float
     expected_true_ll: float
     expected_divergence: float
-    r_coverage: np.ndarray
     kl_term_a: float
     kl_term_b: float
+    expected_kl: float
+    r_min: float
+    r_max: float
+    r_sum_abs_err: float
+    resid_ordering: float
+    resid_divergence_forms: float
+    resid_closed_form: float
+    resid_kl_decomposition: float
+    resid_entropy_form: float
 
 
 @dataclass
 class KlTerms:
     a: float
     b: float
+    a_joint: float
+    kl_direct: float
 
 
 @dataclass
@@ -341,45 +355,37 @@ def kl_term_a(design, protocol: Protocol, correction_mode: str, prior,
 
 def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
              grid: GridSpec) -> KlTerms:
-    """The two pieces of the expected posterior KL divergence.
+    """The two pieces of the expected posterior KL divergence, and two
+    independent re-assemblies, from one pass over the joint outcomes.
 
-    A is :func:`kl_term_a`; B is the expected log inverse Bayes factor,
-    assembled from grid marginal likelihoods over the exact joint of
-    choices and sets.  Their sum is the expected KL divergence from the
-    full-set posterior to the sampled-set posterior.
+    A is :func:`kl_term_a`; B is the expected log inverse Bayes factor from
+    grid marginal likelihoods.  A + B is the expected KL divergence from the
+    full-set to the sampled-set posterior.  ``a_joint`` is A from the raw
+    joint (prior x likelihood x set probabilities times the log likelihood
+    ratio, no coverage regrouping); ``kl_direct`` weights each outcome's
+    grid KL between the two normalized posteriors by its probability.
     """
     check_joint_cap(design, protocol)
     weights, log_prior, divergence, pairs = _lattice(
         design, protocol, correction_mode, prior, grid)
     term_a = _term_a(weights, log_prior, divergence)
-    term_b = 0.0
+    term_b = a_joint = kl_direct = 0.0
     for log_pi, ll_true, ll_samp in _joint_outcomes(pairs):
-        log_m_true = log_trapezoid(log_prior + ll_true, weights)
-        log_m_samp = log_trapezoid(log_prior + ll_samp, weights)
-        for b in (np.exp(log_pi + log_m_true)
-                  * (log_m_samp - log_m_true)).tolist():
+        lk_true, lk_samp = log_prior + ll_true, log_prior + ll_samp
+        lm_true = log_trapezoid(lk_true, weights)
+        lm_samp = log_trapezoid(lk_samp, weights)
+        lp_true = lk_true - lm_true[:, None]
+        kl = np.sum(weights * np.exp(lp_true)
+                    * (lp_true - (lk_samp - lm_samp[:, None])), axis=-1)
+        integrand = np.exp(lk_true + log_pi[:, None]) * (ll_true - ll_samp)
+        joint = np.exp(log_pi + lm_true)
+        for b, a, d in zip((joint * (lm_samp - lm_true)).tolist(),
+                           np.sum(weights * integrand, axis=-1).tolist(),
+                           (joint * kl).tolist()):
             term_b += b
-    return KlTerms(term_a, term_b)
-
-
-def kl_term_a_joint(design, protocol: Protocol, correction_mode: str, prior,
-                    grid: GridSpec) -> float:
-    """A computed the long way, from the raw joint over (Y, D).
-
-    Independent verification path for :func:`kl_terms`: weights each joint
-    outcome by prior x full-model likelihood x set probabilities and
-    integrates the log likelihood ratio, with no coverage regrouping.
-    """
-    check_joint_cap(design, protocol)
-    weights, log_prior, _, pairs = _lattice(design, protocol,
-                                            correction_mode, prior, grid)
-    total = 0.0
-    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs):
-        integrand = (np.exp(log_prior + ll_true + log_pi[:, None])
-                     * (ll_true - ll_samp))
-        for a in np.sum(weights * integrand, axis=-1).tolist():
-            total += a
-    return total
+            a_joint += a
+            kl_direct += d
+    return KlTerms(term_a, term_b, a_joint, kl_direct)
 
 
 def kl_term_a_entropy_form(design, protocol: Protocol, prior,
@@ -415,28 +421,9 @@ def kl_term_a_entropy_form(design, protocol: Protocol, prior,
 
 def expected_kl_direct(design, protocol: Protocol, correction_mode: str, prior,
                        grid: GridSpec) -> float:
-    """Expected posterior KL assembled outcome by outcome.
-
-    For every joint (choices, sets): form both normalized grid posteriors,
-    take their KL divergence by quadrature, and weight by the joint outcome
-    probability.  Equals kl_terms().a + kl_terms().b up to float error while
-    sharing no regrouping with that computation.
-    """
-    check_joint_cap(design, protocol)
-    weights, log_prior, _, pairs = _lattice(design, protocol,
-                                            correction_mode, prior, grid)
-    total = 0.0
-    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs):
-        lk_true = log_prior + ll_true
-        lk_samp = log_prior + ll_samp
-        lm_true = log_trapezoid(lk_true, weights)[:, None]
-        lm_samp = log_trapezoid(lk_samp, weights)[:, None]
-        p_true = np.exp(lk_true - lm_true)
-        kl = np.sum(weights * p_true *
-                    ((lk_true - lm_true) - (lk_samp - lm_samp)), axis=-1)
-        for d in (np.exp(log_pi + lm_true[:, 0]) * kl).tolist():
-            total += d
-    return total
+    """Expected posterior KL assembled outcome by outcome: ``kl_direct`` of
+    :func:`kl_terms`."""
+    return kl_terms(design, protocol, correction_mode, prior, grid).kl_direct
 
 
 def protocol_comparison(designs: list, protocols: list[tuple[str, Protocol]],
@@ -464,19 +451,40 @@ def protocol_comparison(designs: list, protocols: list[tuple[str, Protocol]],
 def build_divergence_report(design, protocol: Protocol, correction_mode: str,
                             beta_star: UtilityParams, prior,
                             grid: GridSpec) -> DivergenceReport:
-    """All oracle quantities for one design at the process parameters.
+    """Every oracle quantity of one ``divergence.csv`` row, each oracle
+    evaluated once at beta = beta_star, where expected_divergence =
+    expected_quasi_ll - expected_true_ll holds as an identity."""
+    def worst(a, b) -> float:
+        return float(np.max(np.abs(a - b)))
 
-    The three expectation scalars are evaluated at beta = beta_star, where
-    expected_divergence = expected_quasi_ll - expected_true_ll holds as an
-    identity.
-    """
-    # Python's sum adds the observations first to last at any N.
-    eq, et, ed = (sum(values.tolist()) for values in (
-        expected_quasi_ll(design, protocol, beta_star, beta_star,
-                          correction_mode),
-        expected_true_ll(design, beta_star, beta_star),
-        expected_divergence(design, protocol, beta_star, correction_mode)))
-    sets = enumerate_feasible_sets(protocol, design.J)
+    quasi, setwise = (
+        oracle(design, protocol, beta_star, beta_star, correction_mode)
+        for oracle in (expected_quasi_ll, expected_quasi_ll_setwise))
+    split, direct = (
+        oracle(design, protocol, beta_star, correction_mode)
+        for oracle in (expected_divergence, expected_divergence_direct))
+    true = expected_true_ll(design, beta_star, beta_star)
+    coverage = coverage_r(design, enumerate_feasible_sets(protocol, design.J),
+                          beta_star)
     terms = kl_terms(design, protocol, correction_mode, prior, grid)
-    return DivergenceReport(eq, et, ed, coverage_r(design, sets, beta_star),
-                            terms.a, terms.b)
+    resid_closed = resid_entropy = float("nan")
+    if protocol.kind == "uniform_wor":
+        # The closed and entropy forms hold under mcfadden corrections.
+        own = correction_mode == "mcfadden"
+        resid_closed = worst(
+            divergence_uniform_closed_form(design, protocol, beta_star),
+            split if own else expected_divergence(design, protocol, beta_star,
+                                                  "mcfadden"))
+        term_a = terms.a if own else kl_term_a(design, protocol, "mcfadden",
+                                               prior, grid)
+        resid_entropy = abs(kl_term_a_entropy_form(design, protocol, prior,
+                                                   grid) - term_a)
+    expected_kl = terms.a + terms.b
+    # Python's sum adds the observations first to last at any N.
+    return DivergenceReport(
+        coverage, *(sum(values.tolist()) for values in (quasi, true, split)),
+        terms.a, terms.b, expected_kl,
+        float(coverage.min()), float(coverage.max()),
+        float(np.max(np.abs(coverage.sum(axis=1) - 1.0))),
+        worst(quasi, setwise), worst(split, direct), resid_closed,
+        abs(expected_kl - terms.kl_direct), resid_entropy)

@@ -62,7 +62,11 @@ def kl_terms(design, protocol, correction_mode, prior, grid):
         log_m_true = log_trapezoid(log_prior + ll_true, weights)
         log_m_samp = log_trapezoid(log_prior + ll_samp, weights)
         term_b += np.exp(log_pi + log_m_true) * (log_m_samp - log_m_true)
-    return dlab.KlTerms(term_a, float(term_b))
+    return dlab.KlTerms(term_a, float(term_b),
+                        kl_term_a_joint(design, protocol, correction_mode,
+                                        prior, grid),
+                        expected_kl_direct(design, protocol, correction_mode,
+                                           prior, grid))
 
 
 def kl_term_a_joint(design, protocol, correction_mode, prior, grid):

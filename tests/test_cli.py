@@ -379,6 +379,72 @@ output.dir={out}
     assert not (out / "divergence.csv").exists()
 
 
+def test_divergence_refuses_k_above_two_before_any_work(tmp_path, capsys,
+                                                        monkeypatch):
+    """Every row ends in a grid posterior, which supports K <= 2, so K = 3
+    is refused before the first oracle runs."""
+    from soa_lab import divergence_lab
+
+    def refuse(*args):
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(divergence_lab, "_set_kernel", refuse)
+    out = tmp_path / "divk3"
+    cfg = write_config(tmp_path / "dk3.cfg", f"""
+divergence.j=3
+divergence.k=3
+divergence.n_designs=1
+seed=2
+output.dir={out}
+""")
+    assert run(["divergence", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "'divergence.k'" in err
+    assert "Traceback" not in err
+    assert not (out / "divergence.csv").exists()
+
+
+@pytest.mark.parametrize("mode,lattices", [("mcfadden", [1, 1]),
+                                           ("none", [2, 1])])
+def test_divergence_makes_one_pass_per_row(tmp_path, monkeypatch, mode,
+                                           lattices):
+    """Per (uniform, importance) row: one lattice and one pass over the
+    joint outcomes; a uniform row outside mcfadden builds a second lattice
+    for the entropy check, which needs A under mcfadden corrections."""
+    from soa_lab import cli, divergence_lab
+
+    counts = {"_lattice": 0, "_joint_outcomes": 0}
+    for name in counts:
+        real = getattr(divergence_lab, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(divergence_lab, name, counted)
+    per_row = []
+    real_row = cli._divergence_row
+
+    def row(*args):
+        before = dict(counts)
+        result = real_row(*args)
+        per_row.append(tuple(counts[k] - before[k] for k in counts))
+        return result
+
+    monkeypatch.setattr(cli, "_divergence_row", row)
+    out = tmp_path / "divpass"
+    cfg = write_config(tmp_path / "dpass.cfg", f"""
+divergence.j=4
+divergence.t=2
+divergence.n_designs=1
+correction.mode={mode}
+seed=2
+output.dir={out}
+""")
+    assert run(["divergence", "--config", cfg]) == 0
+    assert per_row == [(n, 1) for n in lattices]
+
+
 def test_divergence_rejects_bad_mode_pairing(tmp_path):
     out = tmp_path / "divbad"
     cfg = write_config(tmp_path / "dbad.cfg", f"""

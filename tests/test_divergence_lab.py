@@ -22,7 +22,7 @@ from soa_lab import (CapacityError, Dataset, GridSpec, InvalidInputError,
                      expected_divergence_direct, expected_kl_direct,
                      expected_quasi_ll, expected_quasi_ll_setwise,
                      expected_true_ll, kl_term_a, kl_term_a_entropy_form,
-                     kl_term_a_joint, kl_terms, protocol_comparison)
+                     kl_terms, protocol_comparison)
 
 
 DESK_X = np.array([[0.9, -0.3, 0.1, -1.4], [-0.6, 0.4, 1.1, 0.2]])[..., None]
@@ -303,7 +303,7 @@ def test_term_a_joint_assembly_agrees():
     ds = desk_design()
     for proto in (UNI, IMP):
         kt = kl_terms(ds, proto, "mcfadden", PRIOR, GRID)
-        assert abs(kt.a - kl_term_a_joint(ds, proto, "mcfadden", PRIOR, GRID)) < 1e-12
+        assert abs(kt.a - kt.a_joint) < 1e-12
 
 
 def test_term_a_entropy_form_agrees_under_uniform():
@@ -378,9 +378,10 @@ def _pairs_per_observation(protocol, J):
                              ("importance_independent", "none")]))
 def test_joint_block_reductions_equal_the_outcome_loop_bitwise(seed, J, K, T,
                                                                case):
-    """kl_terms, expected_kl_direct and kl_term_a_joint give the bits of the
-    one-outcome-at-a-time loop, at the default block size and with blocks
-    of one row, so that block boundaries fall inside the product."""
+    """kl_terms gives the bits of the one-outcome-at-a-time loops on all
+    four sums (a, b, a_joint, kl_direct), and expected_kl_direct reads
+    kl_direct, at the default block size and with blocks of one row, so
+    that block boundaries fall inside the product."""
     rng = np.random.default_rng(seed)
     kind, mode = case
     proto = (Protocol(kind, m=int(rng.integers(2, J + 1)))
@@ -394,12 +395,8 @@ def test_joint_block_reductions_equal_the_outcome_loop_bitwise(seed, J, K, T,
     prior = Prior(np.zeros(K), 4.0 * np.eye(K))
     grid = GridSpec.make([-5.0] * K, [5.0] * K, [51] * K)
     args = (design, proto, mode, prior, grid)
-    want = (joint_reference.kl_terms(*args),
-            joint_reference.expected_kl_direct(*args),
-            joint_reference.kl_term_a_joint(*args))
+    want = joint_reference.kl_terms(*args)
     for cells in (divergence_lab._BLOCK_CELLS, 1):
         with mock.patch.object(divergence_lab, "_BLOCK_CELLS", cells):
-            kt = kl_terms(*args)
-            assert (kt.a, kt.b) == (want[0].a, want[0].b)
-            assert expected_kl_direct(*args) == want[1]
-            assert kl_term_a_joint(*args) == want[2]
+            assert kl_terms(*args) == want
+            assert expected_kl_direct(*args) == want.kl_direct
