@@ -17,7 +17,8 @@ from .model_core import (CORRECTION_MODES, Alternative, Dataset, Observation,
                          log_sum_exp, utilities)
 from .protocols import (PROTOCOL_KINDS, Protocol,
                         correction_vector, derive_stream, draw_sampled_set,
-                        enumerate_feasible_sets, enumerate_sets)
+                        draw_set_table, enumerate_feasible_sets,
+                        enumerate_sets, seeded_streams)
 from .synth import (COVARIATE_LAWS, MmnlDgpConfig, MnlDgpConfig, generate_mmnl,
                     generate_mnl)
 from .mle import (WN_MODES, ChoiceArrays, FitResult, fit_mmnl_msl, fit_mnl,

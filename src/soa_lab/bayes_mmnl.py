@@ -25,6 +25,7 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 from .mle import ChoiceArrays
 from .model_core import CORRECTION_MODES, Dataset, SetTable
 from .bayes_mnl import PosteriorDraws, mvn_log_density
+from .protocols import seeded_streams
 
 # Multiplicative step-3 adaptation: every ADAPT_WINDOW burn-in iterations,
 # each individual's proposal scale is nudged toward TARGET_ACCEPT.
@@ -228,13 +229,6 @@ def _vech_names(K: int) -> list[str]:
     return [f"sigma_{a}_{b}" for a, b in zip(i, j)]
 
 
-def _iteration_rng(seed: int, phase: int, iteration: int) -> np.random.Generator:
-    # Counter-based: the stream for an iteration depends only on (seed,
-    # phase, iteration), never on how earlier work was scheduled.
-    ss = np.random.SeedSequence(seed, spawn_key=(0, phase, iteration))
-    return np.random.default_rng(ss)
-
-
 def run_gibbs(dataset: Dataset, priors: MmnlPriors,
               config: GibbsConfig) -> PosteriorDraws:
     """Cycle the three Gibbs steps and collect post-burn-in draws.
@@ -270,10 +264,15 @@ def run_gibbs(dataset: Dataset, priors: MmnlPriors,
     degeneracy_events = 0
     kept = 0
 
-    for it in range(config.iterations):
-        rng_conj = _iteration_rng(config.seed, 1, it)
-        rng_beta = _iteration_rng(config.seed, 2, it)
+    # Counter-based: iteration it of phase 1 (conjugate steps) and phase 2
+    # (MH sweep) draws from spawn key (0, phase, it), whatever ran before.
+    def phase_streams(phase: int):
+        its = np.arange(config.iterations)
+        return seeded_streams(config.seed, np.column_stack(
+            [np.zeros_like(its), np.full_like(its, phase), its]))
 
+    for it, rng_conj, rng_beta in zip(range(config.iterations),
+                                      phase_streams(1), phase_streams(2)):
         for attempt in range(_MAX_RETRIES + 1):
             try:
                 state.mu = gibbs_step_mu(state, priors, rng_conj)

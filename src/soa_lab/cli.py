@@ -48,7 +48,9 @@ from .errors import (CapacityError, ConfigError, InvalidInputError,
 from .grids import GridSpec
 from .mle import ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
 from .model_core import Dataset, SetTable, UtilityParams, log_softmax
-from .protocols import Protocol, derive_stream, draw_sampled_set, enumerate_sets
+# perfbench/tracing.py looks up derive_stream and draw_sampled_set here.
+from .protocols import (Protocol, derive_stream, draw_sampled_set,  # noqa: F401
+                        draw_set_table, enumerate_sets)
 from .synth import MmnlDgpConfig, MnlDgpConfig, generate_mmnl, generate_mnl
 
 _MISSING = object()
@@ -99,8 +101,22 @@ def parse_config_text(text: str, keys: set[str],
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         if key not in keys:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key == "seed":
+            _check_seed(value, f"{source}:{lineno}")
         pairs[key] = value
     return pairs
+
+
+def _check_seed(value: str, where: str) -> None:
+    """Refuse a seed that is not a non-negative integer, naming ``where``
+    it came from: random streams are keyed by non-negative seeds only."""
+    try:
+        ok = int(value) >= 0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where}: seed {value!r} is not a non-negative "
+                          "integer")
 
 
 class Config:
@@ -252,12 +268,8 @@ def cmd_generate(cfg: Config, out_dir: Path, chash: str) -> None:
 
 def cmd_sample(cfg: Config, out_dir: Path, chash: str) -> None:
     dataset, ds_hash = load_dataset(cfg)
-    protocol = build_protocol(cfg)
-    protocol.check_for(dataset.J)
-    seed = cfg.get_int("seed")
-    sets = SetTable.from_sets([
-        draw_sampled_set(protocol, chosen, dataset.J, derive_stream(seed, i))
-        for i, chosen in enumerate(dataset.chosen_ids().tolist())])
+    sets = draw_set_table(build_protocol(cfg), dataset.chosen_ids(), dataset.J,
+                          cfg.get_int("seed"))
     sets_path = out_dir / "sets.csv"
     storage.write_sets_csv(sets_path, sets,
                            {"config_hash": chash, "command": "sample",
@@ -493,6 +505,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config_file(args.config, VERB_KEYS[args.command])
         if args.seed is not None:
+            _check_seed(str(args.seed), "--seed")
             cfg.pairs["seed"] = str(args.seed)
         if args.out is not None:
             cfg.pairs["output.dir"] = args.out

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,12 +203,14 @@ class SampledSet:
             raise InvalidInputError("sampled set cannot be empty")
         if len(set(self.member_ids.tolist())) != self.member_ids.size:
             raise InvalidInputError("sampled set has repeated member ids")
-        if not np.all(np.isfinite(self.log_cond_prob)):
-            raise InvalidInputError(
-                "log conditional probabilities must be finite "
-                "(the drawing protocol must give every drawn set positive "
-                "probability under each of its members)")
-        if np.any(self.log_cond_prob > 0.0):
+        # Sets are small, so Python-level checks beat numpy calls here.
+        lcp = self.log_cond_prob.tolist()
+        if not all(-math.inf < v <= 0.0 for v in lcp):
+            if not all(map(math.isfinite, lcp)):
+                raise InvalidInputError(
+                    "log conditional probabilities must be finite "
+                    "(the drawing protocol must give every drawn set positive "
+                    "probability under each of its members)")
             raise InvalidInputError("log conditional probabilities must be <= 0")
 
     @property

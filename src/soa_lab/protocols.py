@@ -16,11 +16,22 @@ so sets never need redrawing during estimation:
 Keeping every p_k strictly inside (0,1) guarantees that each feasible set
 has positive probability under each of its members, so all stored log
 conditional probabilities are finite.
+
+Random streams are counter-based.  Observation i draws from numpy's PCG64
+seeded by the SeedSequence of entropy ``seed`` and spawn key (i, 0), and
+the streams here equal those bit for bit; :func:`seeded_streams` runs the
+SeedSequence hashing over many keys at once, on arrays of 32-bit words,
+instead of building one SeedSequence per key.  :func:`draw_set_table` draws
+every observation's set in one pass: one generator call per row, then
+array work over the (N, J) table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -86,21 +97,19 @@ class Protocol:
                     f" choice set has J={J}")
 
 
-def _importance_log_cond_probs(members: np.ndarray, J: int,
-                               log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """ln pi(D|j) for every member j under independent inclusion.
+def draw_set_table(protocol: Protocol, chosen_ids, J: int, seed: int) -> SetTable:
+    """One sampled set per observation, drawn for the chosen ids in order.
 
-    Each entry is accumulated as a sum of non-positive terms (never as a
-    difference), so results are guaranteed <= 0 in floating point.
+    Row i comes from observation i's stream, the one
+    ``derive_stream(seed, i)`` gives, so the table equals the stack of
+    :func:`draw_sampled_set` rows bit for bit.
     """
-    out_mask = np.ones(J, dtype=bool)
-    out_mask[members] = False
-    log_out = float(np.sum(log_q[out_mask]))
-    lp_members = log_p[members]
-    total_in = float(np.sum(lp_members))
-    out = (total_in - lp_members) + log_out
-    # Mathematically <= 0; the subtraction can leave ~1 ulp of positive dust.
-    return np.minimum(out, 0.0)
+    chosen = np.asarray(chosen_ids, dtype=int)
+    if chosen.ndim != 1 or np.any((chosen < 0) | (chosen >= J)):
+        raise InvalidInputError(f"chosen ids must be a vector in 0..{J - 1}")
+    keys = np.column_stack([np.arange(chosen.size),
+                            np.zeros(chosen.size, dtype=int)])
+    return _draw_rows(protocol, chosen, J, seeded_streams(seed, keys))
 
 
 def draw_sampled_set(protocol: Protocol, chosen: int, J: int,
@@ -109,23 +118,77 @@ def draw_sampled_set(protocol: Protocol, chosen: int, J: int,
     chosen alternative is ``chosen``; the set always contains it.
 
     The caller supplies the seeded stream (see :func:`derive_stream`), so
-    replications stay reproducible however they are scheduled.
+    replications stay reproducible however they are scheduled.  This is the
+    one-row case of the kernel behind :func:`draw_set_table`.
     """
+    if not 0 <= chosen < J:
+        raise InvalidInputError(f"chosen id {chosen} outside 0..{J - 1}")
+    table = _draw_rows(protocol, np.array([chosen]), J, [rng_stream])
+    # A one-row table is as wide as its set: no padding to drop.
+    return SampledSet(table.member_ids[0], table.log_cond_prob[0])
+
+
+def _draw_rows(protocol: Protocol, chosen: np.ndarray, J: int,
+               streams: Iterable[np.random.Generator]) -> SetTable:
+    """The row kernel.  Row i makes one call on its stream to draw the
+    members besides chosen[i], among the J-1 others in ascending order:
+    uniform_wor picks m-1 of them without replacement, and
+    importance_independent draws one uniform each, to compare with its p_k.
+    Membership, padding and ln pi are then array work over the rows."""
     protocol.check_for(J)
-    others = np.array([j for j in range(J) if j != chosen], dtype=int)
-
+    n = chosen.size
     if protocol.kind == "uniform_wor":
-        picked = rng_stream.choice(others, size=protocol.m - 1, replace=False)
-        members = np.sort(np.concatenate(([chosen], picked)))
-        log_pi = -math.log(math.comb(J - 1, protocol.m - 1))
-        return SampledSet(members, np.full(members.size, log_pi))
+        k = protocol.m - 1
+        picked = np.array([rng.choice(J - 1, size=k, replace=False)
+                           for rng in streams], dtype=int).reshape(n, k)
+        picked += picked >= chosen[:, None]  # positions among others -> ids
+        members = np.sort(np.concatenate([chosen[:, None], picked], axis=1),
+                          axis=1)
+        return SetTable(members,
+                        np.full(members.shape, _log_pi_uniform(protocol, J)),
+                        np.zeros(members.shape, dtype=bool))
+    draws = np.array([rng.random(J - 1) for rng in streams])
+    u = np.zeros((n, J))  # chosen keeps 0 < p_chosen, so it is always in
+    u[np.arange(J) != chosen[:, None]] = draws.ravel()
+    return _importance_table(protocol, u < protocol.inclusion_probs)
 
-    p = protocol.inclusion_probs
-    include = rng_stream.random(others.size) < p[others]
-    members = np.sort(np.concatenate(([chosen], others[include])))
-    log_p = np.log(p)
-    log_q = np.log1p(-p)
-    return SampledSet(members, _importance_log_cond_probs(members, J, log_p, log_q))
+
+def _log_pi_uniform(protocol: Protocol, J: int) -> float:
+    """ln pi(D|j) of every uniform_wor set, whichever member j is chosen."""
+    return -math.log(math.comb(J - 1, protocol.m - 1))
+
+
+def _importance_table(protocol: Protocol, inside: np.ndarray) -> SetTable:
+    """The SetTable of importance_independent sets whose (rows, J)
+    membership is ``inside``: members ascending within a row, then padding.
+
+    ln pi(D|j) = sum_{k in D, k != j} ln p_k + sum_{k not in D} ln(1 - p_k)
+    is accumulated, never differenced, from non-positive terms.  Both sums
+    run in ascending id order over exactly the row's terms, so a row's bits
+    do not depend on the others: rows are summed a set size at a time,
+    since numpy's pairwise summation groups terms by their count.
+    """
+    n, J = inside.shape
+    n_in = inside.sum(axis=1)
+    sizes = set(n_in.tolist())
+    # A stable sort lists each row's members, then its non-members, each
+    # in ascending order.
+    order = np.argsort(~inside, axis=1, kind="stable")
+    width = max(sizes, default=0)
+    members = np.zeros((n, width), dtype=int)
+    lcp = np.empty((n, width))
+    lcp.fill(-np.inf)
+    for size in sizes:
+        # A slice, not a mask, when every row has the same size.
+        at = slice(None) if len(sizes) == 1 else n_in == size
+        ids = order[at, :size]
+        members[at, :size] = ids
+        lp_in = np.log(protocol.inclusion_probs[ids])
+        log_out = np.log1p(-protocol.inclusion_probs[order[at, size:]])
+        # Mathematically <= 0; the subtraction can leave ~1 ulp of dust.
+        lcp[at, :size] = np.minimum((lp_in.sum(axis=1, keepdims=True) - lp_in)
+                                    + log_out.sum(axis=1, keepdims=True), 0.0)
+    return SetTable(members, lcp, np.arange(width) >= n_in[:, None])
 
 
 def enumerate_sets(protocol: Protocol, J: int, chosen: int) -> SetTable:
@@ -190,11 +253,12 @@ def _enumerate(protocol: Protocol, J: int, chosen: int | None) -> SetTable:
     pad = np.arange(members.shape[1]) >= n_in[:, None]
     members[pad] = 0
     if protocol.kind == "uniform_wor":
-        log_pi = -math.log(math.comb(J - 1, protocol.m - 1))
-        return SetTable(members, np.where(pad, -np.inf, log_pi), pad)
+        return SetTable(members, np.where(pad, -np.inf,
+                                          _log_pi_uniform(protocol, J)), pad)
 
     # ln pi(D|j) = sum_{k in D, k != j} ln p_k + sum_{k not in D} ln(1 - p_k),
-    # formed as for a drawn set (_importance_log_cond_probs), row by row.
+    # row by row as for a drawn set (_importance_table) but over padded
+    # rows: bit for bit the same while they are under 8 wide (J <= 7).
     log_p = np.log(protocol.inclusion_probs)
     lp_in = np.where(pad, 0.0, log_p[members])
     outside = np.argsort(inside, axis=1, kind="stable")[:, :J - n_in.min()]
@@ -226,14 +290,148 @@ def correction_vector(log_cond_prob: np.ndarray, mode: str) -> np.ndarray:
     return np.where(pad, 0.0, lcp[..., :1])
 
 
+# numpy's SeedSequence: a pool of four 32-bit words and its hash constants.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of ``value`` (an int below 2**32, or a uint64
+    array of such words) under hash constant ``const``; returns the hashed
+    value and the next constant.  Products are masked to 32 bits, so ints
+    and arrays give the same words with no overflow."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool: list, const: int, words) -> tuple[list, int]:
+    """Mix entropy words beyond the pool size into every pool word."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, const
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool and the next hash constant once the seed's words are mixed
+    in: the part of every (seed, spawn key) hash that the key leaves alone.
+    With a spawn key, SeedSequence pads the seed's words to the pool size."""
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    pool, const = _absorb(pool, const, words[_POOL_SIZE:])
+    return tuple(pool), const
+
+
+def _spawn_state(seed: int, key_words: list) -> list:
+    """What ``generate_state(4, np.uint64)`` gives for numpy's SeedSequence
+    of entropy ``seed`` and spawn key ``key``: four 64-bit words, for one
+    key (ints) or every key at once (uint64 arrays, one entry per key)."""
+    pool, const = _seed_pool(seed)
+    pool, _ = _absorb(list(pool), const, key_words)
+    out, const = [], _INIT_B
+    for i in range(8):
+        hashed, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+        out.append(hashed)
+    # Little-endian pairs of 32-bit words make the 64-bit words.
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _SpawnedState:
+    """A stand-in for the SeedSequence of one (seed, spawn key), holding
+    the words it would generate for PCG64, so PCG64 seeds itself from them
+    exactly as from that SeedSequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's 4 uint64 words are held")
+        return self.words
+
+
+@functools.cache
+def _register_spawned_state() -> None:
+    # Registered on first use, not at import: numpy loads numpy.random
+    # lazily, and importing it adds ~40 ms and ~3 MB to every verb's start.
+    np.random.bit_generator.ISeedSequence.register(_SpawnedState)
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The PCG64 generator seeded from one key's SeedSequence words."""
+    _register_spawned_state()
+    return np.random.Generator(np.random.PCG64(_SpawnedState(words)))
+
+
+def _checked_seed(seed) -> int:
+    """The seed as an int, refusing a negative or non-integer one (its split
+    into 32-bit words would not end)."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise InvalidInputError(f"seed {seed!r} is not a non-negative integer")
+    return int(seed)
+
+
+def _check_key_range(low, high) -> None:
+    # A larger entry would take several SeedSequence words.
+    if low < 0 or high > _MASK32:
+        raise InvalidInputError("spawn key entries must lie in 0..2**32-1")
+
+
+def seeded_streams(seed: int, keys) -> Iterator[np.random.Generator]:
+    """One generator per row of the (n, k) spawn keys, in row order.
+
+    Each equals, bit for bit, ``np.random.default_rng`` of numpy's
+    SeedSequence with entropy ``seed`` and spawn key ``tuple(row)``: the
+    SeedSequence hashing runs over all the keys at once as arrays, and
+    PCG64 seeds itself from the hashed words, so no SeedSequence is built.
+    Key entries must lie in 0..2**32-1 (one hash word each).
+    """
+    seed = _checked_seed(seed)
+    keys = np.asarray(keys)
+    if (keys.ndim != 2 or keys.shape[1] == 0
+            or not np.issubdtype(keys.dtype, np.integer)):
+        raise InvalidInputError("spawn keys must be an (n, k) integer array, k >= 1")
+    if keys.size:
+        _check_key_range(keys.min(), keys.max())
+    words = np.column_stack(_spawn_state(seed, list(keys.T.astype(np.uint64))))
+    return (_generator(row) for row in words)
+
+
 def derive_stream(master_seed: int, obs_id: int, replication: int = 0) -> np.random.Generator:
-    """Independent stream for one (observation, replication) pair.
+    """Independent stream for one (observation, replication) pair: the
+    one-key case of :func:`seeded_streams`, key (obs_id, replication).
 
     Splitting by spawn key is counter-based: streams depend only on the
     identifiers, never on draw order, so parallel schedules reproduce.
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=(obs_id, replication))
-    return np.random.default_rng(ss)
+    key = [operator.index(obs_id), operator.index(replication)]
+    _check_key_range(min(key), max(key))
+    return _generator(np.array(_spawn_state(_checked_seed(master_seed), key),
+                               dtype=np.uint64))
 
 
 def _check_cap(count: int, protocol: Protocol) -> None:

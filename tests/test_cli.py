@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import draw_reference
 from csv_reference import read_csv, read_manifest
+from soa_lab import Protocol, SampledSet, read_dataset_csv, write_sets_csv
 from soa_lab.cli import main, parse_config_text
 
 
@@ -97,6 +99,38 @@ def test_seed_override_changes_hash_and_data(tmp_path):
     assert (out_a / "dataset.csv").read_bytes() != (out_b / "dataset.csv").read_bytes()
 
 
+def negative_seed_config(tmp_path, verb):
+    """A config the verb would run, but for its seed of -1 on line 2."""
+    out = tmp_path / "out"
+    body = {"generate": "dgp.model=mnl\ndgp.n=20\ndgp.j=3\ndgp.k=1\n"
+                        "dgp.beta_star=0.5",
+            "divergence": "divergence.j=3\ndivergence.t=1\n"
+                          "divergence.n_designs=1\ngrid.points=21"}.get(verb)
+    if body is None:
+        dataset = pipeline_generate(tmp_path, n=20)
+        body = (f"inputs.dataset={dataset}\n" + (
+            "protocol.kind=uniform_wor\nprotocol.m=2" if verb == "sample" else
+            "bayes.method=rw_metropolis\nbayes.iterations=20\nbayes.burn_in=10"))
+    return write_config(tmp_path / "neg.cfg",
+                        f"# negative seed\nseed = -1\n{body}\noutput.dir={out}\n")
+
+
+@pytest.mark.parametrize("verb", ["generate", "sample", "bayes", "divergence"])
+def test_negative_seed_is_exit_2_naming_the_line(tmp_path, capsys, verb):
+    cfg = negative_seed_config(tmp_path, verb)
+    assert run([verb, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: seed '-1' is not a non-negative integer" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_override_is_exit_2(tmp_path, capsys):
+    cfg = generate_config(tmp_path, tmp_path / "out")
+    assert run(["generate", "--config", cfg, "--seed", "-1"]) == 2
+    assert "--seed: seed '-1' is not a non-negative integer" in (
+        capsys.readouterr().err)
+
+
 def test_unwritable_output_is_exit_3(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
@@ -160,6 +194,43 @@ output.dir={out}
 """)
     assert run(["sample", "--config", cfg]) == 0
     return out / "sets.csv"
+
+
+IMPORTANCE_P = [0.2, 0.9, 0.35, 0.5, 0.65, 0.1, 0.8, 0.3, 0.55, 0.7, 0.45, 0.25]
+
+
+@pytest.mark.parametrize("settings,protocol", [
+    ("protocol.kind=uniform_wor\nprotocol.m=4", Protocol("uniform_wor", m=4)),
+    ("protocol.kind=importance_independent\nprotocol.inclusion_probs="
+     + ",".join(map(str, IMPORTANCE_P)),
+     Protocol("importance_independent", inclusion_probs=IMPORTANCE_P)),
+], ids=["uniform_wor", "importance_independent"])
+def test_sample_writes_the_per_observation_reference_draws(tmp_path, settings,
+                                                           protocol):
+    """sets.csv is byte for byte what the per-observation loop (one
+    SeedSequence-built stream and one SampledSet per observation) gives."""
+    dataset = pipeline_generate(tmp_path, n=300, j=12)
+    out = tmp_path / "sets"
+    cfg = write_config(tmp_path / "s.cfg", f"inputs.dataset={dataset}\n"
+                       f"{settings}\nseed=6\noutput.dir={out}\n")
+    assert run(["sample", "--config", cfg]) == 0
+    ds, _ = read_dataset_csv(dataset)
+    manifest = read_manifest(out / "manifest.json")
+    want = tmp_path / "want.csv"
+    write_sets_csv(want, draw_reference.draw_set_table(protocol, ds.chosen_ids(),
+                                                       ds.J, 6),
+                   {"config_hash": manifest["config_hash"], "command": "sample",
+                    "dataset_hash": manifest["dataset_hash"]})
+    assert (out / "sets.csv").read_bytes() == want.read_bytes()
+
+
+def test_sample_builds_no_sampled_set(tmp_path, monkeypatch):
+    dataset = pipeline_generate(tmp_path, n=50)
+
+    def refuse(self):
+        raise AssertionError("sample built a SampledSet")
+    monkeypatch.setattr(SampledSet, "__post_init__", refuse)
+    sample_sets(tmp_path, dataset)
 
 
 def report_metrics(path):

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import draw_reference
 from enumeration_reference import reference_sets
 from soa_lab import (Alternative, CapacityError, InvalidInputError,
                      InvalidStateError, Observation, Protocol, SampledSet,
                      correction_vector, derive_stream, draw_sampled_set,
-                     enumerate_feasible_sets, enumerate_sets)
+                     draw_set_table, enumerate_feasible_sets, enumerate_sets,
+                     seeded_streams)
 from soa_lab.protocols import feasible_pair_count
 
 
@@ -220,6 +224,124 @@ def test_derived_streams_reproduce_and_separate():
     # very least the full triple cannot coincide for these seeds
     assert not (np.array_equal(a.member_ids, c.member_ids)
                 and np.array_equal(a.member_ids, d.member_ids))
+
+
+# ---------------------------------------------------------------------------
+# streams: numpy's SeedSequence hashing over many keys at once
+# ---------------------------------------------------------------------------
+
+SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5]),
+                  st.integers(0, 2**140))
+KEY_ENTRY = st.one_of(st.integers(0, 50), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def spawn_keys(draw):
+    width = draw(st.sampled_from([2, 3]))
+    return draw(st.lists(st.tuples(*[KEY_ENTRY] * width), min_size=1,
+                         max_size=6))
+
+
+def numpy_stream(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def assert_same_stream(rng, want):
+    assert rng.random(3).tobytes() == want.random(3).tobytes()
+    assert np.array_equal(rng.choice(19, 4, replace=False),
+                          want.choice(19, 4, replace=False))
+    assert rng.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, keys=spawn_keys())
+def test_seeded_streams_equal_numpy_seed_sequences_bitwise(seed, keys):
+    for key, rng in zip(keys, seeded_streams(seed, keys), strict=True):
+        assert_same_stream(rng, numpy_stream(seed, key))
+        if len(key) == 2:
+            assert_same_stream(derive_stream(seed, *key), numpy_stream(seed, key))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**64 + 5])
+def test_many_observation_streams_equal_numpy_bitwise(seed):
+    keys = np.column_stack([np.arange(3000), np.zeros(3000, dtype=int)])
+    got = np.array([rng.random() for rng in seeded_streams(seed, keys)])
+    want = np.array([numpy_stream(seed, (i, 0)).random() for i in range(3000)])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed,keys", [
+    (-1, [[0, 0]]), (1.5, [[0, 0]]), (True, [[0, 0]]),
+    (0, [[2**32, 0]]), (0, [[0, -1]]), (0, [[0.5, 1.0]]), (0, [1, 2]),
+    (0, np.zeros((2, 0), dtype=int)),
+], ids=["negative_seed", "float_seed", "bool_seed", "key_2_32",
+        "negative_key", "float_key", "one_dim_keys", "empty_key"])
+def test_streams_refuse_what_the_hashing_cannot_take(seed, keys):
+    with pytest.raises(InvalidInputError):
+        seeded_streams(seed, keys)
+
+
+def test_derive_stream_refuses_what_the_hashing_cannot_take():
+    for args in ((-1, 0), (0, -1), (0, 2**32), (0, 0, -1)):
+        with pytest.raises(InvalidInputError):
+            derive_stream(*args)
+
+
+# ---------------------------------------------------------------------------
+# drawing a whole table at once
+# ---------------------------------------------------------------------------
+
+def assert_tables_equal_bitwise(got, want):
+    for field in ("member_ids", "log_cond_prob", "pad"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
+
+
+@st.composite
+def draw_designs(draw):
+    J = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        protocol = Protocol("uniform_wor", m=draw(st.integers(2, J)))
+    else:
+        protocol = Protocol("importance_independent", inclusion_probs=np.array(
+            draw(st.lists(st.floats(0.01, 0.99), min_size=J, max_size=J))))
+    chosen = draw(st.lists(st.integers(0, J - 1), min_size=1, max_size=40))
+    return protocol, J, np.array(chosen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(design=draw_designs(), seed=st.integers(0, 2**40))
+def test_draw_set_table_equals_per_observation_draws_bitwise(design, seed):
+    protocol, J, chosen = design
+    table = draw_set_table(protocol, chosen, J, seed)
+    assert_tables_equal_bitwise(
+        table, draw_reference.draw_set_table(protocol, chosen, J, seed))
+    for i, c in enumerate(chosen.tolist()):
+        row = draw_sampled_set(protocol, c, J, derive_stream(seed, i))
+        assert row.member_ids.tobytes() == table[i].member_ids.tobytes()
+        assert row.log_cond_prob.tobytes() == table[i].log_cond_prob.tobytes()
+
+
+def test_ragged_wide_table_equals_per_observation_draws_bitwise():
+    """Sets of 1 to 20 members side by side: each row's sums must run over
+    exactly its own terms, whatever the padding of the table."""
+    J = 20
+    protocol = Protocol("importance_independent",
+                        inclusion_probs=np.linspace(0.05, 0.95, J))
+    chosen = np.random.default_rng(3).integers(0, J, size=600)
+    table = draw_set_table(protocol, chosen, J, 12)
+    assert len(set((~table.pad).sum(axis=1).tolist())) > 8
+    assert_tables_equal_bitwise(
+        table, draw_reference.draw_set_table(protocol, chosen, J, 12))
+
+
+def test_draws_refuse_chosen_ids_outside_the_alternatives():
+    proto = Protocol("uniform_wor", m=2)
+    with pytest.raises(InvalidInputError):
+        draw_set_table(proto, np.array([0, 4]), 4, 1)
+    with pytest.raises(InvalidInputError):
+        draw_sampled_set(proto, -1, 4, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
