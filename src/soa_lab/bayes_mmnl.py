@@ -13,11 +13,20 @@ choice data, so their cost is independent of the choice-set size; the
 choice sets (full or sampled-with-correction) enter only through the MH
 target of step 3.  Sampled sets are drawn once up front and held fixed
 for the whole run.
+
+What a run reuses is built once: the prior's invariants (A0^-1,
+A0^-1 m0, the triangle indices and the Bartlett chi-square degrees of
+freedom) are cached on :class:`MmnlPriors`, the panel likelihood is one
+:class:`ChoiceArrays`, and the per-iteration streams are derived in one
+pass per phase.  Sigma's Cholesky factor is computed once per draw of
+Sigma: the MH sweep factorises it, and the next iteration's mu step reuses
+that factor from :class:`MixingState`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,11 +77,26 @@ def _inverse_from_chol(L: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MixingState:
-    """Current (mu, Sigma, beta_all) of the augmented parameter space."""
+    """Current (mu, Sigma, beta_all) of the augmented parameter space.
+
+    ``chol`` is Sigma's lower Cholesky factor, computed when first read and
+    kept until ``sigma`` is next assigned; replace ``sigma``, never edit it
+    in place.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
     beta_all: np.ndarray
+
+    def __setattr__(self, name, value):
+        if name == "sigma":
+            self.__dict__.pop("chol", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Sigma's lower Cholesky factor, or a numerical-degeneracy error."""
+        return _chol_pd(self.sigma, "sigma")
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -82,7 +106,7 @@ class MixingState:
         self.sigma = _symmetric(self.sigma, "sigma")
         if self.sigma.shape != (K, K):
             raise InvalidInputError("sigma shape must match mu length")
-        _chol_pd(self.sigma, "sigma")
+        self.chol  # a degeneracy error unless sigma is positive definite
         self.beta_all = np.atleast_2d(np.asarray(self.beta_all, dtype=float))
         if self.beta_all.shape[1] != K or self.beta_all.shape[0] < 1:
             raise InvalidInputError("beta_all must be (N, K) with N >= 1")
@@ -95,14 +119,48 @@ class MixingState:
         return self.beta_all.shape[0]
 
 
+class _PriorInvariants:
+    """What the conjugate steps reuse from the priors on every iteration."""
+
+    def __init__(self, priors: "MmnlPriors"):
+        K = priors.dim
+        self.a0_inv = _inverse_from_chol(_chol_pd(priors.A0, "A0"))
+        self.a0_inv_m0 = self.a0_inv @ priors.m0
+        self.lower = np.tril_indices(K, -1)
+        self.diag = np.diag_indices(K)
+        self.vech = np.tril_indices(K)
+        self._v0, self._K = priors.v0, K
+        self._chi_dof: dict[int, np.ndarray] = {}
+
+    def chi_dof(self, n: int) -> np.ndarray:
+        """Chi-square degrees of freedom of the Bartlett diagonal for Sigma's
+        conditional given n individuals: dof - K + 1 .. dof, dof = v0 + n."""
+        if n not in self._chi_dof:
+            dof = self._v0 + n
+            self._chi_dof[n] = dof - self._K + 1 + np.arange(self._K)
+        return self._chi_dof[n]
+
+
 @dataclass
 class MmnlPriors:
-    """Normal prior on mu, inverted-Wishart prior on Sigma."""
+    """Normal prior on mu, inverted-Wishart prior on Sigma.
+
+    ``invariants`` holds the terms derived from the fields, computed when
+    first read and dropped whenever a field is assigned.
+    """
 
     m0: np.ndarray
     A0: np.ndarray
     v0: float
     S0: np.ndarray
+
+    def __setattr__(self, name, value):
+        self.__dict__.pop("invariants", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def invariants(self) -> _PriorInvariants:
+        return _PriorInvariants(self)
 
     def __post_init__(self):
         self.m0 = np.asarray(self.m0, dtype=float)
@@ -172,12 +230,12 @@ def gibbs_step_mu(state: MixingState, priors: MmnlPriors,
     times (A0^-1 m0 + Sigma^-1 sum_n beta_n).
     """
     N = state.n_individuals
-    sig_inv = _inverse_from_chol(_chol_pd(state.sigma, "sigma"))
-    a0_inv = _inverse_from_chol(np.linalg.cholesky(priors.A0))
-    precision = a0_inv + N * sig_inv
+    prior = priors.invariants
+    sig_inv = _inverse_from_chol(state.chol)
+    precision = prior.a0_inv + N * sig_inv
     cov = np.linalg.inv(precision)
     cov = 0.5 * (cov + cov.T)
-    mean = cov @ (a0_inv @ priors.m0 + sig_inv @ state.beta_all.sum(axis=0))
+    mean = cov @ (prior.a0_inv_m0 + sig_inv @ state.beta_all.sum(axis=0))
     return mean + _chol_pd(cov, "mu-step covariance") @ rng.standard_normal(priors.dim)
 
 
@@ -201,10 +259,10 @@ def gibbs_step_sigma(state: MixingState, priors: MmnlPriors,
     """
     dof, scale = sigma_posterior_params(state, priors)
     C = _chol_pd(scale, "inverted-Wishart scale")
-    K = priors.dim
+    K, prior = priors.dim, priors.invariants
     A = np.zeros((K, K))
-    A[np.tril_indices(K, -1)] = rng.normal(size=K * (K - 1) // 2)
-    A[np.diag_indices(K)] = rng.chisquare(dof - K + 1 + np.arange(K)) ** 0.5
+    A[prior.lower] = rng.normal(size=K * (K - 1) // 2)
+    A[prior.diag] = rng.chisquare(prior.chi_dof(state.n_individuals)) ** 0.5
     if K == 1:
         # A scalar square (pow), not x * x: rarely, the two differ in the
         # last bit, and this form keeps the draws of every K=1 chain.
@@ -218,11 +276,6 @@ def gibbs_step_sigma(state: MixingState, priors: MmnlPriors,
 # ---------------------------------------------------------------------------
 # the full sampler
 # ---------------------------------------------------------------------------
-
-def _vech(M: np.ndarray) -> np.ndarray:
-    i, j = np.tril_indices(M.shape[0])
-    return M[i, j]
-
 
 def _vech_names(K: int) -> list[str]:
     i, j = np.tril_indices(K)
@@ -251,6 +304,7 @@ def run_gibbs(dataset: Dataset, priors: MmnlPriors,
     state = MixingState(priors.m0.copy(), priors.S0.copy(),
                         np.tile(priors.m0, (N, 1)))
     rho = np.full(N, config.rho)
+    vech = priors.invariants.vech
 
     ll_cur = panel_loglik(state.beta_all)
 
@@ -287,14 +341,15 @@ def run_gibbs(dataset: Dataset, priors: MmnlPriors,
                     state.beta_all.shape)
                 ll_cur = panel_loglik(state.beta_all)
 
-        L = _chol_pd(state.sigma, "sigma")
+        L = state.chol
         z = rng_beta.standard_normal((N, K))
         log_u = np.log(rng_beta.random(N))
         prop = state.beta_all + rho[:, None] * (z @ L.T)
         ll_prop = panel_loglik(prop)
-        lp_cur = mvn_log_density(state.beta_all, state.mu, L)
-        lp_prop = mvn_log_density(prop, state.mu, L)
-        accept = log_u < (ll_prop + lp_prop) - (ll_cur + lp_cur)
+        # One density call on the stacked rows: each row's value does not
+        # depend on the rows around it.
+        lp = mvn_log_density(np.concatenate([state.beta_all, prop]), state.mu, L)
+        accept = log_u < (ll_prop + lp[N:]) - (ll_cur + lp[:N])
         state.beta_all = np.where(accept[:, None], prop, state.beta_all)
         ll_cur = np.where(accept, ll_prop, ll_cur)
 
@@ -312,7 +367,7 @@ def run_gibbs(dataset: Dataset, priors: MmnlPriors,
             offset = it - config.burn_in
             if offset % config.thin == 0:
                 draws[kept, :K] = state.mu
-                draws[kept, K:] = _vech(state.sigma)
+                draws[kept, K:] = state.sigma[vech]
                 if beta_stored is not None:
                     beta_stored[kept] = state.beta_all
                 kept += 1

@@ -405,6 +405,11 @@ def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
             resid_decomp]
 
 
+# Each design gets a uniform and an importance row; uniform_constant
+# corrections hold on the uniform protocol only.
+_DIVERGENCE_MODES = ("mcfadden", "none")
+
+
 def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
     seed = cfg.get_int("seed")
     J = cfg.get_int("divergence.j", 4)
@@ -420,6 +425,12 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
         raise ConfigError(f"config key 'divergence.k': {K} is above 2, the "
                           "largest K a grid posterior supports")
     mode = cfg.get("correction.mode", "mcfadden")
+    if mode not in _DIVERGENCE_MODES:
+        raise ConfigError(
+            f"config key 'correction.mode': divergence accepts 'mcfadden' or "
+            f"'none', not {mode!r}: every design also runs an importance row, "
+            "whose members' set probabilities differ, so 'uniform_constant' "
+            "cannot correct it")
     prior = build_prior(cfg, K)
     grid = build_grid(cfg, K)
     beta_cfg = cfg.get_vector("divergence.beta_star", K, None)
@@ -441,9 +452,6 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
                      ("importance_seeded",
                       Protocol("importance_independent", inclusion_probs=probs))]
         for label, protocol in protocols:
-            if protocol.kind != "uniform_wor" and mode == "uniform_constant":
-                raise ConfigError("uniform_constant corrections are only valid "
-                                  "for the uniform protocol")
             try:
                 dlab.check_joint_cap(design, protocol)
             except CapacityError as exc:

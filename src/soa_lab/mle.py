@@ -14,6 +14,11 @@ per-individual panel denominator mean_r prod_t num_tr, where num_tr
 weights the sampled members' full-set probabilities at draw r by their
 conditional set probabilities.  One kernel returns this objective and its
 analytic score in a single pass over the draws.
+
+Each fit builds its kernel once: one :class:`ChoiceArrays` holds the
+padded member attributes, the re-centred corrections and the chosen
+positions, and the mixing likelihood adds the Halton block and its work
+arrays, which every objective and score evaluation overwrites in place.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import numpy as np
 
 from .draws import halton_normal_draws
 from .errors import InvalidInputError
-from .model_core import Dataset, SetTable, UtilityParams, log_softmax
+from .model_core import (Dataset, SetTable, UtilityParams, log_softmax,
+                         shifted_log_sum)
 # hessian_from_f is not called here; perfbench/tracing.py wraps it by name
 # as mle.hessian_from_f, until the run trace moves into the package.
 from .optimize import (hessian_from_f, hessian_from_grad,  # noqa: F401
@@ -106,7 +112,8 @@ class ChoiceArrays:
         self.any_pad = bool(self.pad.any())
         self.n = n
         self.K = dataset.K
-        self.x_chosen = self.X_mem[np.arange(n), self.chosen_pos]
+        self._rows = np.arange(n)
+        self.x_chosen = self.X_mem[self._rows, self.chosen_pos]
 
     @classmethod
     def panel(cls, dataset: Dataset, sampled: SetTable | None,
@@ -133,18 +140,30 @@ class ChoiceArrays:
         self.individual_ids = sorted_ind[self.group_starts]
         return self
 
-    def log_probs(self, beta_rows: np.ndarray) -> np.ndarray:
-        """Log member probabilities; beta_rows is (n, K) or (R, n, K)."""
+    def _utilities(self, beta_rows: np.ndarray) -> np.ndarray:
+        """Corrected member utilities, -inf on padding: (..., n, m)."""
         V = np.einsum("nmk,...nk->...nm", self.X_mem, beta_rows) + self.c_shift
         if self.any_pad:
             V = np.where(self.pad, -np.inf, V)
-        return log_softmax(V, axis=-1)
+        return V
+
+    def log_probs(self, beta_rows: np.ndarray) -> np.ndarray:
+        """Log member probabilities; beta_rows is (n, K) or (R, n, K)."""
+        return log_softmax(self._utilities(beta_rows), axis=-1)
 
     def chosen_log_probs(self, beta_rows: np.ndarray) -> np.ndarray:
-        lp = self.log_probs(beta_rows)
-        return np.take_along_axis(
-            lp, np.broadcast_to(self.chosen_pos, lp.shape[:-1])[..., None],
-            axis=-1)[..., 0]
+        """Log probability of each row's chosen member: (n,) for rows (n, K),
+        (R, n) for (R, n, K).
+
+        The chosen member's shifted utility less the row's log-sum: the
+        bits of its entry in :meth:`log_probs`, without forming the rest.
+        """
+        shifted, lse = shifted_log_sum(self._utilities(beta_rows), axis=-1)
+        lse = lse[..., 0]
+        with np.errstate(invalid="ignore"):
+            chosen = shifted[..., self._rows, self.chosen_pos] - lse
+        np.copyto(chosen, -np.inf, where=np.isneginf(lse))
+        return chosen
 
     def _check(self, beta: np.ndarray) -> None:
         if beta.shape[-1:] != (self.K,):
@@ -253,13 +272,14 @@ def theta_labels(K: int) -> list[str]:
 def _log_sum_weights(values: np.ndarray, axis: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """ln sum exp along ``axis`` (kept as a length-1 axis) and the softmax
-    weights exp(values - lse); nan wherever the whole slice is -inf."""
+    weights exp(values - lse), written over ``values``; nan wherever the
+    whole slice is -inf."""
     m = np.max(values, axis=axis, keepdims=True)
-    e = np.subtract(values, m)
-    np.exp(e, out=e)
-    s = np.sum(e, axis=axis, keepdims=True)
-    e /= s
-    return m + np.log(s), e
+    np.subtract(values, m, out=values)
+    np.exp(values, out=values)
+    s = np.sum(values, axis=axis, keepdims=True)
+    values /= s
+    return m + np.log(s), values
 
 
 class _SimulatedLikelihood:
@@ -277,7 +297,9 @@ class _SimulatedLikelihood:
     Built once per fit from a panel :class:`ChoiceArrays` and the Halton
     block z (n_individuals, R, K).  Arrays are held coefficient- and
     alternative-major, (K or alternatives, R, rows), so every reduction
-    over alternatives runs across whole (R, rows) planes.
+    over alternatives runs across whole (R, rows) planes.  The (K, R, n),
+    (m, R, n) and (J, R, n) work arrays are allocated here once and
+    overwritten by every evaluation; nothing returned refers to them.
     """
 
     def __init__(self, view: ChoiceArrays, z: np.ndarray, use_wn: bool):
@@ -291,9 +313,17 @@ class _SimulatedLikelihood:
         self.x_chosen = view.x_chosen.T                           # (K, n)
         self.c_chosen = view.c_shift[np.arange(view.n), view.chosen_pos]
         self.log_r = np.log(z.shape[1])
+        R, m = z.shape[1], self.x_mem.shape[1]
+        self._beta = np.empty((self.K, R, view.n))
+        self._d_row = np.empty((self.K, R, view.n))
+        self._v_mem = np.empty((m, R, view.n))
+        self._p = np.empty((m, R, view.n))
         if use_wn:
             self.x_full = planes(np.swapaxes(view.X, 0, 1))       # (K, J, n)
             self.log_pi = view.log_pi.T[:, None]                  # (m, 1, n)
+            self._q = np.empty((m, R, view.n))
+            self._p_full = np.empty((view.X.shape[1], R, view.n))
+            self._d_num = np.empty((self.K, R, view.n))
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     def expansion_numerator(self, beta: np.ndarray, v_mem: np.ndarray
@@ -307,11 +337,12 @@ class _SimulatedLikelihood:
         sum_{j in C} P_j x_j with q_j = pi_j P_j / num.  ``v_mem`` holds
         the members' uncorrected utilities (m, R, n).
         """
-        lse_full, p_full = _log_sum_weights(
-            np.einsum("kjn,krn->jrn", self.x_full, beta), axis=0)
-        lse_mem, q = _log_sum_weights(v_mem + self.log_pi, axis=0)
-        grad = (np.einsum("mrn,kmn->krn", q, self.x_mem)
-                - np.einsum("jrn,kjn->krn", p_full, self.x_full))
+        lse_full, p_full = _log_sum_weights(np.einsum(
+            "kjn,krn->jrn", self.x_full, beta, out=self._p_full), axis=0)
+        lse_mem, q = _log_sum_weights(
+            np.add(v_mem, self.log_pi, out=self._q), axis=0)
+        grad = np.einsum("mrn,kmn->krn", q, self.x_mem, out=self._d_num)
+        grad -= np.einsum("jrn,kjn->krn", p_full, self.x_full)
         return (lse_mem - lse_full)[0], grad
 
     def value_and_score(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -328,13 +359,15 @@ class _SimulatedLikelihood:
             mu, L = unpack_theta(theta, K)
             if not np.all(np.isfinite(L)):
                 return failed
-            beta = mu[:, None, None] + np.einsum("kl,lrn->krn", L, self.z)
-            v_mem = np.einsum("kmn,krn->mrn", self.x_mem, beta)
-            lse, p = _log_sum_weights(v_mem + self.c_eval, axis=0)
+            beta = np.einsum("kl,lrn->krn", L, self.z, out=self._beta)
+            beta += mu[:, None, None]
+            v_mem = np.einsum("kmn,krn->mrn", self.x_mem, beta, out=self._v_mem)
+            lse, p = _log_sum_weights(
+                np.add(v_mem, self.c_eval, out=self._p), axis=0)
             lp_chosen = (np.einsum("kn,krn->rn", self.x_chosen, beta)
                          + self.c_chosen - lse[0])                  # (R, n)
-            d_row = (self.x_chosen[:, None]
-                     - np.einsum("mrn,kmn->krn", p, self.x_mem))  # (K, R, n)
+            d_beta = np.einsum("mrn,kmn->krn", p, self.x_mem, out=self._d_row)
+            np.subtract(self.x_chosen[:, None], d_beta, out=d_beta)
             if self.use_wn:
                 log_num, d_num = self.expansion_numerator(beta, v_mem)
                 ll_a, w_a = _log_sum_weights(
@@ -342,11 +375,13 @@ class _SimulatedLikelihood:
                 ll_b, w_b = _log_sum_weights(view.panel_sum(log_num), axis=0)
                 per_ind = ll_a - ll_b
                 w_a = w_a[:, view.obs_to_ind]
-                d_beta = w_a * d_row + (w_a - w_b[:, view.obs_to_ind]) * d_num
+                d_num *= w_a - w_b[:, view.obs_to_ind]
+                d_beta *= w_a
+                d_beta += d_num
             else:
                 ll_a, w_a = _log_sum_weights(view.panel_sum(lp_chosen), axis=0)
                 per_ind = ll_a - self.log_r
-                d_beta = w_a[:, view.obs_to_ind] * d_row
+                d_beta *= w_a[:, view.obs_to_ind]
             if not np.all(np.isfinite(per_ind)):
                 return failed
             d_L = d_beta.reshape(K, -1) @ self.z.reshape(K, -1).T

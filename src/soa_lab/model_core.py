@@ -294,18 +294,30 @@ def log_sum_exp(values) -> float | np.ndarray:
     return float(out) if v.ndim == 1 else out
 
 
+def shifted_log_sum(values: np.ndarray, axis: int = -1
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The max-shifted values v - m and ln sum exp(v - m) along ``axis``
+    (kept as a length-1 axis), m the slice's maximum, or 0 where that is
+    not finite.  v - m - ln sum exp(v - m) is the log softmax; a slice that
+    is entirely -inf has a log-sum of -inf and carries no mass.
+    """
+    v = np.asarray(values, dtype=float)
+    m = np.max(v, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    shifted = v - m
+    with np.errstate(divide="ignore"):
+        lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    return shifted, lse
+
+
 def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Row-wise log probabilities exp(v)/sum exp(v), max-shifted.
 
     -inf entries are allowed and come back as -inf (zero probability);
     used by the estimators to pad ragged sampled sets.
     """
-    v = np.asarray(values, dtype=float)
-    m = np.max(v, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = v - m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lse = np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
+    out, lse = shifted_log_sum(values, axis)
+    with np.errstate(invalid="ignore"):
         out -= lse
     # A row that is entirely -inf carries no mass; keep it -inf rather than
     # letting the (-inf) - (-inf) subtraction produce nans.

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
 
+from gibbs_reference import reference_gibbs
 from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, InvalidInputError,
                      MixingState, MmnlDgpConfig, MmnlPriors, Protocol,
                      SampledSet, SetTable, derive_stream, draw_sampled_set,
-                     generate_mmnl,
+                     draw_set_table, generate_mmnl,
                      gibbs_step_mu, gibbs_step_sigma, run_gibbs,
                      sigma_posterior_params)
 
@@ -131,6 +132,22 @@ def test_conjugate_steps_equal_scipy_bitwise(seed, K, N):
         seed).standard_normal(K)
     got_mu = gibbs_step_mu(state, priors, np.random.default_rng(seed))
     assert np.array_equal(got_mu, want_mu)
+
+
+def test_mixing_state_factor_follows_sigma():
+    """The cached Cholesky factor is Sigma's, and assigning Sigma drops it."""
+    state = fixed_state(seed=5, K=2)
+    assert np.array_equal(state.chol, np.linalg.cholesky(state.sigma))
+    state.sigma = 2.0 * np.eye(2)
+    assert np.array_equal(state.chol, np.sqrt(2.0) * np.eye(2))
+
+
+def test_prior_invariants_follow_the_fields():
+    priors = MmnlPriors(np.array([1.0, 2.0]), 4.0 * np.eye(2), 5, np.eye(2))
+    assert np.array_equal(priors.invariants.a0_inv_m0, [0.25, 0.5])
+    priors.A0 = np.eye(2)
+    assert np.array_equal(priors.invariants.a0_inv_m0, [1.0, 2.0])
+    assert np.array_equal(priors.invariants.chi_dof(10), [14.0, 15.0])
 
 
 def test_default_priors():
@@ -285,3 +302,73 @@ def test_gibbs_config_validation():
     with pytest.raises(InvalidInputError):
         GibbsConfig(iterations=10, burn_in=2,
                     sets=([SampledSet(np.array([0, 1]), np.zeros(2))], "bogus"))
+
+
+# ---------------------------------------------------------------------------
+# bitwise agreement with the per-iteration reference
+# ---------------------------------------------------------------------------
+
+def _assert_matches_reference(ds, priors, cfg):
+    got = run_gibbs(ds, priors, cfg)
+    want = reference_gibbs(ds, priors, cfg)
+    assert np.array_equal(got.draws[0], want["draws"])
+    assert np.array_equal(got.individual_acceptance, want["acceptance"])
+    assert got.degeneracy_events == want["degeneracy_events"]
+    if cfg.store_beta_n:
+        assert np.array_equal(got.beta_n_draws, want["beta_n"])
+    else:
+        assert got.beta_n_draws is None
+    return got
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 3),
+       sets=st.sampled_from([None, ("uniform_wor", "mcfadden"),
+                             ("uniform_wor", "none"),
+                             ("uniform_wor", "uniform_constant"),
+                             ("importance_independent", "mcfadden"),
+                             ("importance_independent", "none")]),
+       burn_in=st.integers(0, 60), kept=st.integers(1, 12),
+       thin=st.integers(1, 3), store_beta_n=st.booleans())
+def test_run_gibbs_matches_per_iteration_reference(seed, K, sets, burn_in,
+                                                   kept, thin, store_beta_n):
+    """Hoisted invariants, the carried factor of Sigma and the stacked
+    density call leave every draw, acceptance rate and stored beta_n of the
+    per-iteration sweep unchanged, bit for bit."""
+    J = 5
+    ds, _ = generate_mmnl(MmnlDgpConfig(
+        N=6, T=2, J=J, K=K, mu_star=np.full(K, 0.5),
+        sigma_star=0.3 * np.eye(K), seed=seed % 1000))
+    if sets is not None:
+        kind, mode = sets
+        protocol = (Protocol(kind, m=3) if kind == "uniform_wor" else
+                    Protocol(kind, inclusion_probs=np.linspace(0.3, 0.7, J)))
+        sets = (draw_set_table(protocol, ds.chosen_ids(), J, seed), mode)
+    rng = np.random.default_rng(seed)
+    priors = MmnlPriors(rng.normal(size=K), _random_spd(rng, K),
+                        K + 1 + rng.exponential(2.0), _random_spd(rng, K))
+    cfg = GibbsConfig(iterations=burn_in + kept * thin, burn_in=burn_in,
+                      thin=thin, seed=seed, rho=0.5, sets=sets,
+                      store_beta_n=store_beta_n)
+    _assert_matches_reference(ds, priors, cfg)
+
+
+@pytest.mark.parametrize("K,rotation_seed,eps", [(2, 0, 1e-17),
+                                                 (3, 5, 1e-16),
+                                                 (3, 13, 1e-17)])
+def test_near_singular_sigma_retries_like_the_reference(K, rotation_seed, eps):
+    """A prior scale S0 that is singular to working precision starts Sigma
+    there, so a conjugate step fails and the run nudges Sigma by 1e-8 I and
+    retries.  The factor of the nudged Sigma is taken inside the retry, so
+    the degeneracy count and every draw match the reference."""
+    Q, _ = np.linalg.qr(np.random.default_rng(rotation_seed).normal(size=(K, K)))
+    S0 = Q @ np.diag(np.r_[np.ones(K - 1), eps]) @ Q.T
+    priors = MmnlPriors(np.zeros(K), 100.0 * np.eye(K), K + 1.0,
+                        0.5 * (S0 + S0.T))
+    ds, _ = generate_mmnl(MmnlDgpConfig(N=8, T=2, J=3, K=K, mu_star=np.ones(K),
+                                        sigma_star=0.5 * np.eye(K), seed=1))
+    got = _assert_matches_reference(
+        ds, priors, GibbsConfig(iterations=30, burn_in=10, seed=rotation_seed,
+                                store_beta_n=True))
+    assert got.degeneracy_events >= 1
+

@@ -475,6 +475,36 @@ output.dir={out}
     assert not (out / "divergence.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["uniform_constant", "bogus"])
+def test_divergence_refuses_a_mode_the_importance_row_cannot_take(
+        tmp_path, capsys, monkeypatch, mode):
+    """Every design also runs an importance row, which uniform_constant
+    cannot correct; that mode and an unknown one exit 2 when the config is
+    read, naming the key and the reason."""
+    from soa_lab import divergence_lab
+
+    def refuse(*args):
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(divergence_lab, "_set_kernel", refuse)
+    out = tmp_path / f"div_{mode}"
+    cfg = write_config(tmp_path / f"d_{mode}.cfg", f"""
+divergence.j=5
+divergence.m=3
+divergence.t=2
+divergence.n_designs=4
+correction.mode={mode}
+seed=2
+output.dir={out}
+""")
+    assert run(["divergence", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "'correction.mode'" in err
+    assert "importance row" in err
+    assert "Traceback" not in err
+    assert not (out / "divergence.csv").exists()
+
+
 @pytest.mark.parametrize("mode,lattices", [("mcfadden", [1, 1]),
                                            ("none", [2, 1])])
 def test_divergence_makes_one_pass_per_row(tmp_path, monkeypatch, mode,

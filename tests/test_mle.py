@@ -513,3 +513,116 @@ def test_exact_msl_recovers_mu_on_sparse_sampled_panels(seed):
     res = fit_mmnl_msl(ds, sets, "mcfadden", "exact_full_set", r_draws=50)
     assert res.converged
     assert abs(res.mu[0] - 1.0) <= 4 * res.std_errors[0]
+
+
+# ---------------------------------------------------------------------------
+# work arrays reused across evaluations
+# ---------------------------------------------------------------------------
+
+def _random_panel(rng, n_ind, T, J, K):
+    n = n_ind * T
+    return Dataset.from_arrays(rng.normal(size=(n, J, K)),
+                               rng.integers(0, J, size=n),
+                               rng.permutation(np.repeat(np.arange(n_ind), T)))
+
+
+def _panel_sets(ds, sets_kind, rng, seed):
+    """None (full sets), equal-size uniform sets, or ragged sets that pad
+    (for J >= 3 and two or more observations)."""
+    J = ds.J
+    if sets_kind == "full":
+        return None
+    if sets_kind == "uniform":
+        return sampled_for(ds, Protocol("uniform_wor",
+                                        m=int(rng.integers(2, J + 1))), seed)
+    sizes = rng.integers(2, J + 1, size=ds.n_obs)
+    sizes[0] = 2 if sizes[-1] > 2 else J  # at least two sizes
+    return SetTable.from_sets([
+        draw_sampled_set(Protocol("uniform_wor", m=int(m)), o.chosen, o.n_alts,
+                         derive_stream(seed, o.obs_id))
+        for o, m in zip(ds.observations, sizes)])
+
+
+def _work_likelihood(seed, K, exact, sets_kind, J=4):
+    rng = np.random.default_rng(seed)
+    ds = _random_panel(rng, 3, 2, J, K)
+    view = mle.ChoiceArrays.panel(ds, _panel_sets(ds, sets_kind, rng, seed),
+                                  "mcfadden")
+    lik = mle._SimulatedLikelihood(view, rng.normal(size=(3, 4, K)),
+                                   exact and sets_kind != "full")
+    return lik, [_random_theta(rng, K) for _ in range(3)]
+
+
+def _arrays_of(lik):
+    return [a for a in vars(lik).values() if isinstance(a, np.ndarray)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), K=st.integers(1, 3), exact=st.booleans(),
+       sets_kind=st.sampled_from(["full", "uniform", "ragged"]))
+def test_msl_value_and_score_unchanged_by_calls_at_other_points(
+        seed, K, exact, sets_kind):
+    """The work arrays carry nothing from one evaluation into the next."""
+    lik, (a, b, c) = _work_likelihood(seed, K, exact, sets_kind)
+    f0, g0 = lik.value_and_score(a)
+    g0_copy = g0.copy()
+    lik.value_and_score(b)
+    lik.value_and_score(c)
+    f1, g1 = lik.value_and_score(a)
+    assert f1 == f0
+    assert np.array_equal(g1, g0)
+    assert np.array_equal(g0, g0_copy)
+
+
+@pytest.mark.parametrize("sets_kind", ["full", "uniform", "ragged"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_msl_cached_score_survives_later_evaluations(sets_kind, exact):
+    """After loglik(a) and then loglik(b), the score kept for a is unchanged,
+    and no returned array shares memory with the likelihood's arrays."""
+    lik, (a, b, _) = _work_likelihood(5, 2, exact, sets_kind)
+    lik.loglik(a)
+    g_a = lik.score(a)
+    g_a_copy = g_a.copy()
+    lik.loglik(b)
+    g_b = lik.score(b)
+    assert np.array_equal(g_a, g_a_copy)
+    assert np.array_equal(lik.score(a), g_a_copy)
+    returned = [g_a, g_b, lik.value_and_score(a)[1]]
+    assert not any(np.shares_memory(r, w)
+                   for r in returned for w in _arrays_of(lik))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), K=st.integers(1, 3),
+       n_ind=st.integers(1, 4), T=st.integers(1, 3), J=st.integers(3, 6),
+       sets_kind=st.sampled_from(["full", "uniform", "ragged"]),
+       corrections=st.sampled_from(["mcfadden", "none"]),
+       scale=st.sampled_from([0.1, 1.0, 30.0]))
+def test_chosen_log_probs_equal_the_gathered_log_softmax(seed, K, n_ind, T, J,
+                                                        sets_kind, corrections,
+                                                        scale):
+    """The chosen member's shifted utility less the log-sum gives the bits
+    of its entry in the whole log softmax, padded rows included, for rows
+    (n, K) and batches (P, n, K); panel_loglik and loglik sum those bits."""
+    rng = np.random.default_rng(seed)
+    ds = _random_panel(rng, n_ind, T, J, K)
+    view = mle.ChoiceArrays.panel(ds, _panel_sets(ds, sets_kind, rng, seed),
+                                  corrections)
+    assert view.any_pad == (sets_kind == "ragged" and ds.n_obs > 1)
+
+    def gathered(beta_rows):
+        lp = view.log_probs(beta_rows)
+        return np.take_along_axis(
+            lp, np.broadcast_to(view.chosen_pos, lp.shape[:-1])[..., None],
+            axis=-1)[..., 0]
+
+    beta = scale * rng.normal(size=(n_ind, K))
+    rows = beta[view.obs_to_ind]
+    assert np.array_equal(view.chosen_log_probs(rows), gathered(rows))
+    assert np.array_equal(view.panel_loglik(beta),
+                          view.panel_sum(gathered(rows)))
+    points = scale * rng.normal(size=(3, K))
+    batch = np.broadcast_to(points[:, None, :], (3, view.n, K))
+    assert np.array_equal(view.chosen_log_probs(batch), gathered(batch))
+    assert np.array_equal(view.loglik(points),
+                          np.sum(gathered(batch), axis=-1))
