@@ -233,7 +233,10 @@ def gibbs_step_mu(state: MixingState, priors: MmnlPriors,
     prior = priors.invariants
     sig_inv = _inverse_from_chol(state.chol)
     precision = prior.a0_inv + N * sig_inv
-    cov = np.linalg.inv(precision)
+    try:
+        cov = np.linalg.inv(precision)
+    except np.linalg.LinAlgError:
+        raise NumericalDegeneracyError("mu-step precision is singular")
     cov = 0.5 * (cov + cov.T)
     mean = cov @ (prior.a0_inv_m0 + sig_inv @ state.beta_all.sum(axis=0))
     return mean + _chol_pd(cov, "mu-step covariance") @ rng.standard_normal(priors.dim)

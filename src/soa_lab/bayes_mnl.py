@@ -21,6 +21,7 @@ from .errors import (InsufficientDrawsError, InvalidInputError,
 from .grids import GridSpec, log_trapezoid
 from .mle import ChoiceArrays
 from .model_core import Dataset
+from .protocols import seeded_streams
 
 _DOUBLING_TOL = 1e-6
 _ADAPT_TARGET = 0.3
@@ -240,8 +241,7 @@ def rw_metropolis(kernel: Callable[[np.ndarray], np.ndarray],
     if not 0 <= burn_in < n_iter:
         raise InvalidInputError("need 0 <= burn_in < n_iter")
     init = np.atleast_1d(np.asarray(init, dtype=float))
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(n_chains)]
+    rngs = list(seeded_streams(seed, np.arange(n_chains)[:, None]))
     dim = init.size
     x = np.tile(init, (n_chains, 1))
     fx = np.asarray(kernel(x), dtype=float)

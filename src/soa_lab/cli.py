@@ -48,7 +48,7 @@ from .errors import (CapacityError, ConfigError, InvalidInputError,
 from .grids import GridSpec
 from .mle import ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
 from .model_core import Dataset, SetTable, UtilityParams, log_softmax
-# perfbench/tracing.py looks up derive_stream and draw_sampled_set here.
+# perfbench/tracing.py looks up draw_sampled_set here.
 from .protocols import (Protocol, derive_stream, draw_sampled_set,  # noqa: F401
                         draw_set_table, enumerate_sets)
 from .synth import MmnlDgpConfig, MnlDgpConfig, generate_mmnl, generate_mnl
@@ -439,7 +439,7 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
     # is computed, so a run that will be refused does no work.
     todo = []
     for d in range(n_designs):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, d)))
+        rng = derive_stream(seed, 3, d)
         X = rng.normal(size=(T, J, K))
         beta_star = UtilityParams(rng.normal(size=K) if beta_cfg is None
                                   else beta_cfg)

@@ -7,12 +7,15 @@ split, and closed forms, and the two terms of the expected posterior KL
 divergence together with independent re-assemblies used to cross-check
 them.  Nothing in this module is Monte Carlo.
 
-Every oracle takes a design (N observations sharing J and K), enumerates
-the protocol's set table once per call and runs one masked kernel over
-blocks of its (N, J, K) attribute tensor.  The per-observation oracles give
-one value per observation: (N,) at one beta, (P, N) for a batch of P.  One
-pass over the joint (choice, set) outcomes gives every joint sum, and
-:func:`build_divergence_report` evaluates each oracle once per row.
+Every oracle takes a design (N observations sharing J and K) and runs one
+masked kernel over blocks of its (N, J, K) attribute tensor.  The
+per-observation oracles take the protocol's feasible set table
+(:func:`enumerate_feasible_sets`) and give one value per observation: (N,)
+at one beta, (P, N) for a batch of P.  The grid-KL oracles take the
+protocol and enumerate the table themselves.  One pass over the joint
+(choice, set) outcomes gives every joint sum, and
+:func:`build_divergence_report` enumerates the feasible table once per row
+and evaluates each oracle once.
 
 Notation used in the formulas below, for one observation with utilities V
 over the full set C and a subset D with member log conditional sampling
@@ -37,7 +40,8 @@ from .errors import CapacityError, InvalidInputError
 from .grids import GridSpec, log_trapezoid
 from .model_core import (SetTable, UtilityParams, log_softmax, log_sum_exp,
                          utilities)
-from .protocols import (Protocol, correction_vector, enumerate_feasible_sets,
+# perfbench/tracing.py looks up enumerate_sets here.
+from .protocols import (Protocol, correction_vector, enumerate_feasible_sets,  # noqa: F401
                         enumerate_sets, feasible_pair_count)
 
 _MIN_GRID_POINTS = 51
@@ -174,7 +178,7 @@ def expected_true_ll(design, beta_star, beta) -> np.ndarray:
     return np.sum(np.exp(lp_star) * lp, axis=-1)
 
 
-def expected_quasi_ll(design, protocol: Protocol, beta_star, beta,
+def expected_quasi_ll(design, feasible: SetTable, beta_star, beta,
                       correction_mode: str) -> np.ndarray:
     """Expected sampled-set log-likelihood of each observation, choice-first.
 
@@ -187,8 +191,10 @@ def expected_quasi_ll(design, protocol: Protocol, beta_star, beta,
                                           beta_star)))
     total = 0.0
     for i in range(design.J):
-        sets = enumerate_sets(protocol, design.J, i)
-        at_i = (sets.member_ids == i) & ~sets.pad
+        at_i = (feasible.member_ids == i) & ~feasible.pad
+        # The rows holding i, in order: enumerate_sets(protocol, J, i).
+        rows = at_i.any(axis=1)
+        sets, at_i = feasible[rows], at_i[rows]
         weights = np.exp(sets.log_cond_prob[at_i])[:, None]
         # One dot product per contiguous row: the same bits in any design.
         inner = _per_block(design, sets, correction_mode, (beta,), lambda k: (
@@ -198,7 +204,7 @@ def expected_quasi_ll(design, protocol: Protocol, beta_star, beta,
     return total
 
 
-def expected_quasi_ll_setwise(design, protocol: Protocol, beta_star, beta,
+def expected_quasi_ll_setwise(design, sets: SetTable, beta_star, beta,
                               correction_mode: str) -> np.ndarray:
     """Same expectation, regrouped set-first: sum_D R(D) sum_i P(i|D) ln(...).
 
@@ -207,45 +213,43 @@ def expected_quasi_ll_setwise(design, protocol: Protocol, beta_star, beta,
     sampling probabilities (they come from rewriting the joint), regardless
     of the evaluated correction mode.
     """
-    sets = enumerate_feasible_sets(protocol, design.J)
     return _per_block(design, sets, correction_mode, (beta_star, beta),
                       lambda star, k: np.sum(np.exp(star[0]) * _expect(
                           star[1], k[2], sets.pad), axis=-1))
 
 
-def expected_divergence(design, protocol: Protocol, beta,
+def expected_divergence(design, sets: SetTable, beta,
                         correction_mode: str) -> np.ndarray:
     """Split-form expected gap between sampled and full log-likelihood.
 
     sum_D R(D) [ sum_i P(i|beta,D) c_i  -  ln( sum_D e^{V+c} / sum_C e^V ) ];
     for mcfadden corrections the second piece reduces to -sum_D R ln R.
     """
-    sets = enumerate_feasible_sets(protocol, design.J)
     return _per_block(design, sets, correction_mode, (beta,),
                       lambda k: _split_divergence(sets, k))
 
 
-def expected_divergence_direct(design, protocol: Protocol, beta,
+def expected_divergence_direct(design, sets: SetTable, beta,
                                correction_mode: str) -> np.ndarray:
     """Direct form: sum_D R sum_i P(i|beta,D) [ln P_eval(i|beta,D) - ln P(i|beta,C)]."""
-    sets = enumerate_feasible_sets(protocol, design.J)
     return _per_block(design, sets, correction_mode, (beta,), lambda k: np.sum(
         np.exp(k[0]) * (_expect(k[1], k[2], sets.pad)
                         - _expect(k[1], k[4], sets.pad)), axis=-1))
 
 
-def divergence_uniform_closed_form(design, protocol: Protocol,
+def divergence_uniform_closed_form(design, sets: SetTable,
                                    beta) -> np.ndarray:
     """Closed form for uniform conditioning with its own corrections:
 
     -sum_D pi_dagger * ratio(D) * ln ratio(D),   ratio = sum_D e^V / sum_C e^V.
 
-    Only defined for protocols whose conditional probabilities are a shared
-    constant per set (uniform without-replacement sampling).
+    Only defined for tables whose members share one ln pi_dagger per row,
+    as every uniform without-replacement table does.
     """
-    if protocol.kind != "uniform_wor":
-        raise InvalidInputError("closed form needs the uniform protocol")
-    sets = enumerate_feasible_sets(protocol, design.J)
+    lcp = sets.log_cond_prob
+    if np.any(~sets.pad & (lcp != lcp[:, :1])):
+        raise InvalidInputError("closed form needs equal ln pi(D|j) across "
+                                "each set's members")
     log_ratio = _per_block(design, sets, "none", (beta,),
                            lambda k: log_sum_exp(k[4]), axis=-2)
     return -np.sum(np.exp(sets.log_cond_prob[:, 0]) * np.exp(log_ratio)
@@ -457,23 +461,23 @@ def build_divergence_report(design, protocol: Protocol, correction_mode: str,
     def worst(a, b) -> float:
         return float(np.max(np.abs(a - b)))
 
+    sets = enumerate_feasible_sets(protocol, design.J)
     quasi, setwise = (
-        oracle(design, protocol, beta_star, beta_star, correction_mode)
+        oracle(design, sets, beta_star, beta_star, correction_mode)
         for oracle in (expected_quasi_ll, expected_quasi_ll_setwise))
     split, direct = (
-        oracle(design, protocol, beta_star, correction_mode)
+        oracle(design, sets, beta_star, correction_mode)
         for oracle in (expected_divergence, expected_divergence_direct))
     true = expected_true_ll(design, beta_star, beta_star)
-    coverage = coverage_r(design, enumerate_feasible_sets(protocol, design.J),
-                          beta_star)
+    coverage = coverage_r(design, sets, beta_star)
     terms = kl_terms(design, protocol, correction_mode, prior, grid)
     resid_closed = resid_entropy = float("nan")
     if protocol.kind == "uniform_wor":
         # The closed and entropy forms hold under mcfadden corrections.
         own = correction_mode == "mcfadden"
         resid_closed = worst(
-            divergence_uniform_closed_form(design, protocol, beta_star),
-            split if own else expected_divergence(design, protocol, beta_star,
+            divergence_uniform_closed_form(design, sets, beta_star),
+            split if own else expected_divergence(design, sets, beta_star,
                                                   "mcfadden"))
         term_a = terms.a if own else kl_term_a(design, protocol, "mcfadden",
                                                prior, grid)

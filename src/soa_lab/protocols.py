@@ -24,6 +24,10 @@ SeedSequence hashing over many keys at once, on arrays of 32-bit words,
 instead of building one SeedSequence per key.  :func:`draw_set_table` draws
 every observation's set in one pass: one generator call per row, then
 array work over the (N, J) table.
+
+Drawn and enumerated sets share one table builder, from a (rows, J)
+membership matrix to a padded SetTable, so a set's ln pi(D|j) has the same
+bits whichever way it was produced.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ def _draw_rows(protocol: Protocol, chosen: np.ndarray, J: int,
     members besides chosen[i], among the J-1 others in ascending order:
     uniform_wor picks m-1 of them without replacement, and
     importance_independent draws one uniform each, to compare with its p_k.
-    Membership, padding and ln pi are then array work over the rows."""
+    The (n, J) membership then goes to :func:`_table`."""
     protocol.check_for(J)
     n = chosen.size
     if protocol.kind == "uniform_wor":
@@ -142,53 +146,54 @@ def _draw_rows(protocol: Protocol, chosen: np.ndarray, J: int,
         picked = np.array([rng.choice(J - 1, size=k, replace=False)
                            for rng in streams], dtype=int).reshape(n, k)
         picked += picked >= chosen[:, None]  # positions among others -> ids
-        members = np.sort(np.concatenate([chosen[:, None], picked], axis=1),
-                          axis=1)
-        return SetTable(members,
-                        np.full(members.shape, _log_pi_uniform(protocol, J)),
-                        np.zeros(members.shape, dtype=bool))
+        inside = np.zeros((n, J), dtype=bool)
+        inside[np.arange(n)[:, None], picked] = True
+        inside[np.arange(n), chosen] = True
+        return _table(protocol, inside)
     draws = np.array([rng.random(J - 1) for rng in streams])
     u = np.zeros((n, J))  # chosen keeps 0 < p_chosen, so it is always in
     u[np.arange(J) != chosen[:, None]] = draws.ravel()
-    return _importance_table(protocol, u < protocol.inclusion_probs)
+    return _table(protocol, u < protocol.inclusion_probs)
 
 
-def _log_pi_uniform(protocol: Protocol, J: int) -> float:
-    """ln pi(D|j) of every uniform_wor set, whichever member j is chosen."""
-    return -math.log(math.comb(J - 1, protocol.m - 1))
+def _table(protocol: Protocol, inside: np.ndarray) -> SetTable:
+    """The SetTable of the sets whose (rows, J) membership is ``inside``:
+    members ascending within a row, then padding.  Drawn and enumerated
+    sets both come from here, so a set's row has the same bits either way.
 
-
-def _importance_table(protocol: Protocol, inside: np.ndarray) -> SetTable:
-    """The SetTable of importance_independent sets whose (rows, J)
-    membership is ``inside``: members ascending within a row, then padding.
-
-    ln pi(D|j) = sum_{k in D, k != j} ln p_k + sum_{k not in D} ln(1 - p_k)
-    is accumulated, never differenced, from non-positive terms.  Both sums
-    run in ascending id order over exactly the row's terms, so a row's bits
-    do not depend on the others: rows are summed a set size at a time,
-    since numpy's pairwise summation groups terms by their count.
+    ln pi(D|j) is the uniform constant, or for importance_independent
+    sum_{k in D, k != j} ln p_k + sum_{k not in D} ln(1 - p_k), accumulated,
+    never differenced, from non-positive terms.  Both sums run in ascending
+    id order over exactly the row's terms, so a row's bits do not depend on
+    the others: rows are summed a set size at a time, since numpy's
+    pairwise summation groups terms by their count.
     """
     n, J = inside.shape
     n_in = inside.sum(axis=1)
-    sizes = set(n_in.tolist())
-    # A stable sort lists each row's members, then its non-members, each
-    # in ascending order.
-    order = np.argsort(~inside, axis=1, kind="stable")
-    width = max(sizes, default=0)
+    width = int(n_in.max(initial=0))
+    pad = np.arange(width) >= n_in[:, None]
+    # nonzero lists each row's members in ascending order, row after row:
+    # the order in which a masked assignment fills the member slots.
     members = np.zeros((n, width), dtype=int)
+    members[~pad] = np.nonzero(inside)[1]
     lcp = np.empty((n, width))
     lcp.fill(-np.inf)
+    if protocol.kind == "uniform_wor":
+        # 1/C(J-1, m-1), whichever member is the chosen one.
+        lcp[~pad] = -math.log(math.comb(J - 1, protocol.m - 1))
+        return SetTable(members, lcp, pad)
+    sizes = set(n_in.tolist())
     for size in sizes:
         # A slice, not a mask, when every row has the same size.
         at = slice(None) if len(sizes) == 1 else n_in == size
-        ids = order[at, :size]
-        members[at, :size] = ids
+        ids = members[at, :size]
+        outside = np.nonzero(~inside[at])[1].reshape(len(ids), J - size)
         lp_in = np.log(protocol.inclusion_probs[ids])
-        log_out = np.log1p(-protocol.inclusion_probs[order[at, size:]])
+        log_out = np.log1p(-protocol.inclusion_probs[outside])
         # Mathematically <= 0; the subtraction can leave ~1 ulp of dust.
         lcp[at, :size] = np.minimum((lp_in.sum(axis=1, keepdims=True) - lp_in)
                                     + log_out.sum(axis=1, keepdims=True), 0.0)
-    return SetTable(members, lcp, np.arange(width) >= n_in[:, None])
+    return SetTable(members, lcp, pad)
 
 
 def enumerate_sets(protocol: Protocol, J: int, chosen: int) -> SetTable:
@@ -245,27 +250,7 @@ def _enumerate(protocol: Protocol, J: int, chosen: int | None) -> SetTable:
     inside = np.concatenate(blocks)
     if chosen is not None:
         inside[:, chosen] = True
-
-    # Stable sorts put each row's members (then its non-members) first,
-    # in ascending order.
-    n_in = inside.sum(axis=1)
-    members = np.argsort(~inside, axis=1, kind="stable")[:, :n_in.max()]
-    pad = np.arange(members.shape[1]) >= n_in[:, None]
-    members[pad] = 0
-    if protocol.kind == "uniform_wor":
-        return SetTable(members, np.where(pad, -np.inf,
-                                          _log_pi_uniform(protocol, J)), pad)
-
-    # ln pi(D|j) = sum_{k in D, k != j} ln p_k + sum_{k not in D} ln(1 - p_k),
-    # row by row as for a drawn set (_importance_table) but over padded
-    # rows: bit for bit the same while they are under 8 wide (J <= 7).
-    log_p = np.log(protocol.inclusion_probs)
-    lp_in = np.where(pad, 0.0, log_p[members])
-    outside = np.argsort(inside, axis=1, kind="stable")[:, :J - n_in.min()]
-    log_out = np.where(np.arange(outside.shape[1]) >= (J - n_in)[:, None],
-                       0.0, np.log1p(-protocol.inclusion_probs)[outside])
-    lcp = (lp_in.sum(axis=1)[:, None] - lp_in) + log_out.sum(axis=1)[:, None]
-    return SetTable(members, np.where(pad, -np.inf, np.minimum(lcp, 0.0)), pad)
+    return _table(protocol, inside)
 
 
 def correction_vector(log_cond_prob: np.ndarray, mode: str) -> np.ndarray:

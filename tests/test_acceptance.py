@@ -14,7 +14,8 @@ from soa_lab import (Alternative, ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      Prior, Protocol, SetTable, UtilityParams,
                      derive_stream,
                      divergence_uniform_closed_form, draw_sampled_set,
-                     enumerate_sets, expected_divergence,
+                     enumerate_feasible_sets, enumerate_sets,
+                     expected_divergence,
                      expected_divergence_direct, expected_quasi_ll,
                      expected_quasi_ll_setwise, fit_mmnl_msl, fit_mnl,
                      generate_mmnl, generate_mnl, gibbs_step_mu,
@@ -122,8 +123,8 @@ def test_criterion_03_entropy_consistency():
 
     def argmax_beta(proto, mode):
         # The whole grid as one (401, 1) batch: (401, 6) values.
-        totals = expected_quasi_ll(design, proto, bstar, grid[:, None],
-                                   mode).sum(axis=1)
+        totals = expected_quasi_ll(design, enumerate_feasible_sets(proto, 4),
+                                   bstar, grid[:, None], mode).sum(axis=1)
         return float(grid[int(np.argmax(totals))])
 
     at_uni = argmax_beta(uni, "mcfadden")
@@ -157,16 +158,17 @@ def test_criterion_04_divergence_identities():
             proto = Protocol("importance_independent",
                              inclusion_probs=rng.uniform(0.15, 0.85, size=J))
             mode = "mcfadden" if trial % 4 == 1 else "none"
-        split = expected_divergence(obs, proto, bstar, mode)[0]
-        direct = expected_divergence_direct(obs, proto, bstar, mode)[0]
+        sets = enumerate_feasible_sets(proto, J)
+        split = expected_divergence(obs, sets, bstar, mode)[0]
+        direct = expected_divergence_direct(obs, sets, bstar, mode)[0]
         worst = max(worst, abs(split - direct))
         if proto.kind == "uniform_wor":
-            closed = divergence_uniform_closed_form(obs, proto, bstar)[0]
+            closed = divergence_uniform_closed_form(obs, sets, bstar)[0]
             worst = max(worst, abs(split - closed))
             min_uniform_divergence = min(min_uniform_divergence, closed)
         worst = max(worst,
-                    abs(expected_quasi_ll(obs, proto, bstar, bstar, mode)[0]
-                        - expected_quasi_ll_setwise(obs, proto, bstar, bstar,
+                    abs(expected_quasi_ll(obs, sets, bstar, bstar, mode)[0]
+                        - expected_quasi_ll_setwise(obs, sets, bstar, bstar,
                                                     mode)[0]))
     ok = worst <= 1e-10 and min_uniform_divergence > 0.0
     _report(4, "divergence identities", ok, time.perf_counter() - t0, 60.0,

@@ -372,3 +372,24 @@ def test_near_singular_sigma_retries_like_the_reference(K, rotation_seed, eps):
                                 store_beta_n=True))
     assert got.degeneracy_events >= 1
 
+
+
+def singular_mu_precision_case():
+    """A K=3 panel and a prior scale S0 singular to working precision (a
+    rotated diag(1, 1, 1e-16)) on which a mu step meets a precision that
+    np.linalg.inv refuses as singular."""
+    ds, _ = generate_mmnl(MmnlDgpConfig(
+        N=50, T=3, J=4, K=3, mu_star=np.array([1.0, 0.0, -1.0]),
+        sigma_star=0.5 * np.eye(3), seed=3))
+    Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    return ds, Q @ np.diag([1.0, 1.0, 1e-16]) @ Q.T
+
+
+def test_singular_mu_precision_is_retried_as_a_degeneracy():
+    ds, S0 = singular_mu_precision_case()
+    default = MmnlPriors.default_for(3)
+    priors = MmnlPriors(default.m0, default.A0, default.v0, S0)
+    got = run_gibbs(ds, priors, GibbsConfig(iterations=200, burn_in=100,
+                                            seed=3, rho=0.4))
+    assert got.degeneracy_events >= 1
+    assert np.all(np.isfinite(got.draws))

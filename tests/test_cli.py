@@ -687,6 +687,39 @@ output.dir={tmp_path / 'gibbs'}
     assert "Traceback" not in err
 
 
+def test_singular_mu_precision_finishes_without_a_traceback(tmp_path,
+                                                             capsys):
+    """A prior.s0 singular to working precision (a rotated
+    diag(1, 1, 1e-16)) makes a mu step's precision singular; the Gibbs run
+    retries it as a numerical degeneracy and finishes."""
+    Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    s0 = Q @ np.diag([1.0, 1.0, 1e-16]) @ Q.T
+    gen = write_config(tmp_path / "gen.cfg", f"""
+dgp.model=mmnl
+dgp.n=50
+dgp.t=3
+dgp.j=4
+dgp.k=3
+dgp.mu_star=1,0,-1
+dgp.sigma_star=0.5
+seed=3
+output.dir={tmp_path / 'panel'}
+""")
+    assert run(["generate", "--config", gen]) == 0
+    dataset = tmp_path / "panel" / "dataset.csv"
+    cfg = write_config(tmp_path / "g.cfg", f"""
+inputs.dataset={dataset}
+bayes.method=gibbs
+bayes.iterations=200
+bayes.burn_in=100
+prior.s0={",".join(map(repr, s0.ravel().tolist()))}
+seed=3
+output.dir={tmp_path / 'gibbs'}
+""")
+    assert run(["bayes", "--config", cfg]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb,settings", [
     ("bayes", "bayes.method=rw_metropolis\nbayes.iterations=200\n"
               "bayes.burn_in=100\nbayes.chains=2"),

@@ -57,21 +57,23 @@ def random_observation(rng, J, K):
 
 def test_frozen_expectations_uniform():
     obs = desk_observation()
-    assert abs(expected_quasi_ll(obs, UNI, BSTAR, BSTAR, "mcfadden")
+    sets = enumerate_feasible_sets(UNI, 4)
+    assert abs(expected_quasi_ll(obs, sets, BSTAR, BSTAR, "mcfadden")
                - (-0.5770114712681176)) < 1e-12
     assert abs(expected_true_ll(obs, BSTAR, BSTAR)
                - (-1.2090711035770283)) < 1e-12
-    assert abs(expected_divergence(obs, UNI, BSTAR, "mcfadden")
+    assert abs(expected_divergence(obs, sets, BSTAR, "mcfadden")
                - 0.6320596323089107) < 1e-12
 
 
 def test_frozen_expectations_importance():
     obs = desk_observation()
-    assert abs(expected_quasi_ll(obs, IMP, BSTAR, BSTAR, "mcfadden")
+    sets = enumerate_feasible_sets(IMP, 4)
+    assert abs(expected_quasi_ll(obs, sets, BSTAR, BSTAR, "mcfadden")
                - (-0.7697555018306571)) < 1e-12
-    assert abs(expected_quasi_ll(obs, IMP, BSTAR, BSTAR, "none")
+    assert abs(expected_quasi_ll(obs, sets, BSTAR, BSTAR, "none")
                - (-0.8262769994943988)) < 1e-12
-    assert abs(expected_divergence(obs, IMP, BSTAR, "mcfadden")
+    assert abs(expected_divergence(obs, sets, BSTAR, "mcfadden")
                - 0.43931560174637135) < 1e-12
 
 
@@ -152,9 +154,10 @@ def test_choice_first_equals_set_first():
         bs = UtilityParams(rng.normal(size=2))
         b = UtilityParams(rng.normal(size=2))
         for proto in protocols_for(rng, J):
+            sets = enumerate_feasible_sets(proto, J)
             for mode in ("mcfadden", "none"):
-                a = expected_quasi_ll(obs, proto, bs, b, mode)
-                c = expected_quasi_ll_setwise(obs, proto, bs, b, mode)
+                a = expected_quasi_ll(obs, sets, bs, b, mode)
+                c = expected_quasi_ll_setwise(obs, sets, bs, b, mode)
                 assert abs(a - c) < 1e-12
 
 
@@ -165,10 +168,11 @@ def test_divergence_forms_agree_and_match_difference():
         obs = random_observation(rng, J, 1)
         bs = UtilityParams(rng.normal(size=1))
         for proto in protocols_for(rng, J):
+            sets = enumerate_feasible_sets(proto, J)
             for mode in ("mcfadden", "none"):
-                split = expected_divergence(obs, proto, bs, mode)
-                direct = expected_divergence_direct(obs, proto, bs, mode)
-                gap = (expected_quasi_ll(obs, proto, bs, bs, mode)
+                split = expected_divergence(obs, sets, bs, mode)
+                direct = expected_divergence_direct(obs, sets, bs, mode)
+                gap = (expected_quasi_ll(obs, sets, bs, bs, mode)
                        - expected_true_ll(obs, bs, bs))
                 assert abs(split - direct) < 1e-12
                 assert abs(split - gap) < 1e-12
@@ -181,18 +185,18 @@ def test_uniform_divergence_closed_form_and_positivity():
         m = int(rng.integers(2, J))  # strict subsets
         obs = random_observation(rng, J, 1)
         bs = UtilityParams(rng.normal(size=1))
-        proto = Protocol("uniform_wor", m=m)
-        closed = divergence_uniform_closed_form(obs, proto, bs)
+        sets = enumerate_feasible_sets(Protocol("uniform_wor", m=m), J)
+        closed = divergence_uniform_closed_form(obs, sets, bs)
         assert closed > 0.0
-        assert abs(closed - expected_divergence(obs, proto, bs, "mcfadden")) < 1e-12
+        assert abs(closed - expected_divergence(obs, sets, bs, "mcfadden")) < 1e-12
 
 
 def test_uniform_conditioning_is_mode_invariant():
     rng = np.random.default_rng(16)
     obs = random_observation(rng, 5, 2)
     bs = UtilityParams(rng.normal(size=2))
-    proto = Protocol("uniform_wor", m=3)
-    vals = [expected_quasi_ll(obs, proto, bs, bs, mode)
+    sets = enumerate_feasible_sets(Protocol("uniform_wor", m=3), 5)
+    vals = [expected_quasi_ll(obs, sets, bs, bs, mode)
             for mode in ("mcfadden", "none", "uniform_constant")]
     assert abs(vals[0] - vals[1]) < 1e-13
     assert abs(vals[0] - vals[2]) < 1e-13
@@ -201,7 +205,30 @@ def test_uniform_conditioning_is_mode_invariant():
 def test_closed_form_rejects_nonuniform_protocols():
     obs = desk_observation()
     with pytest.raises(InvalidInputError):
-        divergence_uniform_closed_form(obs, IMP, BSTAR)
+        divergence_uniform_closed_form(obs, enumerate_feasible_sets(IMP, 4),
+                                       BSTAR)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(2, 12),
+       p=st.floats(0.05, 0.95))
+def test_closed_form_takes_any_table_whose_members_share_ln_pi(seed, J, p):
+    """With one inclusion probability for every alternative, each importance
+    set's members share ln pi(D|j), so the closed form holds; a second
+    probability makes the members differ and the table is refused."""
+    rng = np.random.default_rng(seed)
+    obs = random_observation(rng, J, 1)
+    bs = UtilityParams(rng.normal(size=1))
+    probs = np.full(J, p)
+    sets = enumerate_feasible_sets(
+        Protocol("importance_independent", inclusion_probs=probs), J)
+    closed = divergence_uniform_closed_form(obs, sets, bs)
+    assert abs(closed - expected_divergence(obs, sets, bs, "mcfadden")) < 1e-12
+    probs[0] = p / 2
+    skewed = enumerate_feasible_sets(
+        Protocol("importance_independent", inclusion_probs=probs), J)
+    with pytest.raises(InvalidInputError):
+        divergence_uniform_closed_form(obs, skewed, bs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,13 +248,14 @@ def test_oracles_batch_equals_points(seed, J, K, P, case):
              if kind == "uniform_wor" else
              Protocol(kind, inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
     bs, b = rng.normal(size=(2, P, K))
+    sets = enumerate_feasible_sets(proto, J)
     oracles = [lambda x, y: expected_true_ll(obs, x, y),
-               lambda x, y: expected_quasi_ll(obs, proto, x, y, mode),
-               lambda x, y: expected_quasi_ll_setwise(obs, proto, x, y, mode),
-               lambda x, y: expected_divergence(obs, proto, y, mode),
-               lambda x, y: expected_divergence_direct(obs, proto, y, mode)]
+               lambda x, y: expected_quasi_ll(obs, sets, x, y, mode),
+               lambda x, y: expected_quasi_ll_setwise(obs, sets, x, y, mode),
+               lambda x, y: expected_divergence(obs, sets, y, mode),
+               lambda x, y: expected_divergence_direct(obs, sets, y, mode)]
     if kind == "uniform_wor":
-        oracles.append(lambda x, y: divergence_uniform_closed_form(obs, proto, y))
+        oracles.append(lambda x, y: divergence_uniform_closed_form(obs, sets, y))
     for oracle in oracles:
         batch = oracle(bs, b)
         assert batch.shape == (P, 1)
@@ -235,7 +263,6 @@ def test_oracles_batch_equals_points(seed, J, K, P, case):
             point = oracle(bs[p], b[p])
             assert point.shape == (1,)
             assert abs(batch[p] - point) <= 1e-12
-    sets = enumerate_feasible_sets(proto, J)
     batch = coverage_r(obs, sets, b)
     assert batch.shape == (P, 1, len(sets))
     for p in range(P):
@@ -269,13 +296,13 @@ def test_design_oracles_equal_each_observation_alone_bitwise(seed, J, N, K, P,
     # (oracle, its observation axis)
     oracles = [(lambda d: coverage_r(d, sets, b), -2),
                (lambda d: expected_true_ll(d, bs, b), -1),
-               (lambda d: expected_quasi_ll(d, proto, bs, b, mode), -1),
-               (lambda d: expected_quasi_ll_setwise(d, proto, bs, b, mode), -1),
-               (lambda d: expected_divergence(d, proto, b, mode), -1),
-               (lambda d: expected_divergence_direct(d, proto, b, mode), -1)]
+               (lambda d: expected_quasi_ll(d, sets, bs, b, mode), -1),
+               (lambda d: expected_quasi_ll_setwise(d, sets, bs, b, mode), -1),
+               (lambda d: expected_divergence(d, sets, b, mode), -1),
+               (lambda d: expected_divergence_direct(d, sets, b, mode), -1)]
     if kind == "uniform_wor":
         oracles.append(
-            (lambda d: divergence_uniform_closed_form(d, proto, b), -1))
+            (lambda d: divergence_uniform_closed_form(d, sets, b), -1))
     for cells in (divergence_lab._BLOCK_CELLS, 1):
         with mock.patch.object(divergence_lab, "_BLOCK_CELLS", cells):
             for oracle, axis in oracles:

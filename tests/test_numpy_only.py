@@ -1,7 +1,8 @@
 """The package runs on numpy alone: scipy is a test-only reference.
 
-A child interpreter refuses every ``scipy`` import, then runs the mixed
-logit pipeline through the command-line driver.
+A child interpreter refuses every ``scipy`` import, checks that importing
+``soa_lab.cli`` loads neither scipy nor ``numpy.random``, then runs the
+mixed logit pipeline through the command-line driver.
 """
 
 import os
@@ -26,6 +27,9 @@ _CHILD = textwrap.dedent("""
     import soa_lab.cli
     leaked = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert not leaked, leaked
+    # numpy loads numpy.random lazily; importing it would add to every
+    # verb's start-up, also of verbs that draw nothing.
+    assert "numpy.random" not in sys.modules
 
     configs = {
         "gen.cfg": "dgp.model = mmnl\\ndgp.n = 12\\ndgp.t = 3\\ndgp.j = 5\\n"

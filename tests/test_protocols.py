@@ -323,6 +323,45 @@ def test_draw_set_table_equals_per_observation_draws_bitwise(design, seed):
         assert row.log_cond_prob.tobytes() == table[i].log_cond_prob.tobytes()
 
 
+@st.composite
+def seeded_designs(draw):
+    """Like draw_designs, but inclusion probabilities and chosen ids come
+    from a seeded generator: full-precision probabilities, whose sums round
+    as they would in use (hypothesis favours floats of few digits)."""
+    J = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    protocol = (Protocol("uniform_wor", m=draw(st.integers(2, J)))
+                if draw(st.booleans()) else
+                Protocol("importance_independent",
+                         inclusion_probs=rng.uniform(0.05, 0.95, size=J)))
+    return protocol, J, rng.integers(J, size=draw(st.integers(1, 200)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(design=seeded_designs(), seed=st.integers(0, 2**40))
+def test_drawn_rows_equal_the_enumerated_rows_bitwise(design, seed):
+    """A drawn set carries the bits of the same set's feasible row: one
+    builder makes both tables, at every J."""
+    protocol, J, chosen = design
+    feasible = {row.member_ids.tobytes(): row.log_cond_prob.tobytes()
+                for row in enumerate_feasible_sets(protocol, J)}
+    for row in draw_set_table(protocol, chosen, J, seed):
+        assert feasible[row.member_ids.tobytes()] == row.log_cond_prob.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(design=seeded_designs())
+def test_sets_holding_an_alternative_are_its_feasible_rows_bitwise(design):
+    """enumerate_sets(p, J, c) is the feasible table's rows that hold c, in
+    their order, bit for bit."""
+    protocol, J, _ = design
+    feasible = enumerate_feasible_sets(protocol, J)
+    for c in range(J):
+        holds = np.any((feasible.member_ids == c) & ~feasible.pad, axis=1)
+        assert_tables_equal_bitwise(enumerate_sets(protocol, J, c),
+                                    feasible[holds])
+
+
 def test_ragged_wide_table_equals_per_observation_draws_bitwise():
     """Sets of 1 to 20 members side by side: each row's sums must run over
     exactly its own terms, whatever the padding of the table."""
