@@ -208,8 +208,9 @@ class GibbsConfig:
             raise InvalidInputError("need iterations > burn_in >= 0")
         if self.thin < 1:
             raise InvalidInputError("thin must be >= 1")
-        if not self.rho >= 0.0:
-            raise InvalidInputError("proposal scale rho must be >= 0")
+        if not 0.0 <= self.rho < np.inf:
+            raise InvalidInputError(
+                f"proposal scale rho must be finite and >= 0, got {self.rho}")
         if self.sets is not None:
             sampled, mode = self.sets
             if mode not in CORRECTION_MODES:

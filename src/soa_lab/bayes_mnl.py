@@ -236,8 +236,11 @@ def rw_metropolis(kernel: Callable[[np.ndarray], np.ndarray],
     one standard_normal(K), then one random()) and adapts its own scale, so
     its draws do not depend on how many chains run beside it.
     """
-    if proposal_scale <= 0.0:
-        raise InvalidInputError("proposal scale must be positive")
+    if n_chains < 1:
+        raise InvalidInputError(f"need at least one chain, got {n_chains}")
+    if not 0.0 < proposal_scale < math.inf:
+        raise InvalidInputError("proposal scale must be positive and finite, "
+                                f"got {proposal_scale}")
     if not 0 <= burn_in < n_iter:
         raise InvalidInputError("need 0 <= burn_in < n_iter")
     init = np.atleast_1d(np.asarray(init, dtype=float))

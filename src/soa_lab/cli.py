@@ -48,7 +48,7 @@ from .errors import (CapacityError, ConfigError, InvalidInputError,
 from .grids import GridSpec
 from .mle import ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
 from .model_core import Dataset, SetTable, UtilityParams, log_softmax
-# perfbench/tracing.py looks up draw_sampled_set here.
+# perfbench/tracing.py looks up draw_sampled_set and enumerate_sets here.
 from .protocols import (Protocol, derive_stream, draw_sampled_set,  # noqa: F401
                         draw_set_table, enumerate_sets)
 from .synth import MmnlDgpConfig, MnlDgpConfig, generate_mmnl, generate_mnl
@@ -386,6 +386,14 @@ _DIVERGENCE_FIELDS = [
 ]
 
 
+def _realized_sets(feasible: SetTable, chosen: np.ndarray) -> SetTable:
+    """Per chosen id, the first row of the feasible table that holds it: the
+    first row of ``enumerate_sets(protocol, J, chosen)``, bit for bit."""
+    holds = ((feasible.member_ids == chosen[:, None, None])
+             & ~feasible.pad).any(axis=2)
+    return feasible[holds.argmax(axis=1)]
+
+
 def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
                     protocol: Protocol, beta_star: UtilityParams, prior: Prior,
                     grid: GridSpec) -> list:
@@ -393,8 +401,7 @@ def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
                                           prior, grid)
     # One concrete (Y, D): the realized choices with the first feasible set
     # per observation, comparing grid-KL against its two-term decomposition.
-    as_sampled = SetTable.from_sets([enumerate_sets(protocol, design.J, c)[0]
-                                     for c in design.chosen_ids().tolist()])
+    as_sampled = _realized_sets(report.feasible, design.chosen_ids())
     p_true = grid_posterior(design, None, prior, grid, check_doubling=False)
     p_samp = grid_posterior(design, (as_sampled, mode), prior, grid,
                             check_doubling=False)

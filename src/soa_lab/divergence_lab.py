@@ -9,13 +9,14 @@ them.  Nothing in this module is Monte Carlo.
 
 Every oracle takes a design (N observations sharing J and K) and runs one
 masked kernel over blocks of its (N, J, K) attribute tensor.  The
-per-observation oracles take the protocol's feasible set table
-(:func:`enumerate_feasible_sets`) and give one value per observation: (N,)
-at one beta, (P, N) for a batch of P.  The grid-KL oracles take the
+per-observation oracles and the term-A oracles take the protocol's feasible
+set table (:func:`enumerate_feasible_sets`); the per-observation ones give
+one value per observation: (N,) at one beta, (P, N) for a batch of P.  The
+grid-KL oracles (:func:`kl_terms`, :func:`expected_kl_direct`) take the
 protocol and enumerate the table themselves.  One pass over the joint
 (choice, set) outcomes gives every joint sum, and
-:func:`build_divergence_report` enumerates the feasible table once per row
-and evaluates each oracle once.
+:func:`build_divergence_report` enumerates the feasible table once per row,
+hands it to every oracle that takes a table and evaluates each oracle once.
 
 Notation used in the formulas below, for one observation with utilities V
 over the full set C and a subset D with member log conditional sampling
@@ -53,11 +54,14 @@ _BLOCK_CELLS = 1 << 14
 class DivergenceReport:
     """Every oracle quantity of one (design, protocol, mode) row.
 
-    ``r_coverage`` is (n_obs, S): R at beta_star for every observation and
-    every row of :func:`enumerate_feasible_sets`.  The other fields are the
-    numeric columns of ``divergence.csv``, by name and in order.
+    ``feasible`` is the protocol's feasible table, from
+    :func:`enumerate_feasible_sets`; ``r_coverage`` is (n_obs, S): R at
+    beta_star for every observation and every row of ``feasible``.  The
+    other fields are the numeric columns of ``divergence.csv``, by name and
+    in order.
     """
 
+    feasible: SetTable
     r_coverage: np.ndarray
     expected_quasi_ll: float
     expected_true_ll: float
@@ -268,15 +272,15 @@ def _check_grid(grid: GridSpec, K: int) -> None:
             f"grid needs at least {_MIN_GRID_POINTS} points per dimension")
 
 
-def _lattice(design, protocol: Protocol, correction_mode: str, prior,
+def _lattice(design, sets: SetTable, correction_mode: str, prior,
              grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Quadrature weights, log prior, each observation's expected divergence
-    on the lattice (N, P), and per observation its (chosen, set) pairs as the
-    arrays ln pi(D|i) (L,), ln P(i | beta, C) (L, P) and ln P_eval(i | beta, D)
-    (L, P), in set order, then member order."""
+    on the lattice (N, P), and per observation its (chosen, set) pairs over
+    the feasible table ``sets`` as the arrays ln pi(D|i) (L,),
+    ln P(i | beta, C) (L, P) and ln P_eval(i | beta, D) (L, P), in set order,
+    then member order."""
     _check_grid(grid, design.K)
     points = grid.lattice()
-    sets = enumerate_feasible_sets(protocol, design.J)
     s, pos = np.nonzero(~sets.pad)
     log_pi = sets.log_cond_prob[s, pos]
     X = design.attribute_tensor()
@@ -345,15 +349,16 @@ def _term_a(weights: np.ndarray, log_prior: np.ndarray,
     return float(np.sum(weights * np.exp(log_prior) * -sum(divergence)))
 
 
-def kl_term_a(design, protocol: Protocol, correction_mode: str, prior,
+def kl_term_a(design, feasible: SetTable, correction_mode: str, prior,
               grid: GridSpec) -> float:
-    """Term A of :func:`kl_terms` alone, without the joint (choice, set) loop.
+    """Term A of :func:`kl_terms` alone, without the joint (choice, set) loop,
+    over the protocol's feasible table.
 
     A integrates, against the prior, the coverage-weighted expected log
     ratio of true to corrected-sampled likelihoods, regrouped per
     observation; it is non-positive under uniform conditioning.
     """
-    return _term_a(*_lattice(design, protocol, correction_mode, prior,
+    return _term_a(*_lattice(design, feasible, correction_mode, prior,
                              grid)[:3])
 
 
@@ -371,7 +376,8 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
     """
     check_joint_cap(design, protocol)
     weights, log_prior, divergence, pairs = _lattice(
-        design, protocol, correction_mode, prior, grid)
+        design, enumerate_feasible_sets(protocol, design.J), correction_mode,
+        prior, grid)
     term_a = _term_a(weights, log_prior, divergence)
     term_b = a_joint = kl_direct = 0.0
     for log_pi, ll_true, ll_samp in _joint_outcomes(pairs):
@@ -392,20 +398,23 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
     return KlTerms(term_a, term_b, a_joint, kl_direct)
 
 
-def kl_term_a_entropy_form(design, protocol: Protocol, prior,
+def kl_term_a_entropy_form(design, sets: SetTable, prior,
                            grid: GridSpec) -> float:
-    """A for uniform conditioning via the entropy form:
+    """A for uniform conditioning via the entropy form, over the feasible
+    table ``sets``:
 
     integral of p(beta) * (prod_n pi_dagger_n) * sum over joint sets of
     (prod_n ratio_n) ln(prod_n ratio_n), expanded per observation through
-    independence.  Only valid for the uniform protocol with its own
-    (mcfadden) corrections.
+    independence.  Only valid when every member of every set shares one
+    ln pi_dagger, as in every uniform without-replacement table; then
+    McFadden's corrections cancel, so A is the same in every mode.
     """
-    if protocol.kind != "uniform_wor":
-        raise InvalidInputError("entropy form needs the uniform protocol")
+    lcp = sets.log_cond_prob
+    if np.any(~sets.pad & (lcp != lcp[0, 0])):
+        raise InvalidInputError("entropy form needs one ln pi(D|j) shared by "
+                                "every member of every set")
     _check_grid(grid, design.K)
     points = grid.lattice()
-    sets = enumerate_feasible_sets(protocol, design.J)
     X = design.attribute_tensor()
     s_plain, s_log = [], []   # per obs: sum_D ratio, sum_D ratio ln ratio
     for block in _blocks(design, sets, points):
@@ -441,8 +450,8 @@ def protocol_comparison(designs: list, protocols: list[tuple[str, Protocol]],
     """
     rows = []
     for label, protocol in protocols:
-        per_design = [kl_term_a(d, protocol, "mcfadden", prior, grid)
-                      for d in designs]
+        per_design = [kl_term_a(d, enumerate_feasible_sets(protocol, d.J),
+                                "mcfadden", prior, grid) for d in designs]
         rows.append(ComparisonRow(label, protocol.kind,
                                   float(sum(per_design)), per_design))
     rows.sort(key=lambda r: r.a_total, reverse=True)
@@ -473,20 +482,17 @@ def build_divergence_report(design, protocol: Protocol, correction_mode: str,
     terms = kl_terms(design, protocol, correction_mode, prior, grid)
     resid_closed = resid_entropy = float("nan")
     if protocol.kind == "uniform_wor":
-        # The closed and entropy forms hold under mcfadden corrections.
-        own = correction_mode == "mcfadden"
+        # With one ln pi per set McFadden's corrections cancel, so the split
+        # form and A are those of mcfadden in either mode.
         resid_closed = worst(
-            divergence_uniform_closed_form(design, sets, beta_star),
-            split if own else expected_divergence(design, sets, beta_star,
-                                                  "mcfadden"))
-        term_a = terms.a if own else kl_term_a(design, protocol, "mcfadden",
-                                               prior, grid)
-        resid_entropy = abs(kl_term_a_entropy_form(design, protocol, prior,
-                                                   grid) - term_a)
+            divergence_uniform_closed_form(design, sets, beta_star), split)
+        resid_entropy = abs(kl_term_a_entropy_form(design, sets, prior, grid)
+                            - terms.a)
     expected_kl = terms.a + terms.b
     # Python's sum adds the observations first to last at any N.
     return DivergenceReport(
-        coverage, *(sum(values.tolist()) for values in (quasi, true, split)),
+        sets, coverage,
+        *(sum(values.tolist()) for values in (quasi, true, split)),
         terms.a, terms.b, expected_kl,
         float(coverage.min()), float(coverage.max()),
         float(np.max(np.abs(coverage.sum(axis=1) - 1.0))),

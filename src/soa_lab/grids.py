@@ -32,6 +32,10 @@ class GridSpec:
             pts = np.repeat(pts, lo.size)
         if not (lo.size == hi.size == pts.size):
             raise InvalidInputError("lo, hi, points must share a length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise InvalidInputError(
+                f"grid bounds must be finite, got lo={lo.tolist()}, "
+                f"hi={hi.tolist()}")
         if np.any(hi <= lo):
             raise InvalidInputError("grid needs hi > lo in every dimension")
         if np.any(pts < 2):

@@ -40,50 +40,19 @@ class Alternative:
     id: int
     attributes: np.ndarray
 
-    def __post_init__(self):
-        self.attributes = np.asarray(self.attributes, dtype=float)
-        if self.attributes.ndim != 1:
-            raise InvalidInputError("alternative attributes must be a 1-d vector")
-        if not np.all(np.isfinite(self.attributes)):
-            raise InvalidInputError("alternative attributes must be finite")
-
 
 @dataclass
 class Observation:
-    """A single choice situation: J alternatives and the index chosen.
-
-    ``individual_id`` groups observations into panels; for cross-sectional
-    data it simply repeats ``obs_id``.
-    """
+    """A view of one choice situation of a :class:`Dataset`: its J
+    alternatives and the index chosen.  ``individual_id`` groups
+    observations into panels; for cross-sectional data it repeats
+    ``obs_id``.  Only :attr:`Dataset.observations` builds these, from arrays
+    that :meth:`Dataset.from_arrays` has checked."""
 
     obs_id: int
     alternatives: list[Alternative]
     chosen: int
-    individual_id: int | None = None
-
-    def __post_init__(self):
-        if self.individual_id is None:
-            self.individual_id = self.obs_id
-        ids = [a.id for a in self.alternatives]
-        if ids != list(range(len(ids))):
-            raise InvalidInputError(
-                f"alternative ids must be dense 0..J-1, got {ids}")
-        if not ids:
-            raise InvalidInputError("observation needs at least one alternative")
-        sizes = {a.attributes.shape[0] for a in self.alternatives}
-        if len(sizes) != 1:
-            raise InvalidInputError("alternatives disagree on attribute length")
-        if not 0 <= self.chosen < len(ids):
-            raise InvalidInputError(
-                f"chosen id {self.chosen} outside 0..{len(ids) - 1}")
-
-    @property
-    def n_alts(self) -> int:
-        return len(self.alternatives)
-
-    @property
-    def n_attrs(self) -> int:
-        return self.alternatives[0].attributes.shape[0]
+    individual_id: int
 
     def attribute_matrix(self) -> np.ndarray:
         """(J, K) matrix with row j = attributes of alternative j."""
@@ -92,21 +61,9 @@ class Observation:
 
 class Dataset:
     """Observations sharing J and K, held as an (N, J, K) attribute tensor,
-    chosen ids and individual ids; built from ``Observation`` objects or via
-    :meth:`from_arrays`, with the object view built on first use."""
-
-    def __init__(self, observations: list[Observation]):
-        if not observations:
-            raise InvalidInputError("dataset needs at least one observation")
-        shape = (observations[0].n_alts, observations[0].n_attrs)
-        if any((o.n_alts, o.n_attrs) != shape for o in observations):
-            raise InvalidInputError(
-                "all observations must share the same J and K")
-        built = Dataset.from_arrays(
-            np.stack([o.attribute_matrix() for o in observations]),
-            [o.chosen for o in observations],
-            [o.individual_id for o in observations])
-        self.__dict__.update(built.__dict__, _observations=observations)
+    chosen ids and individual ids.  :meth:`from_arrays` is the only
+    constructor; :attr:`observations` is an object view built on first use.
+    """
 
     @classmethod
     def from_arrays(cls, X: np.ndarray, chosen: np.ndarray,

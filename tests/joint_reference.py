@@ -16,10 +16,12 @@ from soa_lab.grids import log_trapezoid
 
 
 def _lattice(design, protocol, correction_mode, prior, grid):
-    """``divergence_lab._lattice`` with each observation's pair arrays
-    turned into a list of (ln pi, ln P(i|beta,C), ln P_eval(i|beta,D))."""
+    """``divergence_lab._lattice`` over the protocol's feasible table, with
+    each observation's pair arrays turned into a list of
+    (ln pi, ln P(i|beta,C), ln P_eval(i|beta,D))."""
     weights, log_prior, divergence, pairs = dlab._lattice(
-        design, protocol, correction_mode, prior, grid)
+        design, dlab.enumerate_feasible_sets(protocol, design.J),
+        correction_mode, prior, grid)
     return weights, log_prior, divergence, [
         list(zip(lpi.tolist(), lp_true, lp_samp))
         for lpi, lp_true, lp_samp in pairs]

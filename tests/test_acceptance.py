@@ -9,11 +9,11 @@ import time
 
 import numpy as np
 
-from soa_lab import (Alternative, ChoiceArrays, Dataset, GibbsConfig, GridSpec,
-                     MmnlDgpConfig, MmnlPriors, MnlDgpConfig, Observation,
+from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, GridSpec,
+                     MmnlDgpConfig, MmnlPriors, MnlDgpConfig,
                      Prior, Protocol, SetTable, UtilityParams,
-                     derive_stream,
                      divergence_uniform_closed_form, draw_sampled_set,
+                     draw_set_table,
                      enumerate_feasible_sets, enumerate_sets,
                      expected_divergence,
                      expected_divergence_direct, expected_quasi_ll,
@@ -70,13 +70,12 @@ def test_criterion_01_probability_identities():
 # ---------------------------------------------------------------------------
 
 def _frequency_check(protocol, J, chosen, n_draws, rng):
-    obs = Observation(0, [Alternative(j, [0.0]) for j in range(J)], chosen)
     table = {tuple(e.member_ids): np.exp(e.log_cond_prob[e.position_of(chosen)])
              for e in enumerate_sets(protocol, J, chosen)}
     norm_err = abs(sum(table.values()) - 1.0)
     counts = {k: 0 for k in table}
     for _ in range(n_draws):
-        s = draw_sampled_set(protocol, obs.chosen, obs.n_alts, rng)
+        s = draw_sampled_set(protocol, chosen, J, rng)
         counts[tuple(s.member_ids)] += 1
     max_sigma = 0.0
     for k, pi in table.items():
@@ -213,8 +212,9 @@ def test_criterion_05_kl_machinery():
                 max_a_uniform = max(max_a_uniform, kt.a)
                 worst_entropy = max(
                     worst_entropy,
-                    abs(kt.a - kl_term_a_entropy_form(design, proto, prior,
-                                                      grid)))
+                    abs(kt.a - kl_term_a_entropy_form(
+                        design, enumerate_feasible_sets(proto, design.J),
+                        prior, grid)))
             as_sampled = SetTable.from_sets(
                 [enumerate_sets(proto, design.J, c)[0]
                  for c in design.chosen_ids().tolist()])
@@ -249,10 +249,8 @@ def test_criterion_06_classical_recovery():
     ds_a = generate_mnl(MnlDgpConfig(N=2000, J=10, K=2,
                                      beta_star=UtilityParams(beta_star),
                                      seed=61))
-    sets_a = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=4), o.chosen, o.n_alts,
-                         derive_stream(62, o.obs_id))
-        for o in ds_a.observations])
+    sets_a = draw_set_table(Protocol("uniform_wor", m=4), ds_a.chosen_ids(),
+                            ds_a.J, 62)
     fa = fit_mnl(ds_a, sets_a, "none")
     dev_a = np.abs(fa.estimate.beta - beta_star) / fa.std_errors
 
@@ -266,10 +264,7 @@ def test_criterion_06_classical_recovery():
     ds_b = Dataset.from_arrays(X, chosen)
     proto = Protocol("importance_independent",
                      inclusion_probs=np.linspace(0.05, 0.95, 10))
-    sets_b = SetTable.from_sets([
-        draw_sampled_set(proto, o.chosen, o.n_alts,
-                         derive_stream(64, o.obs_id))
-        for o in ds_b.observations])
+    sets_b = draw_set_table(proto, ds_b.chosen_ids(), ds_b.J, 64)
     fb = fit_mnl(ds_b, sets_b, "mcfadden")
     fc = fit_mnl(ds_b, sets_b, "none")
     dev_b = np.abs(fb.estimate.beta - beta_star) / fb.std_errors
@@ -303,10 +298,7 @@ def test_criterion_07_gradient_check():
             sets, mode = None, "none"
         else:
             proto = Protocol("uniform_wor", m=int(rng.integers(2, J + 1)))
-            sets = SetTable.from_sets([
-                draw_sampled_set(proto, o.chosen, o.n_alts,
-                                 derive_stream(probe, o.obs_id))
-                for o in ds.observations])
+            sets = draw_set_table(proto, ds.chosen_ids(), ds.J, probe)
             mode = "mcfadden"
         g = quasi_loglik_grad(ds, sets, mode, beta)
         fd = central_diff_grad(
@@ -346,10 +338,8 @@ def test_criterion_08_bayes_mnl():
 
     # uniform conditioning: identical posterior exactly, and the identical
     # kernel gives the identical Metropolis trajectory
-    sets = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=2), o.chosen, o.n_alts,
-                         derive_stream(84, o.obs_id))
-        for o in ds.observations])
+    sets = draw_set_table(Protocol("uniform_wor", m=2), ds.chosen_ids(),
+                          ds.J, 84)
     g_mcf = grid_posterior(ds, (sets, "mcfadden"), prior, grid,
                            check_doubling=False)
     g_none = grid_posterior(ds, (sets, "none"), prior, grid,
@@ -388,10 +378,8 @@ def test_criterion_09_bayes_mmnl_gibbs():
     ds, _ = generate_mmnl(MmnlDgpConfig(N=500, T=5, J=10, K=2,
                                         mu_star=mu_star,
                                         sigma_star=sigma_star, seed=91))
-    sets = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=4), o.chosen, o.n_alts,
-                         derive_stream(92, o.obs_id))
-        for o in ds.observations])
+    sets = draw_set_table(Protocol("uniform_wor", m=4), ds.chosen_ids(),
+                          ds.J, 92)
     priors = MmnlPriors.default_for(2)
     out_s = run_gibbs(ds, priors, GibbsConfig(iterations=20_000,
                                               burn_in=10_000, seed=93,
@@ -439,10 +427,8 @@ def test_criterion_10_msl_wn_contrast():
                                         mu_star=np.array([0.8]),
                                         sigma_star=np.array([[0.4]]),
                                         seed=13))
-    sets = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=5), o.chosen, o.n_alts,
-                         derive_stream(14, o.obs_id))
-        for o in ds.observations])
+    sets = draw_set_table(Protocol("uniform_wor", m=5), ds.chosen_ids(),
+                          ds.J, 14)
     naive = fit_mmnl_msl(ds, sets, "mcfadden", wn_mode="naive_one",
                          r_draws=50)
     exact = fit_mmnl_msl(ds, sets, "mcfadden", wn_mode="exact_full_set",

@@ -181,10 +181,8 @@ def panel_data(seed=0, N=30, T=4, J=4, K=1):
 def test_loglik_invariant_to_constant_set_probability_shift():
     ds, _ = panel_data()
     rng = np.random.default_rng(1)
-    sets = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=2), o.chosen, o.n_alts,
-                         rng)
-        for o in ds.observations])
+    sets = draw_set_table(Protocol("uniform_wor", m=2), ds.chosen_ids(), ds.J,
+                          1)
     shifted = SetTable.from_sets([SampledSet(s.member_ids, s.log_cond_prob - 7.0)
                                   for s in sets])
     beta = rng.normal(0.9, 0.5, size=(30, 1))
@@ -255,10 +253,8 @@ def test_run_gibbs_uniform_sets_mode_invariant_bitwise():
     """Uniform conditioning: every acceptance decision is unchanged by the
     correction mode, so whole chains coincide bit for bit."""
     ds, _ = panel_data(N=15, T=3, J=5)
-    sets = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=3), o.chosen, o.n_alts,
-                         derive_stream(4, o.obs_id))
-        for o in ds.observations])
+    sets = draw_set_table(Protocol("uniform_wor", m=3), ds.chosen_ids(),
+                          ds.J, 4)
     chains = [run_gibbs(ds, MmnlPriors.default_for(1),
                         GibbsConfig(iterations=100, burn_in=40, seed=2,
                                     sets=(sets, mode)))
@@ -281,9 +277,9 @@ def test_run_gibbs_recovers_location_scaled_down():
 def test_run_gibbs_validates_set_count():
     ds, _ = panel_data(N=10, T=2)
     sets = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=2), o.chosen, o.n_alts,
-                         derive_stream(1, o.obs_id))
-        for o in ds.observations][:-1])
+        draw_sampled_set(Protocol("uniform_wor", m=2), int(c), ds.J,
+                         derive_stream(1, i))
+        for i, c in enumerate(ds.chosen_ids())][:-1])
     with pytest.raises(InvalidInputError):
         run_gibbs(ds, MmnlPriors.default_for(1),
                   GibbsConfig(iterations=10, burn_in=2,

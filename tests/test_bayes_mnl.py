@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metropolis_reference import reference_metropolis
-from soa_lab import (ChoiceArrays, Dataset, GridSpec, InsufficientDrawsError,
+from soa_lab import (ChoiceArrays, GridSpec, InsufficientDrawsError,
                      InvalidInputError, MnlDgpConfig, PosteriorDraws, Prior,
-                     Protocol, SetTable, UnsupportedDimensionError,
-                     UtilityParams, derive_stream, draw_sampled_set,
-                     generate_mnl, grid_posterior, kl_decomposition,
-                     kl_divergence_grid, log_posterior_kernel,
-                     posterior_summary, quasi_loglik, rw_metropolis)
+                     Protocol, UnsupportedDimensionError, UtilityParams,
+                     draw_set_table, generate_mnl, grid_posterior,
+                     kl_decomposition, kl_divergence_grid,
+                     log_posterior_kernel, posterior_summary, quasi_loglik,
+                     rw_metropolis)
 
 GRID = GridSpec.make(-8.0, 8.0, 201)
 
@@ -26,10 +26,7 @@ def small_problem(seed=0, N=40, J=4, K=1, beta=0.7):
 
 
 def sampled_pair(ds, protocol, seed, mode):
-    sets = SetTable.from_sets([
-        draw_sampled_set(protocol, o.chosen, o.n_alts,
-                         derive_stream(seed, o.obs_id))
-        for o in ds.observations])
+    sets = draw_set_table(protocol, ds.chosen_ids(), ds.J, seed)
     return (sets, mode)
 
 
@@ -85,10 +82,8 @@ def test_uniform_sampled_posterior_is_mode_invariant_bitwise():
     """Uniform conditioning: constant corrections cancel, so the posterior
     kernel is the same array no matter which correction mode built it."""
     ds, prior = small_problem(N=60)
-    sets = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=2), o.chosen, o.n_alts,
-                         derive_stream(3, o.obs_id))
-        for o in ds.observations])
+    sets = draw_set_table(Protocol("uniform_wor", m=2), ds.chosen_ids(),
+                          ds.J, 3)
     posts = [grid_posterior(ds, (sets, mode), prior, GRID,
                             check_doubling=False)
              for mode in ("mcfadden", "none", "uniform_constant")]

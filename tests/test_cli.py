@@ -1,11 +1,16 @@
 """End-to-end runs of the command-line driver in temporary directories."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 import draw_reference
 from csv_reference import read_csv, read_manifest
-from soa_lab import Protocol, SampledSet, read_dataset_csv, write_sets_csv
+from soa_lab import (Protocol, SampledSet, enumerate_feasible_sets,
+                     enumerate_sets, read_dataset_csv, write_sets_csv)
 from soa_lab.cli import main, parse_config_text
 
 
@@ -378,6 +383,36 @@ output.dir={out}
     assert set(manifest["outputs"]) == {"draws.csv", "summary.csv", "beta_n.csv"}
 
 
+@pytest.mark.parametrize("method,setting,value,named", [
+    ("rw_metropolis", "bayes.chains", "0", "chain"),
+    ("rw_metropolis", "bayes.chains", "-1", "chain"),
+    ("rw_metropolis", "bayes.proposal_scale", "nan", "proposal scale"),
+    ("rw_metropolis", "bayes.proposal_scale", "inf", "proposal scale"),
+    ("gibbs", "bayes.rho", "inf", "rho"),
+    ("gibbs", "bayes.rho", "nan", "rho"),
+], ids=["chains_0", "chains_negative", "scale_nan", "scale_inf", "rho_inf",
+        "rho_nan"])
+def test_bayes_sampler_setting_out_of_range_is_exit_2(tmp_path, capsys,
+                                                      method, setting, value,
+                                                      named):
+    dataset = pipeline_generate(tmp_path, name="panel", model="mmnl", n=20,
+                                j=6)
+    out = tmp_path / "b"
+    cfg = write_config(tmp_path / "b.cfg", f"""inputs.dataset={dataset}
+bayes.method={method}
+{setting}={value}
+bayes.iterations=60
+bayes.burn_in=20
+seed=1
+output.dir={out}
+""")
+    assert run(["bayes", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (out / "draws.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # divergence
 # ---------------------------------------------------------------------------
@@ -506,12 +541,12 @@ output.dir={out}
 
 
 @pytest.mark.parametrize("mode,lattices", [("mcfadden", [1, 1]),
-                                           ("none", [2, 1])])
+                                           ("none", [1, 1])])
 def test_divergence_makes_one_pass_per_row(tmp_path, monkeypatch, mode,
                                            lattices):
     """Per (uniform, importance) row: one lattice and one pass over the
-    joint outcomes; a uniform row outside mcfadden builds a second lattice
-    for the entropy check, which needs A under mcfadden corrections."""
+    joint outcomes, in either mode: with one ln pi per uniform set the
+    entropy check's A is the row's own."""
     from soa_lab import cli, divergence_lab
 
     counts = {"_lattice": 0, "_joint_outcomes": 0}
@@ -544,6 +579,66 @@ output.dir={out}
 """)
     assert run(["divergence", "--config", cfg]) == 0
     assert per_row == [(n, 1) for n in lattices]
+
+
+@pytest.mark.parametrize("mode", ["mcfadden", "none"])
+def test_divergence_enumerates_two_tables_per_row(tmp_path, mode):
+    """Each row enumerates its feasible table once for the report and once
+    inside kl_terms; every other oracle and the realized sets read the
+    report's table."""
+    from soa_lab import protocols
+
+    out = tmp_path / "divenum"
+    cfg = write_config(tmp_path / "denum.cfg", f"""
+divergence.j=4
+divergence.t=2
+divergence.n_designs=2
+correction.mode={mode}
+seed=2
+output.dir={out}
+""")
+    with mock.patch.object(protocols, "_enumerate",
+                           wraps=protocols._enumerate) as enumerate_:
+        assert run(["divergence", "--config", cfg]) == 0
+    _, _, rows = read_csv(out / "divergence.csv")
+    assert enumerate_.call_count == 2 * len(rows) == 8
+
+
+@hsettings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(2, 9),
+       kind=st.sampled_from(["uniform_wor", "importance_independent"]))
+def test_realized_sets_are_the_first_enumerated_rows_bitwise(seed, J, kind):
+    """The divergence row's realized set for chosen c is the first row of
+    enumerate_sets(protocol, J, c), members and ln pi bit for bit, at
+    importance widths of 8 and more too."""
+    from soa_lab import cli
+
+    rng = np.random.default_rng(seed)
+    protocol = (Protocol(kind, m=int(rng.integers(2, J + 1)))
+                if kind == "uniform_wor" else
+                Protocol(kind, inclusion_probs=rng.uniform(0.05, 0.95, J)))
+    chosen = rng.integers(J, size=int(rng.integers(1, 6)))
+    realized = cli._realized_sets(enumerate_feasible_sets(protocol, J), chosen)
+    assert len(realized) == chosen.size
+    for row, c in zip(realized, chosen.tolist()):
+        want = enumerate_sets(protocol, J, c)[0]
+        assert np.array_equal(row.member_ids, want.member_ids)
+        assert np.array_equal(row.log_cond_prob, want.log_cond_prob)
+
+
+@pytest.mark.parametrize("setting,value", [
+    ("grid.lo", "nan"), ("grid.hi", "inf"),
+])
+def test_divergence_refuses_non_finite_grid_bounds(tmp_path, capsys, setting,
+                                                   value):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "dgrid.cfg",
+                       f"{setting}={value}\nseed=2\noutput.dir={out}\n")
+    assert run(["divergence", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "grid bounds must be finite" in err
+    assert "Traceback" not in err
+    assert not (out / "divergence.csv").exists()
 
 
 def test_divergence_rejects_bad_mode_pairing(tmp_path):

@@ -90,8 +90,9 @@ def test_frozen_kl_terms():
 def test_term_a_alone_is_kl_terms_a_bitwise():
     ds = desk_design()
     for proto in (UNI, IMP):
+        feasible = enumerate_feasible_sets(proto, ds.J)
         for mode in ("mcfadden", "none"):
-            assert (kl_term_a(ds, proto, mode, PRIOR, GRID)
+            assert (kl_term_a(ds, feasible, mode, PRIOR, GRID)
                     == kl_terms(ds, proto, mode, PRIOR, GRID).a)
 
 
@@ -336,8 +337,18 @@ def test_term_a_joint_assembly_agrees():
 def test_term_a_entropy_form_agrees_under_uniform():
     ds = desk_design()
     kt = kl_terms(ds, UNI, "mcfadden", PRIOR, GRID)
-    assert abs(kt.a - kl_term_a_entropy_form(ds, UNI, PRIOR, GRID)) < 1e-12
+    feasible = enumerate_feasible_sets(UNI, ds.J)
+    entropy = kl_term_a_entropy_form(ds, feasible, PRIOR, GRID)
+    assert abs(kt.a - entropy) < 1e-12
     assert kt.a <= 0.0
+
+
+def test_term_a_entropy_form_refuses_an_importance_table():
+    """Importance members do not share one ln pi(D|j), so the entropy form
+    does not hold there."""
+    with pytest.raises(InvalidInputError):
+        kl_term_a_entropy_form(desk_design(), enumerate_feasible_sets(IMP, 4),
+                               PRIOR, GRID)
 
 
 def test_protocol_survey_prefers_uniform():

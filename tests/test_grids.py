@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from soa_lab import (Alternative, Dataset, GridSpec, InvalidInputError,
-                     Observation, Prior, Protocol, kl_terms, log_trapezoid)
+from soa_lab import (Dataset, GridSpec, InvalidInputError, Prior, Protocol,
+                     kl_terms, log_trapezoid)
 
 
 def test_weights_integrate_constant_to_volume():
@@ -85,11 +85,9 @@ def test_log_trapezoid_non_finite_rows_give_minus_inf_and_float_for_1d():
 
 
 def test_kl_terms_on_the_desk_design_raises_no_runtime_warning():
-    design = Dataset([
-        Observation(0, [Alternative(j, [v]) for j, v in
-                        enumerate([0.9, -0.3, 0.1, -1.4])], 2),
-        Observation(1, [Alternative(j, [v]) for j, v in
-                        enumerate([-0.6, 0.4, 1.1, 0.2])], 0)])
+    design = Dataset.from_arrays(
+        np.array([[0.9, -0.3, 0.1, -1.4], [-0.6, 0.4, 1.1, 0.2]])[..., None],
+        [2, 0])
     prior = Prior(np.zeros(1), 4.0 * np.eye(1))
     grid = GridSpec.make(-6.0, 6.0, 161)
     protocols = (Protocol("uniform_wor", m=2),
@@ -117,6 +115,14 @@ def test_spec_validation():
         GridSpec.make(0.0, 1.0, 1)
     with pytest.raises(InvalidInputError):
         GridSpec.make([0.0, 0.0], [1.0], [5, 5])
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0), ([0.0, 0.0], [1.0, np.nan]),
+])
+def test_spec_refuses_non_finite_bounds(lo, hi):
+    with pytest.raises(InvalidInputError, match="grid bounds must be finite"):
+        GridSpec.make(lo, hi, 11)
 
 
 def test_lattice_layout_row_major():

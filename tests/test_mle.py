@@ -13,9 +13,9 @@ from scipy import stats
 from scipy.stats import qmc
 
 from soa_lab import mle
-from soa_lab import (Alternative, Dataset, InvalidInputError, MmnlDgpConfig,
-                     MnlDgpConfig, Observation, Protocol, SampledSet, SetTable,
-                     UtilityParams, derive_stream, draw_sampled_set,
+from soa_lab import (Dataset, InvalidInputError, MmnlDgpConfig, MnlDgpConfig,
+                     Protocol, SampledSet, SetTable, UtilityParams,
+                     derive_stream, draw_sampled_set, draw_set_table,
                      fit_mmnl_msl, fit_mnl, generate_mmnl, generate_mnl,
                      halton_normal_draws, log_softmax, pack_theta, quasi_loglik,
                      quasi_loglik_grad, theta_labels, unpack_theta)
@@ -25,10 +25,7 @@ from wn_reference import compute_wn, individual_loglik, wn_numerator
 
 
 def sampled_for(dataset, protocol, seed):
-    return SetTable.from_sets([
-        draw_sampled_set(protocol, o.chosen, o.n_alts,
-                         derive_stream(seed, o.obs_id))
-        for o in dataset.observations])
+    return draw_set_table(protocol, dataset.chosen_ids(), dataset.J, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +60,7 @@ def test_gradient_matches_finite_differences():
 
 def test_loglik_value_on_tiny_example():
     # one observation, two alternatives, K=1: ln P(chosen) = -ln(1 + e^{-dv})
-    obs = Observation(0, [Alternative(0, [1.0]), Alternative(1, [0.0])], 0)
-    ds = Dataset([obs])
+    ds = Dataset.from_arrays([[[1.0], [0.0]]], [0])
     ll = quasi_loglik(ds, None, "none", UtilityParams([2.0]))
     assert abs(ll - (-np.log1p(np.exp(-2.0)))) < 1e-14
 
@@ -225,7 +221,7 @@ def test_halton_draws_look_standard_normal():
 
 def test_wn_is_one_when_sampled_set_is_full_set():
     rng = np.random.default_rng(7)
-    obs = Observation(0, [Alternative(j, rng.normal(size=2)) for j in range(3)], 1)
+    obs = Dataset.from_arrays(rng.normal(size=(1, 3, 2)), [1]).observations[0]
     s = SampledSet(np.arange(3), np.zeros(3))  # D = C, pi = 1
     z = rng.normal(size=(8, 2))
     w = compute_wn(UtilityParams(rng.normal(size=2)),
@@ -236,9 +232,9 @@ def test_wn_is_one_when_sampled_set_is_full_set():
 def test_wn_is_one_for_degenerate_mixing():
     """With a single zero draw the mixture collapses to beta_draw = mu."""
     rng = np.random.default_rng(8)
-    obs = Observation(0, [Alternative(j, rng.normal(size=1)) for j in range(4)], 2)
+    obs = Dataset.from_arrays(rng.normal(size=(1, 4, 1)), [2]).observations[0]
     proto = Protocol("uniform_wor", m=2)
-    s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
+    s = draw_sampled_set(proto, 2, 4, rng)
     mu = np.array([0.7])
     w = compute_wn(UtilityParams(mu), (mu, np.eye(1)), obs, s,
                    np.zeros((1, 1)))
@@ -248,10 +244,10 @@ def test_wn_is_one_for_degenerate_mixing():
 def test_wn_matches_bruteforce():
     rng = np.random.default_rng(9)
     K, J, R = 2, 5, 7
-    obs = Observation(0, [Alternative(j, rng.normal(size=K)) for j in range(J)], 0)
+    obs = Dataset.from_arrays(rng.normal(size=(1, J, K)), [0]).observations[0]
     proto = Protocol("importance_independent",
                      inclusion_probs=rng.uniform(0.2, 0.8, size=J))
-    s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
+    s = draw_sampled_set(proto, 0, J, rng)
     mu = rng.normal(size=K)
     sigma = np.diag(rng.uniform(0.2, 0.5, size=K))
     z = rng.normal(size=(R, K))
@@ -538,9 +534,9 @@ def _panel_sets(ds, sets_kind, rng, seed):
     sizes = rng.integers(2, J + 1, size=ds.n_obs)
     sizes[0] = 2 if sizes[-1] > 2 else J  # at least two sizes
     return SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=int(m)), o.chosen, o.n_alts,
-                         derive_stream(seed, o.obs_id))
-        for o, m in zip(ds.observations, sizes)])
+        draw_sampled_set(Protocol("uniform_wor", m=int(m)), int(c), J,
+                         derive_stream(seed, i))
+        for i, (c, m) in enumerate(zip(ds.chosen_ids(), sizes))])
 
 
 def _work_likelihood(seed, K, exact, sets_kind, J=4):

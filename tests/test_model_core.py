@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from soa_lab import (Alternative, Dataset, InvalidInputError, Observation,
-                     SampledSet, UtilityParams, log_softmax, log_sum_exp,
-                     utilities)
+from soa_lab import (Dataset, InvalidInputError, SampledSet, UtilityParams,
+                     log_softmax, log_sum_exp, utilities)
 from probability_reference import (canonical_corrections, mnl_prob_full,
                                    mnl_prob_sampled_corrected)
 
@@ -94,51 +93,46 @@ def test_log_softmax_rows_with_padding():
 # containers
 # ---------------------------------------------------------------------------
 
-def _small_obs():
-    alts = [Alternative(0, [1.0, 0.0]), Alternative(1, [0.0, 1.0]),
-            Alternative(2, [1.0, 1.0])]
-    return Observation(0, alts, chosen=2)
-
-
 def test_utilities_and_linear_utility_agree():
-    obs = _small_obs()
+    ds = Dataset.from_arrays([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]], [2])
+    obs = ds.observations[0]
     beta = UtilityParams([0.5, -0.25])
     v = utilities(obs.attribute_matrix(), beta)
     for j, alt in enumerate(obs.alternatives):
         assert v[j] == float(alt.attributes @ beta.beta)  # x'beta, one at a time
 
 
-def test_observation_rejects_sparse_ids():
-    alts = [Alternative(0, [1.0]), Alternative(2, [2.0])]
-    with pytest.raises(InvalidInputError):
-        Observation(0, alts, chosen=0)
-
-
-def test_observation_rejects_bad_chosen():
-    alts = [Alternative(0, [1.0]), Alternative(1, [2.0])]
-    with pytest.raises(InvalidInputError):
-        Observation(0, alts, chosen=2)
-
-
 def test_dataset_round_trips_between_views():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(4, 3, 2))
     chosen = np.array([0, 2, 1, 1])
-    ds = Dataset.from_arrays(X, chosen)
+    ds = Dataset.from_arrays(X, chosen, [5, 5, 6, 6])
     assert ds.n_obs == 4 and ds.J == 3 and ds.K == 2
-    # object view reconstructs the same arrays
+    # the object view holds the same arrays
     obs = ds.observations
-    assert all(o.chosen == c for o, c in zip(obs, chosen))
-    ds2 = Dataset(obs)
-    assert np.array_equal(ds2.attribute_tensor(), X)
-    assert np.array_equal(ds2.chosen_ids(), chosen)
+    assert [o.obs_id for o in obs] == [0, 1, 2, 3]
+    assert [o.chosen for o in obs] == chosen.tolist()
+    assert [o.individual_id for o in obs] == [5, 5, 6, 6]
+    assert [[a.id for a in o.alternatives] for o in obs] == [[0, 1, 2]] * 4
+    assert np.array_equal(np.stack([o.attribute_matrix() for o in obs]), X)
 
 
-def test_dataset_rejects_mixed_shapes():
-    a = Observation(0, [Alternative(0, [1.0]), Alternative(1, [2.0])], 0)
-    b = Observation(1, [Alternative(0, [1.0, 2.0]), Alternative(1, [2.0, 3.0])], 0)
+_GOOD_X = np.zeros((3, 2, 1))
+
+
+@pytest.mark.parametrize("X, chosen, individual_ids", [
+    pytest.param(np.zeros((3, 2)), [0, 1, 0], None, id="X_not_3d"),
+    pytest.param(np.full((3, 2, 1), np.nan), [0, 1, 0], None,
+                 id="X_not_finite"),
+    pytest.param(np.array([[[0.0], [np.inf]]]), [0], None, id="X_infinite"),
+    pytest.param(_GOOD_X, [0, 2, 0], None, id="chosen_outside"),
+    pytest.param(_GOOD_X, [0, -1, 0], None, id="chosen_negative"),
+    pytest.param(_GOOD_X, [0, 1], None, id="chosen_length"),
+    pytest.param(_GOOD_X, [0, 1, 0], [0, 1], id="individual_ids_length"),
+])
+def test_from_arrays_refuses(X, chosen, individual_ids):
     with pytest.raises(InvalidInputError):
-        Dataset([a, b])
+        Dataset.from_arrays(X, chosen, individual_ids)
 
 
 def test_sampled_set_validation():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from soa_lab import (ChoiceArrays, MnlDgpConfig, Protocol, SetTable,
-                     UtilityParams, derive_stream, draw_sampled_set,
-                     generate_mnl)
+from soa_lab import (ChoiceArrays, MnlDgpConfig, Protocol, UtilityParams,
+                     draw_set_table, generate_mnl)
 from soa_lab.errors import InvalidInputError
 from soa_lab.optimize import (central_diff_grad, hessian_from_f,
                               hessian_from_grad, maximize,
@@ -88,10 +87,7 @@ def test_run_ends_when_the_objective_cannot_resolve_the_ascent():
                                    seed=23))
     proto = Protocol("importance_independent",
                      inclusion_probs=np.round(np.linspace(0.2, 0.8, 20), 6))
-    sets = SetTable.from_sets([
-        draw_sampled_set(proto, o.chosen, o.n_alts,
-                         derive_stream(24, o.obs_id))
-        for o in ds.observations])
+    sets = draw_set_table(proto, ds.chosen_ids(), ds.J, 24)
     lik = ChoiceArrays(ds, sets, "mcfadden")
     res = maximize(lik.loglik, lik.score, np.zeros(2), max_iter=200)
     assert res.iterations < 200
@@ -129,10 +125,8 @@ def test_fits_near_the_resolution_of_f_still_converge(J, m, seed):
     ds = generate_mnl(MnlDgpConfig(N=4000, J=J, K=2,
                                    beta_star=UtilityParams([1.0, -0.5]),
                                    seed=seed))
-    sets = None if m is None else SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=m), o.chosen, o.n_alts,
-                         derive_stream(seed + 1, o.obs_id))
-        for o in ds.observations])
+    sets = None if m is None else draw_set_table(
+        Protocol("uniform_wor", m=m), ds.chosen_ids(), ds.J, seed + 1)
     lik = ChoiceArrays(ds, sets, "mcfadden" if sets is not None else "none")
     res = maximize(lik.loglik, lik.score, np.zeros(2))
     assert res.converged

@@ -9,18 +9,12 @@ from hypothesis import strategies as st
 
 import draw_reference
 from enumeration_reference import reference_sets
-from soa_lab import (Alternative, CapacityError, InvalidInputError,
-                     InvalidStateError, Observation, Protocol, SampledSet,
+from soa_lab import (CapacityError, InvalidInputError, InvalidStateError,
+                     Protocol, SampledSet,
                      correction_vector, derive_stream, draw_sampled_set,
                      draw_set_table, enumerate_feasible_sets, enumerate_sets,
                      seeded_streams)
 from soa_lab.protocols import feasible_pair_count
-
-
-def make_obs(J, chosen=0, K=1, seed=0):
-    rng = np.random.default_rng(seed)
-    alts = [Alternative(j, rng.normal(size=K)) for j in range(J)]
-    return Observation(0, alts, chosen)
 
 
 def importance_protocol(J, seed=1):
@@ -57,8 +51,7 @@ def test_protocol_validation():
 @pytest.mark.parametrize("J,m", [(4, 2), (5, 3), (6, 4)])
 def test_uniform_enumeration_sums_to_one(J, m):
     proto = Protocol("uniform_wor", m=m)
-    obs = make_obs(J, chosen=1)
-    sets = enumerate_sets(proto, obs.n_alts, 1)
+    sets = enumerate_sets(proto, J, 1)
     assert len(sets) == math.comb(J - 1, m - 1)
     total = sum(np.exp(s.log_cond_prob[s.position_of(1)]) for s in sets)
     assert abs(total - 1.0) < 1e-12
@@ -72,8 +65,7 @@ def test_uniform_enumeration_sums_to_one(J, m):
 @pytest.mark.parametrize("J", [3, 4, 5])
 def test_importance_enumeration_sums_to_one(J):
     proto = importance_protocol(J)
-    obs = make_obs(J, chosen=J - 1)
-    sets = enumerate_sets(proto, obs.n_alts, J - 1)
+    sets = enumerate_sets(proto, J, J - 1)
     assert len(sets) == 2 ** (J - 1)
     total = sum(np.exp(s.log_cond_prob[s.position_of(J - 1)]) for s in sets)
     assert abs(total - 1.0) < 1e-12
@@ -83,8 +75,7 @@ def test_importance_probability_closed_form():
     """ln pi(D|j) must equal the brute product over in/out alternatives."""
     proto = importance_protocol(5, seed=7)
     p = proto.inclusion_probs
-    obs = make_obs(5, chosen=2)
-    for es in enumerate_sets(proto, obs.n_alts, 2):
+    for es in enumerate_sets(proto, 5, 2):
         members = set(es.member_ids.tolist())
         for pos, j in enumerate(es.member_ids):
             expect = 1.0
@@ -127,9 +118,8 @@ def test_table_matches_reference_loops(J):
 
 def test_enumeration_capacity_error_names_count():
     proto = Protocol("uniform_wor", m=12, enumeration_cap=1000)
-    obs = make_obs(24)
     with pytest.raises(CapacityError) as err:
-        enumerate_sets(proto, obs.n_alts, 0)
+        enumerate_sets(proto, 24, 0)
     assert str(math.comb(23, 11)) in str(err.value)
 
 
@@ -154,11 +144,10 @@ def test_feasible_pair_count_refuses_what_the_enumeration_refuses():
 # ---------------------------------------------------------------------------
 
 def test_draws_always_contain_chosen_and_respect_size():
-    obs = make_obs(7, chosen=4)
     proto = Protocol("uniform_wor", m=3)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
+        s = draw_sampled_set(proto, 4, 7, rng)
         assert s.size == 3
         assert 4 in s.member_ids
         assert np.all(np.diff(s.member_ids) > 0)  # sorted, unique
@@ -167,14 +156,13 @@ def test_draws_always_contain_chosen_and_respect_size():
 def test_uniform_draw_frequencies_match_enumeration():
     """Empirical set frequencies within 3 binomial SEs of exact probabilities."""
     J, m, n_draws = 5, 3, 100_000
-    obs = make_obs(J, chosen=0)
     proto = Protocol("uniform_wor", m=m)
     rng = np.random.default_rng(42)
     counts = {}
     for _ in range(n_draws):
-        s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
+        s = draw_sampled_set(proto, 0, J, rng)
         counts[tuple(s.member_ids)] = counts.get(tuple(s.member_ids), 0) + 1
-    sets = enumerate_sets(proto, obs.n_alts, 0)
+    sets = enumerate_sets(proto, J, 0)
     assert len(counts) == len(sets)
     for es in sets:
         p = np.exp(es.log_cond_prob[es.position_of(0)])
@@ -185,14 +173,13 @@ def test_uniform_draw_frequencies_match_enumeration():
 
 def test_importance_draw_frequencies_match_enumeration():
     J, n_draws = 4, 100_000
-    obs = make_obs(J, chosen=1)
     proto = importance_protocol(J, seed=5)
     rng = np.random.default_rng(43)
     counts = {}
     for _ in range(n_draws):
-        s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
+        s = draw_sampled_set(proto, 1, J, rng)
         counts[tuple(s.member_ids)] = counts.get(tuple(s.member_ids), 0) + 1
-    for es in enumerate_sets(proto, obs.n_alts, 1):
+    for es in enumerate_sets(proto, J, 1):
         p = np.exp(es.log_cond_prob[es.position_of(1)])
         se = math.sqrt(p * (1 - p) / n_draws)
         observed = counts.get(tuple(es.member_ids), 0) / n_draws
@@ -200,26 +187,23 @@ def test_importance_draw_frequencies_match_enumeration():
 
 
 def test_importance_draw_carries_exact_conditional_probs():
-    obs = make_obs(6, chosen=3)
     proto = importance_protocol(6, seed=9)
     rng = np.random.default_rng(1)
     enumerated = {tuple(s.member_ids): s.log_cond_prob
                   for s in enumerate_feasible_sets(proto, 6)}
     for _ in range(50):
-        s = draw_sampled_set(proto, obs.chosen, obs.n_alts, rng)
+        s = draw_sampled_set(proto, 3, 6, rng)
         assert np.max(np.abs(s.log_cond_prob
                              - enumerated[tuple(s.member_ids)])) < 1e-12
 
 
 def test_derived_streams_reproduce_and_separate():
-    obs = make_obs(6, chosen=2)
     proto = Protocol("uniform_wor", m=3)
-    a = draw_sampled_set(proto, obs.chosen, obs.n_alts, derive_stream(99, 5))
-    b = draw_sampled_set(proto, obs.chosen, obs.n_alts, derive_stream(99, 5))
+    a = draw_sampled_set(proto, 2, 6, derive_stream(99, 5))
+    b = draw_sampled_set(proto, 2, 6, derive_stream(99, 5))
     assert np.array_equal(a.member_ids, b.member_ids)
-    c = draw_sampled_set(proto, obs.chosen, obs.n_alts, derive_stream(99, 6))
-    d = draw_sampled_set(proto, obs.chosen, obs.n_alts,
-                         derive_stream(99, 5, replication=1))
+    c = draw_sampled_set(proto, 2, 6, derive_stream(99, 6))
+    d = draw_sampled_set(proto, 2, 6, derive_stream(99, 5, replication=1))
     # different identifiers give statistically independent streams; at the
     # very least the full triple cannot coincide for these seeds
     assert not (np.array_equal(a.member_ids, c.member_ids)

@@ -9,8 +9,8 @@ from csv_reference import fmt, read_csv, read_manifest, render_csv
 from soa_lab import storage
 from soa_lab import (ConfigError, Dataset, InvalidInputError, MnlDgpConfig,
                      PosteriorDraws, Protocol, SampledSet, SetTable,
-                     UtilityParams, config_hash, derive_stream,
-                     draw_sampled_set, file_hash, generate_mnl,
+                     UtilityParams, config_hash, draw_set_table, file_hash,
+                     generate_mnl,
                      posterior_summary, read_dataset_csv, read_sets_csv,
                      verify_lineage, write_csv, write_dataset_csv,
                      write_draws_csv, write_manifest, write_report_csv,
@@ -125,10 +125,8 @@ def test_dataset_reader_rejects_malformed_choice_column(tmp_path):
 
 def test_sets_round_trip(tmp_path):
     ds = small_dataset(N=15, J=5)
-    sets = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=3), o.chosen, o.n_alts,
-                         derive_stream(2, o.obs_id))
-        for o in ds.observations])
+    sets = draw_set_table(Protocol("uniform_wor", m=3), ds.chosen_ids(),
+                          ds.J, 2)
     p = tmp_path / "s.csv"
     write_sets_csv(p, sets, {"dataset_hash": "xyz"})
     back, meta = read_sets_csv(p, n_obs=15, J=5)
@@ -141,10 +139,8 @@ def test_sets_round_trip(tmp_path):
 
 def test_sets_reader_checks_observation_count(tmp_path):
     ds = small_dataset(N=4, J=4)
-    sets = SetTable.from_sets([
-        draw_sampled_set(Protocol("uniform_wor", m=2), o.chosen, o.n_alts,
-                         derive_stream(2, o.obs_id))
-        for o in ds.observations])
+    sets = draw_set_table(Protocol("uniform_wor", m=2), ds.chosen_ids(),
+                          ds.J, 2)
     p = tmp_path / "s.csv"
     write_sets_csv(p, sets, {})
     with pytest.raises(InvalidInputError):
