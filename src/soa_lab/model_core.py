@@ -59,6 +59,20 @@ class Observation:
         return np.stack([a.attributes for a in self.alternatives])
 
 
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as an int array; text, fractions and non-finite numbers
+    are refused where a plain ``dtype=int`` cast would raise or truncate."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise InvalidInputError(f"{what} must be integers") from None
+    whole = values.dtype.kind in "iub" or (values.dtype.kind == "f" and bool(
+        np.all((np.abs(values) < 2.0 ** 63) & (values == np.trunc(values)))))
+    if not whole:
+        raise InvalidInputError(f"{what} must be integers")
+    return np.asarray(values, dtype=int)
+
+
 class Dataset:
     """Observations sharing J and K, held as an (N, J, K) attribute tensor,
     chosen ids and individual ids.  :meth:`from_arrays` is the only
@@ -73,8 +87,11 @@ class Dataset:
         ``chosen`` holds one alternative id per observation;
         ``individual_ids`` defaults to 0..N-1 (cross-sectional data).
         """
-        X = np.asarray(X, dtype=float)
-        chosen = np.asarray(chosen, dtype=int)
+        try:
+            X = np.asarray(X, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError("X must be a numeric (N, J, K) array") from None
+        chosen = _whole_numbers(chosen, "chosen ids")
         if X.ndim != 3:
             raise InvalidInputError("X must have shape (N, J, K)")
         n, J, _ = X.shape
@@ -86,7 +103,7 @@ class Dataset:
             raise InvalidInputError("chosen ids outside 0..J-1")
         if individual_ids is None:
             individual_ids = np.arange(n)
-        individual_ids = np.asarray(individual_ids, dtype=int)
+        individual_ids = _whole_numbers(individual_ids, "individual_ids")
         if individual_ids.shape != (n,):
             raise InvalidInputError("individual_ids must have one entry per observation")
 

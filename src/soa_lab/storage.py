@@ -38,8 +38,12 @@ def config_hash(pairs: dict[str, str]) -> str:
 
 
 def file_hash(path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return digest[:HASH_LEN]
+    """Hash of a file's bytes, read in 1 MiB blocks so memory stays bounded."""
+    digest, block = hashlib.sha256(), bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(memoryview(block)[:size])
+    return digest.hexdigest()[:HASH_LEN]
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +73,18 @@ def _cells(column) -> list[str]:
     return labels[index].tolist()
 
 
-_CHUNK_ROWS = 1 << 16  # rows rendered per write, so memory stays bounded
+_CHUNK_CELLS = 1 << 14  # cells rendered per write, so memory stays bounded
 
 
 def _write_columns(path, headers: dict[str, str], fieldnames: list[str],
                    columns: list) -> None:
+    rows = max(1, _CHUNK_CELLS // len(columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(f"# {key}={value}\n" for key, value in headers.items())
         fh.write(",".join(map(_cell, fieldnames)) + "\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = [_cells(c[start:start + _CHUNK_ROWS]) for c in columns]
-            fh.write("".join(row + "\n" for row in map(",".join, zip(*chunk))))
+        for start in range(0, len(columns[0]), rows):
+            chunk = [_cells(c[start:start + rows]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
 def write_csv(path, headers: dict[str, str], fieldnames: list[str],
@@ -190,15 +195,17 @@ def read_dataset_csv(path) -> tuple[Dataset, dict[str, str]]:
                 lambda k: f"chosen flag {flag[k]} is not 0 or 1")
     _check_rows(path, skip, ~np.isfinite(x).all(axis=1),
                 lambda k: "attributes must be finite")
-    n = np.unique(obs).size
+    order = np.lexsort((alt, obs))
+    obs_s = obs[order]
+    n = 1 + int(np.count_nonzero(obs_s[1:] != obs_s[:-1]))  # distinct ids
     _check_rows(path, skip, (obs < 0) | (obs >= n), lambda k: (
         f"obs_id {obs[k]} outside 0..{n - 1}: observation ids are not dense"))
-    order = np.lexsort((alt, obs))
-    counts = np.bincount(obs, minlength=n)
+    counts = np.bincount(obs_s, minlength=n)
     J = int(np.argmax(np.bincount(counts)))  # the most common row count
-    rank = np.arange(obs.size) - (np.cumsum(counts) - counts)[obs[order]]
-    bad_alts = (counts != J) | (np.bincount(obs[order], alt[order] != rank,
+    rank = np.arange(obs.size) - (np.cumsum(counts) - counts)[obs_s]
+    bad_alts = (counts != J) | (np.bincount(obs_s, alt[order] != rank,
                                             minlength=n) > 0)
+    del obs_s, rank  # freed before the gathers below raise the peak
     n_chosen = np.bincount(obs, flag, minlength=n)
     _check_rows(path, skip, (bad_alts | (n_chosen != 1))[obs],
                 lambda k: f"observation {obs[k]} " + (

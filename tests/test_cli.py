@@ -741,6 +741,20 @@ def test_malformed_dataset_is_exit_2_naming_the_line(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+def test_dataset_obs_id_gap_is_exit_2_naming_the_line(tmp_path, capsys):
+    dataset = pipeline_generate(tmp_path, n=10)
+    lines = dataset.read_text().splitlines()
+    # observation 3 becomes 10: ten distinct ids, but not 0..9
+    lineno = next(i for i, ln in enumerate(lines, 1) if ln.startswith("3,"))
+    dataset.write_text("".join(
+        ("10," + ln[2:] if ln.startswith("3,") else ln) + "\n" for ln in lines))
+    assert run(["fit", "--config", run_config(tmp_path, dataset)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{dataset}:{lineno}: obs_id 10 outside 0..9: observation ids "
+            "are not dense") in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit", [
     lambda ln: ln.rsplit(",", 1)[0] + ",x",  # non-numeric log_cond_prob
     lambda ln: ln.rsplit(",", 1)[0],         # short row

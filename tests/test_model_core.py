@@ -129,6 +129,11 @@ _GOOD_X = np.zeros((3, 2, 1))
     pytest.param(_GOOD_X, [0, -1, 0], None, id="chosen_negative"),
     pytest.param(_GOOD_X, [0, 1], None, id="chosen_length"),
     pytest.param(_GOOD_X, [0, 1, 0], [0, 1], id="individual_ids_length"),
+    pytest.param([[[0.0], [1.0]], [[0.0, 1.0], [1.0, 1.0]]], [0, 0], None,
+                 id="X_ragged"),
+    pytest.param([[["a"], [2.0]]], [0], None, id="X_not_numeric"),
+    pytest.param(np.zeros((1, 2, 1)), [0.5], None, id="chosen_fractional"),
+    pytest.param(_GOOD_X, [0, 1, 0], [0, 1.5, 2], id="individual_ids_fractional"),
 ])
 def test_from_arrays_refuses(X, chosen, individual_ids):
     with pytest.raises(InvalidInputError):

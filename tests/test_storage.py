@@ -1,5 +1,8 @@
 """CSV/manifest plumbing: round trips, hashing, lineage refusal."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +60,25 @@ def test_file_hash_tracks_content(tmp_path):
     assert len(h1) == 12
 
 
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1])
+def test_file_hash_is_the_sha256_of_the_bytes(tmp_path, size):
+    p = tmp_path / "x.bin"
+    p.write_bytes(np.random.default_rng(size).bytes(size))
+    assert file_hash(p) == hashlib.sha256(p.read_bytes()).hexdigest()[:12]
+
+
+def test_file_hash_memory_does_not_grow_with_the_file(tmp_path):
+    p = tmp_path / "x.bin"
+    p.write_bytes(np.random.default_rng(0).bytes(8 << 20))
+    tracemalloc.start()
+    try:
+        file_hash(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 # ---------------------------------------------------------------------------
 # generic csv layer
 # ---------------------------------------------------------------------------
@@ -103,6 +125,19 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(back.attribute_tensor(), ds.attribute_tensor())
     assert np.array_equal(back.chosen_ids(), ds.chosen_ids())
     assert np.array_equal(back.individual_ids(), ds.individual_ids())
+
+
+def test_dataset_reader_takes_rows_in_any_order(tmp_path):
+    ds = small_dataset(N=30, J=5, K=3)
+    canonical, shuffled = tmp_path / "d.csv", tmp_path / "shuffled.csv"
+    write_dataset_csv(canonical, ds, {"config_hash": "h"})
+    lines = canonical.read_text().splitlines(keepends=True)
+    head, data = lines[:2], lines[2:]
+    order = np.random.default_rng(5).permutation(len(data))
+    shuffled.write_text("".join(head + [data[i] for i in order]))
+    back, meta = read_dataset_csv(shuffled)
+    write_dataset_csv(tmp_path / "again.csv", back, meta)
+    assert (tmp_path / "again.csv").read_bytes() == canonical.read_bytes()
 
 
 def test_dataset_reader_rejects_malformed_choice_column(tmp_path):
@@ -259,15 +294,34 @@ def test_column_writer_matches_the_row_reference(tmp_path_factory, data):
 def test_column_writer_bytes_do_not_depend_on_the_chunk_size(tmp_path,
                                                              monkeypatch):
     n = len(EDGE_FLOATS)
-    fields = ["i", "x", "mixed"]
+    fields = ["i", "x", "mixed", "flag"]
     columns = [np.arange(n) * (2 ** 62 // n), np.array(EDGE_FLOATS),
-               [1, 2.5, True, "a,b"] * 3 + [0, -0.0, 7]]
+               [1, 2.5, True, "a,b"] * 3 + [0, -0.0, 7],
+               np.arange(n) % 3 == 0]
     rows = [list(r) for r in zip(*columns)]
-    for chunk in (1, 2, 4, n, 1 << 16):
-        monkeypatch.setattr(storage, "_CHUNK_ROWS", chunk)
+    # cell budgets below, at and above one row's width, some dividing neither
+    # the width nor the row count
+    for cells in (1, 2, 3, 5, len(fields), 1 << 15):
+        monkeypatch.setattr(storage, "_CHUNK_CELLS", cells)
         storage._write_columns(tmp_path / "t.csv", {"h": "v"}, fields, columns)
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == render_csv(
             {"h": "v"}, fields, rows)
+
+
+def test_column_writer_memory_does_not_grow_with_the_row_count(tmp_path):
+    def peak(n):
+        rng = np.random.default_rng(n)
+        columns = [np.repeat(np.arange(n // 8), 8), rng.integers(0, 50, n),
+                   np.tile(np.arange(8), n // 8), rng.integers(0, 2, n),
+                   rng.normal(size=n), rng.normal(size=n)]
+        tracemalloc.start()
+        try:
+            storage._write_columns(tmp_path / "t.csv", {"h": "v"},
+                                   list("abcdef"), columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(1 << 17) - peak(1 << 14) < 1 << 20
 
 
 @settings(max_examples=40, deadline=None)
