@@ -13,8 +13,8 @@ from .errors import (CapacityError, ConfigError, InsufficientDrawsError,
                      InvalidInputError, InvalidStateError,
                      NumericalDegeneracyError, UnsupportedDimensionError)
 from .model_core import (CORRECTION_MODES, Alternative, Dataset, Observation,
-                         SampledSet, SetTable, UtilityParams, log_softmax,
-                         log_sum_exp, utilities)
+                         SampledSet, SetTable, log_softmax, log_sum_exp,
+                         utilities)
 from .protocols import (PROTOCOL_KINDS, Protocol,
                         correction_vector, derive_stream, draw_sampled_set,
                         draw_set_table, enumerate_feasible_sets,
@@ -22,8 +22,7 @@ from .protocols import (PROTOCOL_KINDS, Protocol,
 from .synth import (COVARIATE_LAWS, MmnlDgpConfig, MnlDgpConfig, generate_mmnl,
                     generate_mnl)
 from .mle import (WN_MODES, ChoiceArrays, FitResult, fit_mmnl_msl, fit_mnl,
-                  pack_theta, quasi_loglik, quasi_loglik_grad, theta_labels,
-                  unpack_theta)
+                  pack_theta, theta_labels, unpack_theta)
 from .grids import GridSpec, log_trapezoid
 from .bayes_mnl import (GridPosterior, PosteriorDraws, PosteriorSummary, Prior,
                         grid_posterior, kl_decomposition, kl_divergence_grid,

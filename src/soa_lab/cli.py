@@ -47,7 +47,7 @@ from .errors import (CapacityError, ConfigError, InvalidInputError,
                      InvalidStateError, NumericalDegeneracyError)
 from .grids import GridSpec
 from .mle import ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
-from .model_core import Dataset, SetTable, UtilityParams, log_softmax
+from .model_core import Dataset, SetTable, log_softmax
 # perfbench/tracing.py looks up draw_sampled_set and enumerate_sets here.
 from .protocols import (Protocol, derive_stream, draw_sampled_set,  # noqa: F401
                         draw_set_table, enumerate_sets)
@@ -81,11 +81,30 @@ VERB_KEYS = {verb: {"seed", "output.dir", *keys.split()} for verb, keys in {
                   "divergence.beta_star grid.lo grid.hi grid.points",
 }.items()}
 
+# The keys that only some values of a switch key read: switch -> (default,
+# {value: its keys}).  A key that the selected value does not read is refused
+# like an unknown key; a missing or unknown value is left to the verb.
+_BRANCH_KEYS = {
+    "dgp.model": (None, {"mnl": "dgp.beta_star",
+                         "mmnl": "dgp.t dgp.mu_star dgp.sigma_star"}),
+    "protocol.kind": (None, {"uniform_wor": "protocol.m",
+                             "importance_independent": "protocol.inclusion_probs"}),
+    "correction.sets": ("full", {"full": "",
+                                 "sampled": "inputs.sets correction.mode"}),
+    "fit.estimator": ("mnl", {"mnl": "", "mmnl_msl": "fit.wn_mode fit.r_draws"}),
+    "bayes.method": (None, {
+        "rw_metropolis": "bayes.chains bayes.proposal_scale prior.mean prior.cov",
+        "gibbs": "bayes.thin bayes.rho bayes.store_beta_n prior.m0 prior.a0 "
+                 "prior.s0 prior.v0"}),
+}
+
 
 def parse_config_text(text: str, keys: set[str],
                       source: str = "<config>") -> dict[str, str]:
-    """Key/value pairs of a config whose keys must all be in ``keys``."""
+    """Key/value pairs of a config whose keys must all be in ``keys`` and
+    be read under the switch values it selects."""
     pairs: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,6 +123,15 @@ def parse_config_text(text: str, keys: set[str],
         if key == "seed":
             _check_seed(value, f"{source}:{lineno}")
         pairs[key] = value
+        lines[key] = lineno
+    for switch, (default, branches) in _BRANCH_KEYS.items():
+        value = pairs.get(switch, default)
+        unread = [key for other, names in branches.items() if other != value
+                  for key in names.split() if key in pairs]
+        if switch in keys and value in branches and unread:
+            key = min(unread, key=lines.get)
+            raise ConfigError(f"{source}:{lines[key]}: unknown key {key!r} "
+                              f"with {switch} = {value}")
     return pairs
 
 
@@ -122,10 +150,9 @@ def _check_seed(value: str, where: str) -> None:
 class Config:
     """Typed access to the flat key/value pairs, with pointed errors."""
 
-    def __init__(self, pairs: dict[str, str], keys: set[str], path: Path):
+    def __init__(self, pairs: dict[str, str], keys: set[str]):
         self.pairs = pairs
         self.keys = keys
-        self.path = path
 
     def get(self, key: str, default=_MISSING) -> str:
         assert key in self.keys, f"{key!r} is read but not declared"
@@ -175,7 +202,7 @@ def parse_config_file(path, keys: set[str]) -> Config:
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
     return Config(parse_config_text(p.read_text(encoding="utf-8"), keys, str(p)),
-                  keys, p)
+                  keys)
 
 
 def build_protocol(cfg: Config) -> Protocol:
@@ -198,6 +225,13 @@ def build_grid(cfg: Config, K: int) -> GridSpec:
     return GridSpec.make(cfg.get_vector("grid.lo", K, np.full(K, -8.0)),
                          cfg.get_vector("grid.hi", K, np.full(K, 8.0)),
                          [cfg.get_int("grid.points", 201)] * K)
+
+
+def _finite(key: str, values: np.ndarray | None) -> np.ndarray | None:
+    """``values``, unless one of them is not finite."""
+    if values is not None and not np.all(np.isfinite(values)):
+        raise ConfigError(f"config key {key!r}: {values.tolist()} is not finite")
+    return values
 
 
 def _square_from(values: np.ndarray, K: int, key: str) -> np.ndarray:
@@ -229,7 +263,7 @@ def load_sets(cfg: Config, dataset: Dataset,
     path = Path(cfg.get("inputs.sets"))
     if not path.is_file():
         raise ConfigError(f"referenced sets file {path} does not exist")
-    sets, meta = storage.read_sets_csv(path, dataset.n_obs, dataset.J)
+    sets, meta = storage.read_sets_csv(path, dataset.chosen_ids(), dataset.J)
     storage.verify_lineage(meta, "dataset_hash", dataset_hash, str(path))
     return sets, cfg.get("correction.mode", "mcfadden")
 
@@ -245,7 +279,8 @@ def cmd_generate(cfg: Config, out_dir: Path, chash: str) -> None:
     law = cfg.get("dgp.covariate_law", "standard_normal")
     if model == "mnl":
         dgp = MnlDgpConfig(N=cfg.get_int("dgp.n"), J=cfg.get_int("dgp.j"), K=K,
-                           beta_star=UtilityParams(cfg.get_floats("dgp.beta_star")),
+                           beta_star=_finite("dgp.beta_star",
+                                             cfg.get_floats("dgp.beta_star")),
                            covariate_law=law, seed=seed)
         dataset = generate_mnl(dgp)
     elif model == "mmnl":
@@ -285,19 +320,17 @@ def cmd_fit(cfg: Config, out_dir: Path, chash: str) -> None:
     if estimator == "mnl":
         result = fit_mnl(dataset, sampled, mode)
         names = [f"beta_{k + 1}" for k in range(dataset.K)]
-        values = result.estimate.beta
     elif estimator == "mmnl_msl":
         result = fit_mmnl_msl(dataset, sampled, mode,
                               wn_mode=cfg.get("fit.wn_mode", "exact_full_set"),
                               r_draws=cfg.get_int("fit.r_draws", 100))
         names = theta_labels(dataset.K)
-        values = result.estimate
     else:
         raise ConfigError("config key 'fit.estimator' must be 'mnl' or 'mmnl_msl'")
 
     rows = [(run_id, chash, f"estimate[{name}]", float(value),
              f"se={float(se)!r}")
-            for name, value, se in zip(names, values, result.std_errors)]
+            for name, value, se in zip(names, result.estimate, result.std_errors)]
     if estimator == "mmnl_msl":
         rows += [(run_id, chash, f"sigma[{i + 1},{j + 1}]",
                   float(result.sigma[i, j]), "")
@@ -315,12 +348,6 @@ def cmd_fit(cfg: Config, out_dir: Path, chash: str) -> None:
 
 def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
     method = cfg.get("bayes.method")
-    # A method accepts only the keys it reads: the file is checked again
-    # without the keys that only the other method reads.
-    other = {"rw_metropolis": "bayes.thin bayes.rho bayes.store_beta_n "
-                              "prior.m0 prior.a0 prior.s0 prior.v0",
-             "gibbs": "bayes.chains bayes.proposal_scale prior.mean prior.cov"}
-    parse_config_file(cfg.path, cfg.keys - set(other.get(method, "").split()))
     dataset, ds_hash = load_dataset(cfg)
     sampled, mode = load_sets(cfg, dataset, ds_hash)
     seed = cfg.get_int("seed")
@@ -361,7 +388,6 @@ def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
             "config key 'bayes.method' must be 'rw_metropolis' or 'gibbs'")
 
     summary = posterior_summary(draws)
-    summary.param_names = draws.param_names
     headers = {"config_hash": chash, "command": "bayes", "dataset_hash": ds_hash}
     draws_path = out_dir / "draws.csv"
     summary_path = out_dir / "summary.csv"
@@ -395,7 +421,7 @@ def _realized_sets(feasible: SetTable, chosen: np.ndarray) -> SetTable:
 
 
 def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
-                    protocol: Protocol, beta_star: UtilityParams, prior: Prior,
+                    protocol: Protocol, beta_star: np.ndarray, prior: Prior,
                     grid: GridSpec) -> list:
     report = dlab.build_divergence_report(design, protocol, mode, beta_star,
                                           prior, grid)
@@ -407,7 +433,7 @@ def _divergence_row(design_id: int, label: str, mode: str, design: Dataset,
                             check_doubling=False)
     llr, log_ibf = kl_decomposition(p_true, p_samp)
     resid_decomp = abs(kl_divergence_grid(p_true, p_samp) - (llr + log_ibf))
-    return [design_id, label, mode, ";".join(map(repr, beta_star.beta.tolist())),
+    return [design_id, label, mode, ";".join(map(repr, beta_star.tolist())),
             *(getattr(report, name) for name in _DIVERGENCE_FIELDS[4:-1]),
             resid_decomp]
 
@@ -440,7 +466,8 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
             "cannot correct it")
     prior = build_prior(cfg, K)
     grid = build_grid(cfg, K)
-    beta_cfg = cfg.get_vector("divergence.beta_star", K, None)
+    beta_cfg = _finite("divergence.beta_star",
+                       cfg.get_vector("divergence.beta_star", K, None))
 
     # Every row is checked against the enumeration caps before the first
     # is computed, so a run that will be refused does no work.
@@ -448,9 +475,8 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
     for d in range(n_designs):
         rng = derive_stream(seed, 3, d)
         X = rng.normal(size=(T, J, K))
-        beta_star = UtilityParams(rng.normal(size=K) if beta_cfg is None
-                                  else beta_cfg)
-        P = np.exp(log_softmax(X @ beta_star.beta, axis=1))
+        beta_star = rng.normal(size=K) if beta_cfg is None else beta_cfg
+        P = np.exp(log_softmax(X @ beta_star, axis=1))
         chosen = np.minimum((rng.random(T)[:, None] >= np.cumsum(P, axis=1))
                             .sum(axis=1), J - 1)
         design = Dataset.from_arrays(X, chosen)

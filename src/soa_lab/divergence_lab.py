@@ -39,8 +39,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from .grids import GridSpec, log_trapezoid
-from .model_core import (SetTable, UtilityParams, log_softmax, log_sum_exp,
-                         utilities)
+from .model_core import SetTable, log_softmax, log_sum_exp, utilities
 # perfbench/tracing.py looks up enumerate_sets here.
 from .protocols import (Protocol, correction_vector, enumerate_feasible_sets,  # noqa: F401
                         enumerate_sets, feasible_pair_count)
@@ -109,7 +108,7 @@ def _set_kernel(X: np.ndarray, sets: SetTable, mode: str, beta):
     """The corrected softmax of every observation of an (n, J, K) attribute
     array over every row of ``sets``.
 
-    ``beta`` is UtilityParams, one point (K,) or a batch (P, K); a batch puts
+    ``beta`` is one point (K,) or a batch (P, K); a batch puts
     a leading P axis on every output except ``c``.  For S rows of width m:
 
     * ``log_r`` (n, S): log coverage ln R(D);
@@ -137,7 +136,7 @@ def _set_kernel(X: np.ndarray, sets: SetTable, mode: str, beta):
 def _blocks(design, sets: SetTable, *betas) -> list[slice]:
     """Slices of the design's observations: as many per block as keep the
     (P, n, S, m) kernel at the largest of ``betas`` in ``_BLOCK_CELLS``, >= 1."""
-    points = max(np.size(getattr(b, "beta", b)) for b in betas) // design.K
+    points = max(np.size(b) for b in betas) // design.K
     rows = max(1, _BLOCK_CELLS // (points * sets.member_ids.size))
     return [slice(lo, lo + rows) for lo in range(0, design.n_obs, rows)]
 
@@ -462,7 +461,7 @@ def protocol_comparison(designs: list, protocols: list[tuple[str, Protocol]],
 
 
 def build_divergence_report(design, protocol: Protocol, correction_mode: str,
-                            beta_star: UtilityParams, prior,
+                            beta_star: np.ndarray, prior,
                             grid: GridSpec) -> DivergenceReport:
     """Every oracle quantity of one ``divergence.csv`` row, each oracle
     evaluated once at beta = beta_star, where expected_divergence =

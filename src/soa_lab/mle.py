@@ -23,14 +23,13 @@ arrays, which every objective and score evaluation overwrites in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .draws import halton_normal_draws
 from .errors import InvalidInputError
-from .model_core import (Dataset, SetTable, UtilityParams, log_softmax,
-                         shifted_log_sum)
+from .model_core import Dataset, SetTable, log_softmax, shifted_log_sum
 # hessian_from_f is not called here; perfbench/tracing.py wraps it by name
 # as mle.hessian_from_f, until the run trace moves into the package.
 from .optimize import (hessian_from_f, hessian_from_grad,  # noqa: F401
@@ -44,20 +43,18 @@ WN_MODES = ("naive_one", "exact_full_set")
 class FitResult:
     """Outcome of one maximization.
 
-    ``estimate`` is UtilityParams for the fixed-coefficient model and the
-    packed (mu, vech L with log-diagonal) vector for the mixing model, in
-    which case ``mu``/``sigma``/``chol`` carry the decoded values.
+    ``estimate`` is beta (K,) for the fixed-coefficient model and the packed
+    (mu, vech L with log-diagonal) vector for the mixing model, in which
+    case ``mu`` and ``sigma`` carry the decoded values.
     """
 
-    estimate: object
+    estimate: np.ndarray
     std_errors: np.ndarray
     loglik: float
     converged: bool
     iterations: int
     mu: np.ndarray | None = None
     sigma: np.ndarray | None = None
-    chol: np.ndarray | None = None
-    notes: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -199,32 +196,16 @@ class ChoiceArrays:
 # fixed-coefficient quasi likelihood
 # ---------------------------------------------------------------------------
 
-def quasi_loglik(dataset: Dataset, sampled: SetTable | None,
-                 corrections: str, beta: UtilityParams) -> float:
-    """Corrected log-likelihood over each observation's evaluation set."""
-    return ChoiceArrays(dataset, sampled, corrections).loglik(beta.beta)
-
-
-def quasi_loglik_grad(dataset: Dataset, sampled: SetTable | None,
-                      corrections: str, beta: UtilityParams) -> np.ndarray:
-    """Analytic gradient: sum_n [ x_chosen - sum_j P_j x_j ]."""
-    return ChoiceArrays(dataset, sampled, corrections).score(beta.beta)
-
-
 def fit_mnl(dataset: Dataset, sampled: SetTable | None = None,
-            corrections: str = "mcfadden", init: UtilityParams | None = None,
-            tol: float = 1e-6, max_iter: int = 200) -> FitResult:
-    """Maximize the quasi log-likelihood; concave, so converged == global.
-
-    Non-convergence is reported through the result, not raised.
+            corrections: str = "mcfadden") -> FitResult:
+    """Maximize the quasi log-likelihood from beta = 0, to the optimizer's
+    default tolerance; concave, so converged == global.  Non-convergence is
+    reported through the result, not raised.
     """
     likelihood = ChoiceArrays(dataset, sampled, corrections)
-    x0 = np.zeros(dataset.K) if init is None else init.beta.copy()
-    res = maximize(likelihood.loglik, likelihood.score, x0, tol=tol,
-                   max_iter=max_iter)
+    res = maximize(likelihood.loglik, likelihood.score, np.zeros(dataset.K))
     se = std_errors_from_hessian(hessian_from_grad(likelihood.score, res.x))
-    return FitResult(UtilityParams(res.x), se, res.f, res.converged,
-                     res.iterations)
+    return FitResult(res.x, se, res.f, res.converged, res.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +386,7 @@ class _SimulatedLikelihood:
 
 def fit_mmnl_msl(dataset: Dataset, sampled: SetTable | None,
                  corrections: str, wn_mode: str, r_draws: int,
-                 init: np.ndarray | None = None, tol: float = 1e-3,
-                 max_iter: int = 200) -> FitResult:
+                 init: np.ndarray | None = None) -> FitResult:
     """Maximum simulated likelihood for the normal-mixing panel logit.
 
     The objective is :class:`_SimulatedLikelihood`'s, on a Halton draw
@@ -414,8 +394,9 @@ def fit_mmnl_msl(dataset: Dataset, sampled: SetTable | None,
     ``wn_mode='naive_one'`` sets the expansion factor to one;
     ``sampled=None`` fits on full sets, where it is exactly one and is
     skipped.  Each objective call also computes the score, which the
-    following gradient call at the same point reuses; standard errors come
-    from central differences of the score.
+    following gradient call at the same point reuses; the fit converges at
+    max|score| <= 1e-3.  Standard errors come from central differences of
+    the score.
     """
     if wn_mode not in WN_MODES:
         raise InvalidInputError(f"unknown Wn mode {wn_mode!r}")
@@ -426,11 +407,8 @@ def fit_mmnl_msl(dataset: Dataset, sampled: SetTable | None,
         view, halton_normal_draws(view.n_individuals, r_draws, K), use_wn)
     if init is None:
         init = pack_theta(np.zeros(K), np.exp(-1.0) * np.eye(K))
-    res = maximize(likelihood.loglik, likelihood.score, init, tol=tol,
-                   max_iter=max_iter)
+    res = maximize(likelihood.loglik, likelihood.score, init, tol=1e-3)
     se = std_errors_from_hessian(hessian_from_grad(likelihood.score, res.x))
     mu, L = unpack_theta(res.x, K)
     return FitResult(res.x, se, res.f, res.converged, res.iterations,
-                     mu=mu, sigma=L @ L.T, chol=L,
-                     notes={"wn_mode": wn_mode, "wn_denominator": "panel",
-                            "r_draws": r_draws})
+                     mu=mu, sigma=L @ L.T)

@@ -142,20 +142,6 @@ class Dataset:
 
 
 @dataclass
-class UtilityParams:
-    """Linear-in-attributes utility coefficients."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float)
-        if self.beta.ndim != 1:
-            raise InvalidInputError("beta must be a 1-d vector")
-        if not np.all(np.isfinite(self.beta)):
-            raise InvalidInputError("beta must be finite")
-
-
-@dataclass
 class SampledSet:
     """A drawn subset of one observation's alternatives.
 
@@ -299,11 +285,11 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def utilities(X: np.ndarray, params) -> np.ndarray:
+def utilities(X: np.ndarray, beta) -> np.ndarray:
     """Linear utilities x'beta of an (..., J, K) attribute array: (..., J)
-    for UtilityParams or one point (K,), (P, ..., J) for a batch (P, K)."""
+    at one point (K,), (P, ..., J) for a batch (P, K)."""
     X = np.asarray(X, dtype=float)
-    beta = np.asarray(getattr(params, "beta", params), dtype=float)
+    beta = np.asarray(beta, dtype=float)
     if X.shape[-1] != beta.shape[-1]:
         raise InvalidInputError("parameter length does not match attributes")
     return (beta @ X.reshape(-1, X.shape[-1]).T).reshape(beta.shape[:-1]

@@ -227,9 +227,12 @@ def write_sets_csv(path, sets: SetTable, headers: dict[str, str]) -> None:
                     sets.log_cond_prob[keep]])
 
 
-def read_sets_csv(path, n_obs: int, J: int) -> tuple[SetTable, dict[str, str]]:
-    """Sampled sets for observations 0..n_obs-1 of a dataset with J
-    alternatives; a bad row names its line, a bad set its first line."""
+def read_sets_csv(path, chosen: np.ndarray,
+                  J: int) -> tuple[SetTable, dict[str, str]]:
+    """Sampled sets, each holding its observation's ``chosen`` id, of a
+    dataset with J alternatives; a bad row names its line, a bad set its
+    first line."""
+    n_obs = len(chosen)
     meta, fields, skip = _read_head(path)
     if fields != _SETS_FIELDS:
         raise InvalidInputError(f"{path} is not a sampled-sets file")
@@ -251,6 +254,9 @@ def read_sets_csv(path, n_obs: int, J: int) -> tuple[SetTable, dict[str, str]]:
     repeated[o[1:][(o[1:] == o[:-1]) & (a[1:] == a[:-1])]] = True
     _check_rows(path, skip, repeated[obs],
                 lambda k: "sampled set has repeated member ids")
+    lacks = np.bincount(obs, alt == chosen[obs], minlength=n_obs) == 0
+    _check_rows(path, skip, lacks[obs], lambda k: (
+        f"sampled set {obs[k]} lacks its chosen alternative {chosen[obs[k]]}"))
     return SetTable.from_flat(obs, alt, lcp, n_obs), meta
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model_core import Dataset, UtilityParams, log_softmax
+from .model_core import Dataset, log_softmax
 
 COVARIATE_LAWS = ("standard_normal", "uniform_0_1")
 
@@ -25,7 +25,7 @@ class MnlDgpConfig:
     N: int
     J: int
     K: int
-    beta_star: UtilityParams
+    beta_star: np.ndarray
     covariate_law: str = "standard_normal"
     seed: int = 0
 
@@ -34,8 +34,11 @@ class MnlDgpConfig:
             raise InvalidInputError("N, J, K must all be >= 1")
         if self.covariate_law not in COVARIATE_LAWS:
             raise InvalidInputError(f"unknown covariate law {self.covariate_law!r}")
-        if self.beta_star.beta.shape != (self.K,):
+        self.beta_star = np.asarray(self.beta_star, dtype=float)
+        if self.beta_star.shape != (self.K,):
             raise InvalidInputError("beta_star length must equal K")
+        if not np.all(np.isfinite(self.beta_star)):
+            raise InvalidInputError("beta_star must be finite")
 
 
 @dataclass
@@ -97,7 +100,7 @@ def generate_mnl(config: MnlDgpConfig) -> Dataset:
     """Simulate a cross-sectional logit dataset at the true beta."""
     rng = np.random.default_rng(config.seed)
     X = _draw_covariates(rng, config.covariate_law, (config.N, config.J, config.K))
-    beta_rows = np.broadcast_to(config.beta_star.beta, (config.N, config.K))
+    beta_rows = np.broadcast_to(config.beta_star, (config.N, config.K))
     chosen = _draw_choices(rng, X, beta_rows)
     return Dataset.from_arrays(X, chosen)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      MmnlDgpConfig, MmnlPriors, MnlDgpConfig,
-                     Prior, Protocol, SetTable, UtilityParams,
+                     Prior, Protocol, SetTable,
                      divergence_uniform_closed_form, draw_sampled_set,
                      draw_set_table,
                      enumerate_feasible_sets, enumerate_sets,
@@ -23,7 +23,7 @@ from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      kl_divergence_grid, kl_term_a_entropy_form, kl_terms,
                      log_posterior_kernel, log_softmax, MixingState,
                      protocol_comparison,
-                     quasi_loglik, quasi_loglik_grad, run_gibbs, rw_metropolis,
+                     run_gibbs, rw_metropolis,
                      sigma_posterior_params)
 from soa_lab.cli import main as cli_main
 from soa_lab.optimize import central_diff_grad
@@ -114,7 +114,7 @@ def test_criterion_03_entropy_consistency():
     shifts = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
     design = Dataset.from_arrays(rng.normal(shifts, 0.5, size=(6, 4))[..., None],
                                  np.zeros(6, dtype=int))
-    bstar = UtilityParams([0.5])
+    bstar = np.array([0.5])
     uni = Protocol("uniform_wor", m=2)
     imp = Protocol("importance_independent",
                    inclusion_probs=np.array([0.1, 0.3, 0.6, 0.9]))
@@ -149,7 +149,7 @@ def test_criterion_04_divergence_identities():
         K = int(rng.integers(1, 3))
         obs = Dataset.from_arrays(rng.normal(size=(1, J, K)),
                                   [int(rng.integers(J))])
-        bstar = UtilityParams(rng.normal(size=K))
+        bstar = rng.normal(size=K)
         if trial % 2 == 0:
             proto = Protocol("uniform_wor", m=int(rng.integers(2, J)))
             mode = "mcfadden"
@@ -247,12 +247,12 @@ def test_criterion_06_classical_recovery():
     beta_star = np.array([1.0, -0.5])
 
     ds_a = generate_mnl(MnlDgpConfig(N=2000, J=10, K=2,
-                                     beta_star=UtilityParams(beta_star),
+                                     beta_star=beta_star,
                                      seed=61))
     sets_a = draw_set_table(Protocol("uniform_wor", m=4), ds_a.chosen_ids(),
                             ds_a.J, 62)
     fa = fit_mnl(ds_a, sets_a, "none")
-    dev_a = np.abs(fa.estimate.beta - beta_star) / fa.std_errors
+    dev_a = np.abs(fa.estimate - beta_star) / fa.std_errors
 
     rng = np.random.default_rng(63)
     shifts = np.linspace(-1.0, 1.0, 10)
@@ -267,8 +267,8 @@ def test_criterion_06_classical_recovery():
     sets_b = draw_set_table(proto, ds_b.chosen_ids(), ds_b.J, 64)
     fb = fit_mnl(ds_b, sets_b, "mcfadden")
     fc = fit_mnl(ds_b, sets_b, "none")
-    dev_b = np.abs(fb.estimate.beta - beta_star) / fb.std_errors
-    dev_c = np.abs(fc.estimate.beta - beta_star) / fc.std_errors
+    dev_b = np.abs(fb.estimate - beta_star) / fb.std_errors
+    dev_c = np.abs(fc.estimate - beta_star) / fc.std_errors
 
     ok = (fa.converged and fb.converged and fc.converged
           and np.all(dev_a < 3.0) and np.all(dev_b < 3.0)
@@ -293,17 +293,16 @@ def test_criterion_07_gradient_check():
         K = int(rng.integers(1, 4))
         ds = Dataset.from_arrays(rng.normal(size=(N, J, K)),
                                  rng.integers(0, J, size=N))
-        beta = UtilityParams(rng.normal(scale=0.8, size=K))
+        beta = rng.normal(scale=0.8, size=K)
         if probe % 2 == 0:
             sets, mode = None, "none"
         else:
             proto = Protocol("uniform_wor", m=int(rng.integers(2, J + 1)))
             sets = draw_set_table(proto, ds.chosen_ids(), ds.J, probe)
             mode = "mcfadden"
-        g = quasi_loglik_grad(ds, sets, mode, beta)
-        fd = central_diff_grad(
-            lambda b: quasi_loglik(ds, sets, mode, UtilityParams(b)),
-            beta.beta)
+        likelihood = ChoiceArrays(ds, sets, mode)
+        g = likelihood.score(beta)
+        fd = central_diff_grad(likelihood.loglik, beta)
         rel = float(np.max(np.abs(g - fd))) / max(1.0, float(np.max(np.abs(fd))))
         worst = max(worst, rel)
     _report(7, "gradient check", worst <= 1e-6, time.perf_counter() - t0,
@@ -319,7 +318,7 @@ def test_criterion_08_bayes_mnl():
     prior = Prior(np.zeros(1), 4.0 * np.eye(1))
     grid = GridSpec.make(-8.0, 8.0, 201)
     ds = generate_mnl(MnlDgpConfig(N=100, J=4, K=1,
-                                   beta_star=UtilityParams([0.7]), seed=81))
+                                   beta_star=np.array([0.7]), seed=81))
     full = grid_posterior(ds, None, prior, grid, check_doubling=False)
     likelihood = ChoiceArrays(ds, None, "none")
     kern = lambda x: log_posterior_kernel(x, likelihood, prior)
@@ -353,13 +352,13 @@ def test_criterion_08_bayes_mnl():
     chains_equal = bool(np.array_equal(chains[0].draws, chains[1].draws))
 
     ds_big = generate_mnl(MnlDgpConfig(N=4000, J=4, K=1,
-                                       beta_star=UtilityParams([0.7]),
+                                       beta_star=np.array([0.7]),
                                        seed=83))
     mle = fit_mnl(ds_big)
     post = grid_posterior(ds_big, None, Prior(np.zeros(1), 100.0 * np.eye(1)),
                           grid, check_doubling=False)
     pmean = float(np.sum(post.weights * post.density * post.points[:, 0]))
-    bvm_dev = abs(pmean - mle.estimate.beta[0]) / mle.std_errors[0]
+    bvm_dev = abs(pmean - mle.estimate[0]) / mle.std_errors[0]
 
     ok = tv < 0.02 and grids_equal and chains_equal and bvm_dev < 3.0
     _report(8, "Bayesian MNL", ok, time.perf_counter() - t0, 300.0,

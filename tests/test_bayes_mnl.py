@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from metropolis_reference import reference_metropolis
 from soa_lab import (ChoiceArrays, GridSpec, InsufficientDrawsError,
                      InvalidInputError, MnlDgpConfig, PosteriorDraws, Prior,
-                     Protocol, UnsupportedDimensionError, UtilityParams,
+                     Protocol, UnsupportedDimensionError,
                      draw_set_table, generate_mnl, grid_posterior,
                      kl_decomposition, kl_divergence_grid,
-                     log_posterior_kernel, posterior_summary, quasi_loglik,
-                     rw_metropolis)
+                     log_posterior_kernel, posterior_summary, rw_metropolis)
 
 GRID = GridSpec.make(-8.0, 8.0, 201)
 
 
 def small_problem(seed=0, N=40, J=4, K=1, beta=0.7):
     cfg = MnlDgpConfig(N=N, J=J, K=K,
-                       beta_star=UtilityParams(np.full(K, beta)), seed=seed)
+                       beta_star=np.full(K, beta), seed=seed)
     ds = generate_mnl(cfg)
     prior = Prior(np.zeros(K), 4.0 * np.eye(K))
     return ds, prior
@@ -36,11 +35,10 @@ def sampled_pair(ds, protocol, seed, mode):
 
 def test_kernel_is_prior_plus_loglik():
     ds, prior = small_problem()
-    b = UtilityParams([0.3])
-    want = (prior.log_density(np.array([0.3]))
-            + quasi_loglik(ds, None, "none", b))
+    b = np.array([0.3])
     likelihood = ChoiceArrays(ds, None, "none")
-    assert abs(log_posterior_kernel(b.beta, likelihood, prior) - want) < 1e-12
+    want = prior.log_density(b) + likelihood.loglik(b)
+    assert abs(log_posterior_kernel(b, likelihood, prior) - want) < 1e-12
 
 
 def test_grid_posterior_normalizes_and_converges():
@@ -71,7 +69,7 @@ def test_grid_posterior_guards():
     with pytest.raises(InvalidInputError):
         grid_posterior(ds, None, prior, GridSpec.make((-8, -8), (8, 8), 61))
     cfg = MnlDgpConfig(N=10, J=3, K=3,
-                       beta_star=UtilityParams(np.zeros(3)), seed=1)
+                       beta_star=np.zeros(3), seed=1)
     ds3 = generate_mnl(cfg)
     with pytest.raises(UnsupportedDimensionError):
         grid_posterior(ds3, None, Prior(np.zeros(3), np.eye(3)),

@@ -676,6 +676,23 @@ def test_divergence_refuses_a_non_finite_prior(tmp_path, capsys, key):
     assert not (out / "divergence.csv").exists()
 
 
+@pytest.mark.parametrize("verb,settings,key", [
+    ("generate", "dgp.model=mnl\ndgp.n=6\ndgp.j=3\ndgp.k=1\n"
+                 "dgp.beta_star=nan", "dgp.beta_star"),
+    ("divergence", "divergence.beta_star=inf", "divergence.beta_star"),
+], ids=["generate", "divergence"])
+def test_a_non_finite_beta_star_is_exit_2_naming_the_key(tmp_path, capsys,
+                                                        verb, settings, key):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "b.cfg",
+                       f"{settings}\nseed=2\noutput.dir={out}\n")
+    assert run([verb, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err and "is not finite" in err
+    assert "Traceback" not in err
+    assert list(out.glob("*.csv")) == []
+
+
 @pytest.mark.parametrize("settings,key", [
     ("divergence.beta_star=1, 2", "divergence.beta_star"),
     ("divergence.k=2\nprior.mean=1, 2, 3", "prior.mean"),
@@ -771,6 +788,30 @@ def test_malformed_sets_are_exit_2_naming_the_line(tmp_path, capsys, edit):
     assert run(["fit", "--config", run_config(tmp_path, dataset, sets)]) == 2
     err = capsys.readouterr().err
     assert f"{sets}:{lineno}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb,settings", [
+    ("fit", "fit.estimator=mnl"),
+    ("bayes", "bayes.method=rw_metropolis\nbayes.iterations=200\n"
+              "bayes.burn_in=100"),
+])
+def test_a_set_without_its_chosen_alternative_is_exit_2_naming_the_line(
+        tmp_path, capsys, verb, settings):
+    """Without observation 0's record of its chosen alternative, the error
+    used to name the set but not the file and line."""
+    dataset = pipeline_generate(tmp_path, n=10)
+    sets = sample_sets(tmp_path, dataset)
+    chosen = read_dataset_csv(dataset)[0].chosen_ids()[0]
+    lines = [ln for ln in sets.read_text().splitlines()
+             if not ln.startswith(f"0,{chosen},")]
+    sets.write_text("".join(ln + "\n" for ln in lines))
+    lineno = next(i for i, ln in enumerate(lines, 1) if ln.startswith("0,"))
+    cfg = run_config(tmp_path, dataset, sets, extra=settings)
+    assert run([verb, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert (f"{sets}:{lineno}: sampled set 0 lacks its chosen alternative "
+            f"{chosen}") in err
     assert "Traceback" not in err
 
 
@@ -899,3 +940,41 @@ output.dir={out}
     assert f"{cfg}:3: unknown key {key!r}" in err
     assert "Traceback" not in err
     assert not (out / "draws.csv").exists()
+
+
+@pytest.mark.parametrize("verb,settings,key,selected", [
+    ("generate", "dgp.model=mnl\ndgp.n=6\ndgp.j=3\ndgp.k=1\n"
+                 "dgp.beta_star=1\ndgp.t=3", "dgp.t", "dgp.model = mnl"),
+    ("generate", "dgp.model=mmnl\ndgp.n=6\ndgp.t=2\ndgp.j=3\ndgp.k=1\n"
+                 "dgp.mu_star=1\ndgp.sigma_star=1\ndgp.beta_star=1",
+     "dgp.beta_star", "dgp.model = mmnl"),
+    ("sample", "protocol.kind=uniform_wor\nprotocol.m=2\n"
+               "protocol.inclusion_probs=0.5", "protocol.inclusion_probs",
+     "protocol.kind = uniform_wor"),
+    ("sample", "protocol.kind=importance_independent\n"
+               "protocol.inclusion_probs=0.5\nprotocol.m=2", "protocol.m",
+     "protocol.kind = importance_independent"),
+    ("fit", "correction.mode=mcfadden\ninputs.sets=missing.csv",
+     "correction.mode", "correction.sets = full"),
+    ("fit", "fit.estimator=mnl\nfit.wn_mode=naive_one\nfit.r_draws=5",
+     "fit.wn_mode", "fit.estimator = mnl"),
+    ("bayes", "bayes.method=gibbs\nbayes.iterations=200\nbayes.burn_in=100\n"
+              "bayes.chains=4", "bayes.chains", "bayes.method = gibbs"),
+], ids=["dgp_mnl", "dgp_mmnl", "protocol_uniform", "protocol_importance",
+        "correction_full", "fit_mnl", "bayes_gibbs"])
+def test_a_key_the_selected_branch_does_not_read_is_exit_2(
+        tmp_path, capsys, verb, settings, key, selected):
+    """Apart from bayes, each of these runs used to finish with the key
+    ignored; now the key's line is named, with the switch that left it
+    unread."""
+    dataset = pipeline_generate(tmp_path, name="panel", model="mmnl", n=6, j=3)
+    lines = ([] if verb == "generate" else [f"inputs.dataset={dataset}"])
+    lines += [*settings.split("\n"), "seed=1", f"output.dir={tmp_path / 'o'}"]
+    cfg = write_config(tmp_path / "c.cfg", "\n".join(lines) + "\n")
+    lineno = next(i for i, ln in enumerate(lines, 1)
+                  if ln.startswith(f"{key}="))
+    assert run([verb, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{lineno}: unknown key {key!r} with {selected}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import joint_reference
 from soa_lab import divergence_lab
 from soa_lab import (CapacityError, Dataset, GridSpec, InvalidInputError,
-                     Prior, Protocol, UtilityParams, build_divergence_report, coverage_r,
+                     Prior, Protocol, build_divergence_report, coverage_r,
                      divergence_uniform_closed_form, enumerate_feasible_sets,
                      enumerate_sets, expected_divergence,
                      expected_divergence_direct, expected_kl_direct,
@@ -37,7 +37,7 @@ def desk_design():
     return Dataset.from_arrays(DESK_X, [2, 0])
 
 
-BSTAR = UtilityParams([0.8])
+BSTAR = np.array([0.8])
 UNI = Protocol("uniform_wor", m=2)
 IMP = Protocol("importance_independent",
                inclusion_probs=np.array([0.8, 0.6, 0.4, 0.2]))
@@ -106,7 +106,7 @@ def test_coverage_is_third_for_pairs_with_equal_utilities():
     proto = Protocol("uniform_wor", m=2)
     feasible = enumerate_feasible_sets(proto, 3)
     assert len(feasible) == 3
-    for r in coverage_r(obs, feasible, UtilityParams([0.0]))[0]:
+    for r in coverage_r(obs, feasible, np.array([0.0]))[0]:
         assert abs(r - 1.0 / 3.0) < 1e-14
 
 
@@ -116,7 +116,7 @@ def test_coverage_sums_to_one_and_stays_in_unit_interval():
         J = int(rng.integers(3, 7))
         m = int(rng.integers(2, J + 1))
         obs = random_observation(rng, J, 2)
-        beta = UtilityParams(rng.normal(size=2))
+        beta = rng.normal(size=2)
         proto = (Protocol("uniform_wor", m=m) if trial % 2 == 0 else
                  Protocol("importance_independent",
                           inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
@@ -133,7 +133,7 @@ def test_full_coverage_when_set_is_everything():
     proto = Protocol("uniform_wor", m=4)
     feasible = enumerate_feasible_sets(proto, 4)
     assert len(feasible) == 1
-    r, = coverage_r(obs, feasible, UtilityParams(rng.normal(size=1)))[0]
+    r, = coverage_r(obs, feasible, rng.normal(size=1))[0]
     assert abs(r - 1.0) < 1e-14
 
 
@@ -152,8 +152,8 @@ def test_choice_first_equals_set_first():
     for _ in range(10):
         J = int(rng.integers(3, 6))
         obs = random_observation(rng, J, 2)
-        bs = UtilityParams(rng.normal(size=2))
-        b = UtilityParams(rng.normal(size=2))
+        bs = rng.normal(size=2)
+        b = rng.normal(size=2)
         for proto in protocols_for(rng, J):
             sets = enumerate_feasible_sets(proto, J)
             for mode in ("mcfadden", "none"):
@@ -167,7 +167,7 @@ def test_divergence_forms_agree_and_match_difference():
     for _ in range(10):
         J = int(rng.integers(3, 6))
         obs = random_observation(rng, J, 1)
-        bs = UtilityParams(rng.normal(size=1))
+        bs = rng.normal(size=1)
         for proto in protocols_for(rng, J):
             sets = enumerate_feasible_sets(proto, J)
             for mode in ("mcfadden", "none"):
@@ -185,7 +185,7 @@ def test_uniform_divergence_closed_form_and_positivity():
         J = int(rng.integers(4, 7))
         m = int(rng.integers(2, J))  # strict subsets
         obs = random_observation(rng, J, 1)
-        bs = UtilityParams(rng.normal(size=1))
+        bs = rng.normal(size=1)
         sets = enumerate_feasible_sets(Protocol("uniform_wor", m=m), J)
         closed = divergence_uniform_closed_form(obs, sets, bs)
         assert closed > 0.0
@@ -195,7 +195,7 @@ def test_uniform_divergence_closed_form_and_positivity():
 def test_uniform_conditioning_is_mode_invariant():
     rng = np.random.default_rng(16)
     obs = random_observation(rng, 5, 2)
-    bs = UtilityParams(rng.normal(size=2))
+    bs = rng.normal(size=2)
     sets = enumerate_feasible_sets(Protocol("uniform_wor", m=3), 5)
     vals = [expected_quasi_ll(obs, sets, bs, bs, mode)
             for mode in ("mcfadden", "none", "uniform_constant")]
@@ -219,7 +219,7 @@ def test_closed_form_takes_any_table_whose_members_share_ln_pi(seed, J, p):
     probability makes the members differ and the table is refused."""
     rng = np.random.default_rng(seed)
     obs = random_observation(rng, J, 1)
-    bs = UtilityParams(rng.normal(size=1))
+    bs = rng.normal(size=1)
     probs = np.full(J, p)
     sets = enumerate_feasible_sets(
         Protocol("importance_independent", inclusion_probs=probs), J)

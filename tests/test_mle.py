@@ -13,12 +13,12 @@ from scipy import stats
 from scipy.stats import qmc
 
 from soa_lab import mle
-from soa_lab import (Dataset, InvalidInputError, MmnlDgpConfig, MnlDgpConfig,
-                     Protocol, SampledSet, SetTable, UtilityParams,
+from soa_lab import (ChoiceArrays, Dataset, InvalidInputError, MmnlDgpConfig,
+                     MnlDgpConfig, Protocol, SampledSet, SetTable,
                      derive_stream, draw_sampled_set, draw_set_table,
                      fit_mmnl_msl, fit_mnl, generate_mmnl, generate_mnl,
-                     halton_normal_draws, log_softmax, pack_theta, quasi_loglik,
-                     quasi_loglik_grad, theta_labels, unpack_theta)
+                     halton_normal_draws, log_softmax, pack_theta,
+                     theta_labels, unpack_theta)
 from soa_lab.draws import halton_points, normal_inv_cdf
 from soa_lab.optimize import central_diff_grad
 from wn_reference import compute_wn, individual_loglik, wn_numerator
@@ -42,7 +42,7 @@ def test_gradient_matches_finite_differences():
         K = int(rng.integers(1, 4))
         X = rng.normal(size=(N, J, K))
         ds = Dataset.from_arrays(X, rng.integers(0, J, size=N))
-        beta = UtilityParams(rng.normal(scale=0.8, size=K))
+        beta = rng.normal(scale=0.8, size=K)
         if probe % 2 == 0:
             sets, mode = None, "none"
         else:
@@ -50,9 +50,9 @@ def test_gradient_matches_finite_differences():
             proto = Protocol("uniform_wor", m=m)
             sets = sampled_for(ds, proto, probe)
             mode = "mcfadden"
-        g = quasi_loglik_grad(ds, sets, mode, beta)
-        fd = central_diff_grad(
-            lambda b: quasi_loglik(ds, sets, mode, UtilityParams(b)), beta.beta)
+        likelihood = ChoiceArrays(ds, sets, mode)
+        g = likelihood.score(beta)
+        fd = central_diff_grad(likelihood.loglik, beta)
         scale = max(1.0, float(np.max(np.abs(fd))))
         worst = max(worst, float(np.max(np.abs(g - fd))) / scale)
     assert worst <= 1e-6
@@ -61,7 +61,7 @@ def test_gradient_matches_finite_differences():
 def test_loglik_value_on_tiny_example():
     # one observation, two alternatives, K=1: ln P(chosen) = -ln(1 + e^{-dv})
     ds = Dataset.from_arrays([[[1.0], [0.0]]], [0])
-    ll = quasi_loglik(ds, None, "none", UtilityParams([2.0]))
+    ll = ChoiceArrays(ds, None, "none").loglik(np.array([2.0]))
     assert abs(ll - (-np.log1p(np.exp(-2.0)))) < 1e-14
 
 
@@ -70,43 +70,41 @@ def test_loglik_value_on_tiny_example():
 # ---------------------------------------------------------------------------
 
 def test_full_set_fit_finds_stationary_point():
-    cfg = MnlDgpConfig(N=400, J=5, K=2, beta_star=UtilityParams([1.0, -0.5]),
+    cfg = MnlDgpConfig(N=400, J=5, K=2, beta_star=np.array([1.0, -0.5]),
                        seed=3)
     ds = generate_mnl(cfg)
     res = fit_mnl(ds)
     assert res.converged
-    g = quasi_loglik_grad(ds, None, "none", res.estimate)
-    assert np.max(np.abs(g)) <= 1e-6
+    likelihood = ChoiceArrays(ds, None, "none")
+    assert np.max(np.abs(likelihood.score(res.estimate))) <= 1e-6
     # local optimality probe
-    ll_hat = quasi_loglik(ds, None, "none", res.estimate)
+    ll_hat = likelihood.loglik(res.estimate)
     rng = np.random.default_rng(0)
     for _ in range(10):
         delta = rng.normal(scale=0.05, size=2)
-        assert quasi_loglik(ds, None, "none",
-                            UtilityParams(res.estimate.beta + delta)) < ll_hat
+        assert likelihood.loglik(res.estimate + delta) < ll_hat
     assert np.all(res.std_errors > 0)
 
 
 def test_full_set_recovery_within_sampling_error():
     beta_star = np.array([1.0, -0.5])
-    cfg = MnlDgpConfig(N=4000, J=6, K=2, beta_star=UtilityParams(beta_star),
-                       seed=21)
+    cfg = MnlDgpConfig(N=4000, J=6, K=2, beta_star=beta_star, seed=21)
     res = fit_mnl(generate_mnl(cfg))
     assert res.converged
-    assert np.all(np.abs(res.estimate.beta - beta_star) < 3 * res.std_errors)
+    assert np.all(np.abs(res.estimate - beta_star) < 3 * res.std_errors)
 
 
 def test_uniform_sampling_modes_agree_bitwise():
     """Uniform conditioning: the correction constant cancels exactly, so the
     whole fit (estimates, SEs, loglik) is bit-identical across modes."""
-    cfg = MnlDgpConfig(N=300, J=6, K=2, beta_star=UtilityParams([0.8, -0.8]),
+    cfg = MnlDgpConfig(N=300, J=6, K=2, beta_star=np.array([0.8, -0.8]),
                        seed=5)
     ds = generate_mnl(cfg)
     sets = sampled_for(ds, Protocol("uniform_wor", m=3), seed=6)
     runs = [fit_mnl(ds, sets, mode)
             for mode in ("mcfadden", "none", "uniform_constant")]
     for other in runs[1:]:
-        assert np.array_equal(runs[0].estimate.beta, other.estimate.beta)
+        assert np.array_equal(runs[0].estimate, other.estimate)
         assert np.array_equal(runs[0].std_errors, other.std_errors)
         assert runs[0].loglik == other.loglik
 
@@ -129,12 +127,12 @@ def test_importance_needs_corrections():
     sets = sampled_for(ds, proto, seed=7)
     corrected = fit_mnl(ds, sets, "mcfadden")
     uncorrected = fit_mnl(ds, sets, "none")
-    assert abs(corrected.estimate.beta[0] - 1.0) < 3 * corrected.std_errors[0]
-    assert abs(uncorrected.estimate.beta[0] - 1.0) > 5 * uncorrected.std_errors[0]
+    assert abs(corrected.estimate[0] - 1.0) < 3 * corrected.std_errors[0]
+    assert abs(uncorrected.estimate[0] - 1.0) > 5 * uncorrected.std_errors[0]
 
 
 def test_sampled_sets_must_align_with_dataset():
-    cfg = MnlDgpConfig(N=10, J=4, K=1, beta_star=UtilityParams([1.0]), seed=1)
+    cfg = MnlDgpConfig(N=10, J=4, K=1, beta_star=np.array([1.0]), seed=1)
     ds = generate_mnl(cfg)
     sets = sampled_for(ds, Protocol("uniform_wor", m=2), seed=2)
     with pytest.raises(InvalidInputError):
@@ -224,7 +222,7 @@ def test_wn_is_one_when_sampled_set_is_full_set():
     obs = Dataset.from_arrays(rng.normal(size=(1, 3, 2)), [1]).observations[0]
     s = SampledSet(np.arange(3), np.zeros(3))  # D = C, pi = 1
     z = rng.normal(size=(8, 2))
-    w = compute_wn(UtilityParams(rng.normal(size=2)),
+    w = compute_wn(rng.normal(size=2),
                    (np.zeros(2), np.eye(2)), obs, s, z)
     assert abs(w - 1.0) < 1e-12
 
@@ -236,7 +234,7 @@ def test_wn_is_one_for_degenerate_mixing():
     proto = Protocol("uniform_wor", m=2)
     s = draw_sampled_set(proto, 2, 4, rng)
     mu = np.array([0.7])
-    w = compute_wn(UtilityParams(mu), (mu, np.eye(1)), obs, s,
+    w = compute_wn(mu, (mu, np.eye(1)), obs, s,
                    np.zeros((1, 1)))
     assert abs(w - 1.0) < 1e-12
 
@@ -251,12 +249,12 @@ def test_wn_matches_bruteforce():
     mu = rng.normal(size=K)
     sigma = np.diag(rng.uniform(0.2, 0.5, size=K))
     z = rng.normal(size=(R, K))
-    beta_draw = UtilityParams(mu + np.linalg.cholesky(sigma) @ z[3])
+    beta_draw = mu + np.linalg.cholesky(sigma) @ z[3]
 
     X = obs.attribute_matrix()
     L = np.linalg.cholesky(sigma)
     pi = np.exp(s.log_cond_prob)
-    p_draw = np.exp(log_softmax(X @ beta_draw.beta))[s.member_ids]
+    p_draw = np.exp(log_softmax(X @ beta_draw))[s.member_ids]
     betas = mu + z @ L.T
     p_mix = np.mean([np.exp(log_softmax(X @ b))[s.member_ids] for b in betas],
                     axis=0)
@@ -312,7 +310,7 @@ def test_msl_expansion_factor_matches_reference(seed, K, importance, n_ind, T,
     for row, obs_id in enumerate(order):
         obs, zn = ds.observations[obs_id], z[obs_id]
         for r in range(R):
-            want = wn_numerator(UtilityParams(mu + L @ zn[r]), obs,
+            want = wn_numerator(mu + L @ zn[r], obs,
                                 sets[obs_id])
             assert abs(num[r, row] - want) <= 1e-12 * max(1.0, want)
 
@@ -351,8 +349,6 @@ def test_msl_naive_and_exact_wn_agree_at_half_coverage():
     naive = fit_mmnl_msl(ds, sets, "mcfadden", wn_mode="naive_one", r_draws=50)
     exact = fit_mmnl_msl(ds, sets, "mcfadden", wn_mode="exact_full_set",
                          r_draws=50)
-    assert naive.notes["wn_mode"] == "naive_one"
-    assert exact.notes["wn_denominator"] == "panel"
     gap = np.abs(naive.estimate - exact.estimate)
     assert np.all(gap < np.maximum(naive.std_errors, 1e-3))
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from soa_lab import (Dataset, InvalidInputError, SampledSet, UtilityParams,
-                     log_softmax, log_sum_exp, utilities)
+from soa_lab import (Dataset, InvalidInputError, SampledSet, log_softmax,
+                     log_sum_exp, utilities)
 from probability_reference import (canonical_corrections, mnl_prob_full,
                                    mnl_prob_sampled_corrected)
 
@@ -96,10 +96,10 @@ def test_log_softmax_rows_with_padding():
 def test_utilities_and_linear_utility_agree():
     ds = Dataset.from_arrays([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]], [2])
     obs = ds.observations[0]
-    beta = UtilityParams([0.5, -0.25])
+    beta = np.array([0.5, -0.25])
     v = utilities(obs.attribute_matrix(), beta)
     for j, alt in enumerate(obs.alternatives):
-        assert v[j] == float(alt.attributes @ beta.beta)  # x'beta, one at a time
+        assert v[j] == float(alt.attributes @ beta)  # x'beta, one at a time
 
 
 def test_dataset_round_trips_between_views():

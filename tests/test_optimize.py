@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from soa_lab import (ChoiceArrays, MnlDgpConfig, Protocol, UtilityParams,
-                     draw_set_table, generate_mnl)
+from soa_lab import (ChoiceArrays, MnlDgpConfig, Protocol, draw_set_table,
+                     generate_mnl)
 from soa_lab.errors import InvalidInputError
 from soa_lab.optimize import (central_diff_grad, hessian_from_f,
                               hessian_from_grad, maximize,
@@ -83,7 +83,7 @@ def test_run_ends_when_the_objective_cannot_resolve_the_ascent():
     shortened step that passes leaves f unchanged.  Such a run must end
     rather than spend its whole iteration budget."""
     ds = generate_mnl(MnlDgpConfig(N=4000, J=20, K=2,
-                                   beta_star=UtilityParams([1.0, -0.5]),
+                                   beta_star=np.array([1.0, -0.5]),
                                    seed=23))
     proto = Protocol("importance_independent",
                      inclusion_probs=np.round(np.linspace(0.2, 0.8, 20), 6))
@@ -123,7 +123,7 @@ def test_fits_near_the_resolution_of_f_still_converge(J, m, seed):
     step that leaves f unchanged ended each short of the tolerance; the
     gradient still falls, so each must converge."""
     ds = generate_mnl(MnlDgpConfig(N=4000, J=J, K=2,
-                                   beta_star=UtilityParams([1.0, -0.5]),
+                                   beta_star=np.array([1.0, -0.5]),
                                    seed=seed))
     sets = None if m is None else draw_set_table(
         Protocol("uniform_wor", m=m), ds.chosen_ids(), ds.J, seed + 1)

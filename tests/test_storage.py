@@ -12,7 +12,7 @@ from csv_reference import fmt, read_csv, read_manifest, render_csv
 from soa_lab import storage
 from soa_lab import (ConfigError, Dataset, InvalidInputError, MnlDgpConfig,
                      PosteriorDraws, Protocol, SampledSet, SetTable,
-                     UtilityParams, config_hash, draw_set_table, file_hash,
+                     config_hash, draw_set_table, file_hash,
                      generate_mnl,
                      posterior_summary, read_dataset_csv, read_sets_csv,
                      verify_lineage, write_csv, write_dataset_csv,
@@ -21,7 +21,7 @@ from soa_lab import (ConfigError, Dataset, InvalidInputError, MnlDgpConfig,
 
 
 def small_dataset(seed=0, N=12, J=4, K=2):
-    cfg = MnlDgpConfig(N=N, J=J, K=K, beta_star=UtilityParams(np.ones(K)),
+    cfg = MnlDgpConfig(N=N, J=J, K=K, beta_star=np.ones(K),
                        seed=seed)
     return generate_mnl(cfg)
 
@@ -164,7 +164,7 @@ def test_sets_round_trip(tmp_path):
                           ds.J, 2)
     p = tmp_path / "s.csv"
     write_sets_csv(p, sets, {"dataset_hash": "xyz"})
-    back, meta = read_sets_csv(p, n_obs=15, J=5)
+    back, meta = read_sets_csv(p, ds.chosen_ids(), J=5)
     assert meta["dataset_hash"] == "xyz"
     assert len(back) == 15
     for s, b in zip(sets, back):
@@ -179,7 +179,7 @@ def test_sets_reader_checks_observation_count(tmp_path):
     p = tmp_path / "s.csv"
     write_sets_csv(p, sets, {})
     with pytest.raises(InvalidInputError):
-        read_sets_csv(p, n_obs=5, J=4)
+        read_sets_csv(p, np.append(ds.chosen_ids(), 0), J=4)
 
 
 def test_a_bad_row_is_named_after_a_logarithmic_number_of_parses(
@@ -353,7 +353,7 @@ def test_bulk_readers_round_trip_bit_for_bit(tmp_path_factory, data):
             st.integers(0, J - 1), min_size=1, max_size=J, unique=True)))
             for _ in range(n))])
     write_sets_csv(d / "s.csv", sets, {})
-    back_sets, _ = read_sets_csv(d / "s.csv", n_obs=n, J=J)
+    back_sets, _ = read_sets_csv(d / "s.csv", sets.member_ids[:, 0], J=J)
     assert np.array_equal(back_sets.member_ids, sets.member_ids)
     assert np.array_equal(back_sets.pad, sets.pad)
     assert back_sets.log_cond_prob.tobytes() == sets.log_cond_prob.tobytes()

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from soa_lab import (InvalidInputError, MmnlDgpConfig, MnlDgpConfig,
-                     UtilityParams, generate_mmnl, generate_mnl, log_softmax)
+                     generate_mmnl, generate_mnl, log_softmax)
 
 
 def test_mnl_generation_is_deterministic():
-    cfg = MnlDgpConfig(N=50, J=4, K=2, beta_star=UtilityParams([1.0, -1.0]),
+    cfg = MnlDgpConfig(N=50, J=4, K=2, beta_star=np.array([1.0, -1.0]),
                        seed=5)
     a = generate_mnl(cfg)
     b = generate_mnl(cfg)
     assert np.array_equal(a.attribute_tensor(), b.attribute_tensor())
     assert np.array_equal(a.chosen_ids(), b.chosen_ids())
     c = generate_mnl(MnlDgpConfig(N=50, J=4, K=2,
-                                  beta_star=UtilityParams([1.0, -1.0]), seed=6))
+                                  beta_star=np.array([1.0, -1.0]), seed=6))
     assert not np.array_equal(a.chosen_ids(), c.chosen_ids())
 
 
@@ -26,7 +26,7 @@ def test_mnl_choice_frequencies_match_probabilities():
     the first alternative is chosen with probability e^2/(1+e^2).
     """
     n = 200_000
-    cfg = MnlDgpConfig(N=n, J=2, K=1, beta_star=UtilityParams([2.0]),
+    cfg = MnlDgpConfig(N=n, J=2, K=1, beta_star=np.array([2.0]),
                        covariate_law="uniform_0_1", seed=11)
     ds = generate_mnl(cfg)
     X = ds.attribute_tensor()
@@ -77,11 +77,11 @@ def test_mmnl_is_deterministic():
 
 def test_dgp_validation():
     with pytest.raises(InvalidInputError):
-        MnlDgpConfig(N=0, J=3, K=1, beta_star=UtilityParams([1.0]))
+        MnlDgpConfig(N=0, J=3, K=1, beta_star=np.array([1.0]))
     with pytest.raises(InvalidInputError):
-        MnlDgpConfig(N=5, J=3, K=2, beta_star=UtilityParams([1.0]))  # K mismatch
+        MnlDgpConfig(N=5, J=3, K=2, beta_star=np.array([1.0]))  # K mismatch
     with pytest.raises(InvalidInputError):
-        MnlDgpConfig(N=5, J=3, K=1, beta_star=UtilityParams([1.0]),
+        MnlDgpConfig(N=5, J=3, K=1, beta_star=np.array([1.0]),
                      covariate_law="cauchy")
     with pytest.raises(InvalidInputError):
         MmnlDgpConfig(N=5, T=1, J=3, K=1, mu_star=np.array([0.0]),
@@ -90,3 +90,6 @@ def test_dgp_validation():
         with pytest.raises(InvalidInputError, match="finite"):
             MmnlDgpConfig(N=5, T=1, J=3, K=1, mu_star=np.array([mu]),
                           sigma_star=np.array([[sig]]))
+    for beta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="beta_star must be finite"):
+            MnlDgpConfig(N=5, J=3, K=2, beta_star=np.array([1.0, beta]))

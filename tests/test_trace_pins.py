@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import soa_lab.divergence_lab as dlab
-from soa_lab import Dataset, GridSpec, Prior, Protocol, UtilityParams
+from soa_lab import Dataset, GridSpec, Prior, Protocol
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,7 +33,7 @@ def test_tracer_wraps_and_counts_a_divergence_report():
     try:
         dlab.build_divergence_report(
             design, Protocol("uniform_wor", m=2), "mcfadden",
-            UtilityParams([0.8]), Prior(np.zeros(1), 4.0 * np.eye(1)),
+            np.array([0.8]), Prior(np.zeros(1), 4.0 * np.eye(1)),
             GridSpec.make(-6.0, 6.0, 51))
     finally:
         tracer.uninstall()

@@ -8,10 +8,10 @@ definitions; the tests compare the vectorised objective inside
 import numpy as np
 
 from soa_lab import (InvalidInputError, NumericalDegeneracyError, Observation,
-                     SampledSet, UtilityParams, log_softmax)
+                     SampledSet, log_softmax)
 
 
-def compute_wn(beta_draw: UtilityParams, theta: tuple[np.ndarray, np.ndarray],
+def compute_wn(beta_draw: np.ndarray, theta: tuple[np.ndarray, np.ndarray],
                observation: Observation, sampled_set: SampledSet,
                z_draws: np.ndarray) -> float:
     """Expansion factor for one observation and one mixing draw.
@@ -43,11 +43,11 @@ def compute_wn(beta_draw: UtilityParams, theta: tuple[np.ndarray, np.ndarray],
     return num / den
 
 
-def wn_numerator(beta_draw: UtilityParams, observation: Observation,
+def wn_numerator(beta_draw: np.ndarray, observation: Observation,
                  sampled_set: SampledSet) -> float:
     """sum_{j in D} pi(D | j) P(j | beta_draw, C): the expansion factor's
     numerator for one observation and one draw."""
-    p_draw = np.exp(log_softmax(observation.attribute_matrix() @ beta_draw.beta))
+    p_draw = np.exp(log_softmax(observation.attribute_matrix() @ beta_draw))
     return float(np.exp(sampled_set.log_cond_prob) @ p_draw[sampled_set.member_ids])
 
 
@@ -65,10 +65,10 @@ def individual_loglik(mu: np.ndarray, L: np.ndarray, observations: list,
     sigma = L @ L.T
     per_draw, nums = [], []
     for z in z_draws:
-        beta = UtilityParams(mu + L @ z)
+        beta = mu + L @ z
         prob = num = 1.0
         for obs, s in zip(observations, sampled_sets):
-            v = obs.attribute_matrix()[s.member_ids] @ beta.beta
+            v = obs.attribute_matrix()[s.member_ids] @ beta
             if corrections == "mcfadden":
                 v = v + s.log_cond_prob
             p = np.exp(log_softmax(v))[list(s.member_ids).index(obs.chosen)]
