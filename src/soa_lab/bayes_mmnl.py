@@ -164,6 +164,11 @@ class MmnlPriors:
 
     def __post_init__(self):
         self.m0 = np.asarray(self.m0, dtype=float)
+        self.v0 = float(self.v0)
+        for name in ("m0", "A0", "v0", "S0"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(values)):
+                raise InvalidInputError(f"prior {name} must be finite")
         if self.m0.ndim != 1:
             raise InvalidInputError("m0 must be a 1-d vector")
         K = self.m0.shape[0]
@@ -173,7 +178,6 @@ class MmnlPriors:
             raise InvalidInputError("A0 and S0 must be K x K")
         _chol_pd(self.A0, "A0")
         _chol_pd(self.S0, "S0")
-        self.v0 = float(self.v0)
         if not self.v0 > K - 1:
             raise InvalidInputError("v0 must exceed K - 1")
 

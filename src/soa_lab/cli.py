@@ -216,8 +216,9 @@ def build_protocol(cfg: Config) -> Protocol:
 
 
 def build_prior(cfg: Config, K: int) -> Prior:
-    cov = cfg.get_floats("prior.cov", None)
-    return Prior(cfg.get_vector("prior.mean", K, np.zeros(K)),
+    mean = _finite("prior.mean", cfg.get_vector("prior.mean", K, np.zeros(K)))
+    cov = _finite("prior.cov", cfg.get_floats("prior.cov", None))
+    return Prior(mean,
                  np.eye(K) if cov is None else _square_from(cov, K, "prior.cov"))
 
 
@@ -227,10 +228,11 @@ def build_grid(cfg: Config, K: int) -> GridSpec:
                          [cfg.get_int("grid.points", 201)] * K)
 
 
-def _finite(key: str, values: np.ndarray | None) -> np.ndarray | None:
+def _finite(key: str, values: np.ndarray | float | None):
     """``values``, unless one of them is not finite."""
     if values is not None and not np.all(np.isfinite(values)):
-        raise ConfigError(f"config key {key!r}: {values.tolist()} is not finite")
+        raise ConfigError(f"config key {key!r}: {np.asarray(values).tolist()} "
+                          "is not finite")
     return values
 
 
@@ -287,9 +289,10 @@ def cmd_generate(cfg: Config, out_dir: Path, chash: str) -> None:
         dgp = MmnlDgpConfig(
             N=cfg.get_int("dgp.n"), T=cfg.get_int("dgp.t"),
             J=cfg.get_int("dgp.j"), K=K,
-            mu_star=cfg.get_floats("dgp.mu_star"),
-            sigma_star=_square_from(cfg.get_floats("dgp.sigma_star"), K,
-                                    "dgp.sigma_star"),
+            mu_star=_finite("dgp.mu_star", cfg.get_floats("dgp.mu_star")),
+            sigma_star=_square_from(
+                _finite("dgp.sigma_star", cfg.get_floats("dgp.sigma_star")), K,
+                "dgp.sigma_star"),
             covariate_law=law, seed=seed)
         dataset, _ = generate_mmnl(dgp)
     else:
@@ -370,11 +373,12 @@ def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
         draws.param_names = [f"beta_{k + 1}" for k in range(dataset.K)]
     elif method == "gibbs":
         K, default = dataset.K, MmnlPriors.default_for(dataset.K)
-        a0, s0 = cfg.get_floats("prior.a0", None), cfg.get_floats("prior.s0", None)
+        a0, s0 = (_finite(key, cfg.get_floats(key, None))
+                  for key in ("prior.a0", "prior.s0"))
         priors = MmnlPriors(
-            m0=cfg.get_floats("prior.m0", default.m0),
+            m0=_finite("prior.m0", cfg.get_floats("prior.m0", default.m0)),
             A0=default.A0 if a0 is None else _square_from(a0, K, "prior.a0"),
-            v0=cfg.get_float("prior.v0", default.v0),
+            v0=_finite("prior.v0", cfg.get_float("prior.v0", default.v0)),
             S0=default.S0 if s0 is None else _square_from(s0, K, "prior.s0"))
         thin = cfg.get_int("bayes.thin", 1)
         gibbs_cfg = GibbsConfig(

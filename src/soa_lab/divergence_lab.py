@@ -39,10 +39,10 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from .grids import GridSpec, log_trapezoid
-from .model_core import SetTable, log_softmax, log_sum_exp, utilities
+from .model_core import SetTable, log_softmax, shifted_exp_sum, utilities
 # perfbench/tracing.py looks up enumerate_sets here.
-from .protocols import (Protocol, correction_vector, enumerate_feasible_sets,  # noqa: F401
-                        enumerate_sets, feasible_pair_count)
+from .protocols import (Protocol, centred_corrections,  # noqa: F401
+                        enumerate_feasible_sets, enumerate_sets, feasible_pair_count)
 
 _MIN_GRID_POINTS = 51
 # Grid cells (outcomes x lattice points) per block of the joint outcome loop.
@@ -104,9 +104,16 @@ class ProtocolComparison:
 # the per-set kernel over a design
 # ---------------------------------------------------------------------------
 
+def _log_sum(values: np.ndarray) -> np.ndarray:
+    """ln sum exp over the last axis, on the estimators' max-shift."""
+    m, s = shifted_exp_sum(values)
+    with np.errstate(divide="ignore"):
+        return (m + np.log(s))[..., 0]
+
+
 def _set_kernel(X: np.ndarray, sets: SetTable, mode: str, beta):
     """The corrected softmax of every observation of an (n, J, K) attribute
-    array over every row of ``sets``.
+    array over every row of ``sets``, with ChoiceArrays' arithmetic.
 
     ``beta`` is one point (K,) or a batch (P, K); a batch puts
     a leading P axis on every output except ``c``.  For S rows of width m:
@@ -114,22 +121,27 @@ def _set_kernel(X: np.ndarray, sets: SetTable, mode: str, beta):
     * ``log_r`` (n, S): log coverage ln R(D);
     * ``lp_proc`` (n, S, m): process member log-probabilities (lcp corrections);
     * ``lp_eval`` (n, S, m): evaluated member log-probabilities (mode corrections);
-    * ``c`` (S, m): the mode's corrections;
+    * ``c`` (S, m): the mode's corrections, re-centred per row;
     * ``lp_full`` (n, S, m): ln P(i | beta, C) of each member.
 
     Padding is -inf in the log-probabilities and 0 in ``c``.
     """
-    V = utilities(X, beta)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape[-1:] != X.shape[2:]:
+        raise InvalidInputError("parameter length does not match attributes")
+    V = np.einsum("njk,...nk->...nj", X, np.broadcast_to(
+        beta[..., None, :], beta.shape[:-1] + (len(X), X.shape[2])))
     # Flat indices keep an observation's (S, m) values contiguous at a point
     # and a batch's P axis innermost: every sum runs as for one observation.
     flat = (np.arange(len(X)) * X.shape[1])[:, None, None] + sets.member_ids
     lead = V.shape[:-2] + (-1,)
     Vm = V.reshape(lead)[..., flat]
-    c = correction_vector(sets.log_cond_prob, mode)
     lp_full = np.where(sets.pad, -np.inf, log_softmax(V).reshape(lead)[..., flat])
-    log_r = log_sum_exp(lp_full + sets.log_cond_prob)
-    lp_proc = log_softmax(Vm + sets.log_cond_prob)
+    log_r = _log_sum(lp_full + sets.log_cond_prob)
+    c = centred_corrections(sets, mode)
     lp_eval = log_softmax(np.where(sets.pad, -np.inf, Vm + c))
+    lp_proc = lp_eval if mode == "mcfadden" else log_softmax(
+        np.where(sets.pad, -np.inf, Vm + centred_corrections(sets, "mcfadden")))
     return log_r, lp_proc, lp_eval, c, lp_full
 
 
@@ -159,7 +171,7 @@ def _split_divergence(sets: SetTable, kernel: tuple) -> np.ndarray:
     """sum_D R [ sum_i P(i|beta,D) c_i - ln( sum_D e^{V+c} / sum_C e^V ) ]."""
     log_r, lp_proc, _, c, lp_full = kernel
     return np.sum(np.exp(log_r) * (_expect(lp_proc, c, sets.pad)
-                                   - log_sum_exp(lp_full + c)), axis=-1)
+                                   - _log_sum(lp_full + c)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +266,7 @@ def divergence_uniform_closed_form(design, sets: SetTable,
         raise InvalidInputError("closed form needs equal ln pi(D|j) across "
                                 "each set's members")
     log_ratio = _per_block(design, sets, "none", (beta,),
-                           lambda k: log_sum_exp(k[4]), axis=-2)
+                           lambda k: _log_sum(k[4]), axis=-2)
     return -np.sum(np.exp(sets.log_cond_prob[:, 0]) * np.exp(log_ratio)
                    * log_ratio, axis=-1)
 
@@ -414,16 +426,11 @@ def kl_term_a_entropy_form(design, sets: SetTable, prior,
                                 "every member of every set")
     _check_grid(grid, design.K)
     points = grid.lattice()
-    X = design.attribute_tensor()
-    s_plain, s_log = [], []   # per obs: sum_D ratio, sum_D ratio ln ratio
-    for block in _blocks(design, sets, points):
-        V = utilities(X[block], points)
-        log_ratio = (log_sum_exp(np.where(sets.pad, -np.inf,
-                                          V[..., sets.member_ids]))
-                     - log_sum_exp(V)[..., None])
-        ratio = np.exp(log_ratio)
-        s_plain += list(np.sum(ratio, axis=-1).T)
-        s_log += list(np.sum(ratio * log_ratio, axis=-1).T)
+    log_ratio = _per_block(design, sets, "none", (points,),
+                           lambda k: _log_sum(k[4]), axis=-2)
+    ratio = np.exp(log_ratio)
+    s_plain = list(np.sum(ratio, axis=-1).T)             # per obs: sum_D ratio
+    s_log = list(np.sum(ratio * log_ratio, axis=-1).T)   # sum_D ratio ln ratio
     log_pi_dagger = design.n_obs * float(sets.log_cond_prob[0, 0])
     inner = sum(s_log[m] * np.prod(s_plain[:m] + s_plain[m + 1:], axis=0)
                 for m in range(len(s_plain)))

@@ -29,12 +29,12 @@ import numpy as np
 
 from .draws import halton_normal_draws
 from .errors import InvalidInputError
-from .model_core import Dataset, SetTable, log_softmax, shifted_log_sum
+from .model_core import Dataset, SetTable, log_softmax, shifted_exp_sum
 # hessian_from_f is not called here; perfbench/tracing.py wraps it by name
 # as mle.hessian_from_f, until the run trace moves into the package.
 from .optimize import (hessian_from_f, hessian_from_grad,  # noqa: F401
                        maximize, std_errors_from_hessian)
-from .protocols import correction_vector
+from .protocols import centred_corrections
 
 WN_MODES = ("naive_one", "exact_full_set")
 
@@ -96,13 +96,9 @@ class ChoiceArrays:
                     f"sampled set {i} has member ids outside 0..{dataset.J - 1}"
                     if bad[i] else f"sampled set {i} lacks its chosen "
                     f"alternative {chosen[i]}")
-            c = correction_vector(sampled.log_cond_prob, mode)
             self.X_mem = np.where(pad[..., None], 0.0,
                                   X[np.arange(n)[:, None], ids])
-            # Re-centring the corrections never changes a probability and
-            # makes shared-constant corrections vanish exactly.
-            c_max = np.max(np.where(pad, -np.inf, c), axis=1, keepdims=True)
-            self.c_shift = np.where(pad, 0.0, c - c_max)
+            self.c_shift = centred_corrections(sampled, mode)
             self.pad = pad
             self.chosen_pos = np.argmax(hits, axis=1)
             self.log_pi = sampled.log_cond_prob
@@ -155,11 +151,12 @@ class ChoiceArrays:
         The chosen member's shifted utility less the row's log-sum: the
         bits of its entry in :meth:`log_probs`, without forming the rest.
         """
-        shifted, lse = shifted_log_sum(self._utilities(beta_rows), axis=-1)
-        lse = lse[..., 0]
-        with np.errstate(invalid="ignore"):
-            chosen = shifted[..., self._rows, self.chosen_pos] - lse
-        np.copyto(chosen, -np.inf, where=np.isneginf(lse))
+        V = self._utilities(beta_rows)
+        chosen = V[..., self._rows, self.chosen_pos]
+        m, s = shifted_exp_sum(V, out=V)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chosen = (chosen - m[..., 0]) - np.log(s[..., 0])
+        np.copyto(chosen, -np.inf, where=s[..., 0] == 0)
         return chosen
 
     def _check(self, beta: np.ndarray) -> None:
@@ -169,12 +166,10 @@ class ChoiceArrays:
     def loglik(self, beta: np.ndarray) -> float | np.ndarray:
         """Summed log-likelihood at one point (K,), or (P,) for points (P, K)."""
         self._check(beta)
-        if beta.ndim == 1:
-            rows = np.broadcast_to(beta, (self.n, self.K))
-            return float(np.sum(self.chosen_log_probs(rows)))
-        P = beta.shape[0]
-        rows = np.broadcast_to(beta[:, None, :], (P, self.n, self.K))
-        return np.sum(self.chosen_log_probs(rows), axis=-1)
+        rows = np.broadcast_to(beta[..., None, :],
+                               beta.shape[:-1] + (self.n, self.K))
+        total = np.sum(self.chosen_log_probs(rows), axis=-1)
+        return float(total) if beta.ndim == 1 else total
 
     def score(self, beta: np.ndarray) -> np.ndarray:
         """Analytic gradient at one point: sum_n [x_chosen - sum_j P_j x_j]."""
@@ -250,19 +245,6 @@ def theta_labels(K: int) -> list[str]:
 # maximum simulated likelihood
 # ---------------------------------------------------------------------------
 
-def _log_sum_weights(values: np.ndarray, axis: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """ln sum exp along ``axis`` (kept as a length-1 axis) and the softmax
-    weights exp(values - lse), written over ``values``; nan wherever the
-    whole slice is -inf."""
-    m = np.max(values, axis=axis, keepdims=True)
-    np.subtract(values, m, out=values)
-    np.exp(values, out=values)
-    s = np.sum(values, axis=axis, keepdims=True)
-    values /= s
-    return m + np.log(s), values
-
-
 class _SimulatedLikelihood:
     """The simulated panel log-likelihood of the mixing model and its score.
 
@@ -318,13 +300,16 @@ class _SimulatedLikelihood:
         sum_{j in C} P_j x_j with q_j = pi_j P_j / num.  ``v_mem`` holds
         the members' uncorrected utilities (m, R, n).
         """
-        lse_full, p_full = _log_sum_weights(np.einsum(
-            "kjn,krn->jrn", self.x_full, beta, out=self._p_full), axis=0)
-        lse_mem, q = _log_sum_weights(
-            np.add(v_mem, self.log_pi, out=self._q), axis=0)
+        p_full = np.einsum("kjn,krn->jrn", self.x_full, beta, out=self._p_full)
+        m, s = shifted_exp_sum(p_full, axis=0, out=p_full)
+        p_full /= s
+        lse_full = m + np.log(s)
+        q = np.add(v_mem, self.log_pi, out=self._q)
+        m, s = shifted_exp_sum(q, axis=0, out=q)
+        q /= s
         grad = np.einsum("mrn,kmn->krn", q, self.x_mem, out=self._d_num)
         grad -= np.einsum("jrn,kjn->krn", p_full, self.x_full)
-        return (lse_mem - lse_full)[0], grad
+        return ((m + np.log(s)) - lse_full)[0], grad
 
     def value_and_score(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """sum_n l_n at ``theta`` and its analytic gradient, in one pass.
@@ -343,26 +328,29 @@ class _SimulatedLikelihood:
             beta = np.einsum("kl,lrn->krn", L, self.z, out=self._beta)
             beta += mu[:, None, None]
             v_mem = np.einsum("kmn,krn->mrn", self.x_mem, beta, out=self._v_mem)
-            lse, p = _log_sum_weights(
-                np.add(v_mem, self.c_eval, out=self._p), axis=0)
+            p = np.add(v_mem, self.c_eval, out=self._p)
+            m, s = shifted_exp_sum(p, axis=0, out=p)
+            p /= s
             lp_chosen = (np.einsum("kn,krn->rn", self.x_chosen, beta)
-                         + self.c_chosen - lse[0])                  # (R, n)
+                         + self.c_chosen - (m + np.log(s))[0])      # (R, n)
             d_beta = np.einsum("mrn,kmn->krn", p, self.x_mem, out=self._d_row)
             np.subtract(self.x_chosen[:, None], d_beta, out=d_beta)
             if self.use_wn:
                 log_num, d_num = self.expansion_numerator(beta, v_mem)
-                ll_a, w_a = _log_sum_weights(
-                    view.panel_sum(lp_chosen + log_num), axis=0)
-                ll_b, w_b = _log_sum_weights(view.panel_sum(log_num), axis=0)
-                per_ind = ll_a - ll_b
-                w_a = w_a[:, view.obs_to_ind]
-                d_num *= w_a - w_b[:, view.obs_to_ind]
-                d_beta *= w_a
+                lp_chosen += log_num
+            w_a = view.panel_sum(lp_chosen)
+            m, s = shifted_exp_sum(w_a, axis=0, out=w_a)
+            w_a = (w_a / s)[:, view.obs_to_ind]
+            d_beta *= w_a
+            per_ind = m + np.log(s)
+            if self.use_wn:
+                w_b = view.panel_sum(log_num)
+                m, s = shifted_exp_sum(w_b, axis=0, out=w_b)
+                per_ind = per_ind - (m + np.log(s))
+                d_num *= w_a - (w_b / s)[:, view.obs_to_ind]
                 d_beta += d_num
             else:
-                ll_a, w_a = _log_sum_weights(view.panel_sum(lp_chosen), axis=0)
-                per_ind = ll_a - self.log_r
-                d_beta *= w_a[:, view.obs_to_ind]
+                per_ind = per_ind - self.log_r
             if not np.all(np.isfinite(per_ind)):
                 return failed
             d_L = d_beta.reshape(K, -1) @ self.z.reshape(K, -1).T

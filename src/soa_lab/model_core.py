@@ -239,6 +239,19 @@ class SetTable:
 # numerical kernels
 # ---------------------------------------------------------------------------
 
+def shifted_exp_sum(values: np.ndarray, axis: int = -1, out=None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The one max-shift: m, the maximum along ``axis`` (kept; 0 where not
+    finite), and s = sum exp(v - m), 0 for an all -inf slice, summed in C
+    order so that its bits do not depend on the memory layout; exp(v - m) is
+    left in ``out`` (may be ``values``).  ln sum exp is m + ln s."""
+    m = np.max(values, axis=axis, keepdims=True)
+    np.copyto(m, 0.0, where=~np.isfinite(m))
+    e = np.subtract(values, m, out=out)
+    np.exp(e, out=e)
+    return m, np.sum(np.ascontiguousarray(e), axis=axis, keepdims=True)
+
+
 def log_sum_exp(values) -> float | np.ndarray:
     """log(sum(exp(values))) over the last axis with max-shift: a float for
     a vector, an array for a stack of them; -inf entries add nothing."""
@@ -247,27 +260,10 @@ def log_sum_exp(values) -> float | np.ndarray:
         raise InvalidInputError("log_sum_exp of an empty vector")
     if np.any(np.isnan(v) | (v == np.inf)):
         raise InvalidInputError("log_sum_exp requires finite (or -inf) entries")
-    m = np.max(v, axis=-1, keepdims=True)
-    m = np.where(np.isneginf(m), 0.0, m)  # an all -inf vector sums to -inf
+    m, s = shifted_exp_sum(v)
     with np.errstate(divide="ignore"):
-        out = (m + np.log(np.sum(np.exp(v - m), axis=-1, keepdims=True)))[..., 0]
+        out = (m + np.log(s))[..., 0]
     return float(out) if v.ndim == 1 else out
-
-
-def shifted_log_sum(values: np.ndarray, axis: int = -1
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The max-shifted values v - m and ln sum exp(v - m) along ``axis``
-    (kept as a length-1 axis), m the slice's maximum, or 0 where that is
-    not finite.  v - m - ln sum exp(v - m) is the log softmax; a slice that
-    is entirely -inf has a log-sum of -inf and carries no mass.
-    """
-    v = np.asarray(values, dtype=float)
-    m = np.max(v, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    shifted = v - m
-    with np.errstate(divide="ignore"):
-        lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    return shifted, lse
 
 
 def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -276,12 +272,13 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     -inf entries are allowed and come back as -inf (zero probability);
     used by the estimators to pad ragged sampled sets.
     """
-    out, lse = shifted_log_sum(values, axis)
-    with np.errstate(invalid="ignore"):
-        out -= lse
+    v = np.asarray(values, dtype=float)
+    m, s = shifted_exp_sum(v, axis)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (v - m) - np.log(s)
     # A row that is entirely -inf carries no mass; keep it -inf rather than
     # letting the (-inf) - (-inf) subtraction produce nans.
-    np.copyto(out, -np.inf, where=np.isneginf(lse))
+    np.copyto(out, -np.inf, where=s == 0)
     return out
 
 

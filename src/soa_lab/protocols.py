@@ -275,6 +275,14 @@ def correction_vector(log_cond_prob: np.ndarray, mode: str) -> np.ndarray:
     return np.where(pad, 0.0, lcp[..., :1])
 
 
+def centred_corrections(sets: SetTable, mode: str) -> np.ndarray:
+    """The mode's corrections of each row of ``sets`` less the row's largest,
+    0 on padding: no probability moves and shared constants vanish exactly."""
+    c = correction_vector(sets.log_cond_prob, mode)
+    c_max = np.max(np.where(sets.pad, -np.inf, c), axis=1, keepdims=True)
+    return np.where(sets.pad, 0.0, c - c_max)
+
+
 # numpy's SeedSequence: a pool of four 32-bit words and its hash constants.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4

@@ -160,6 +160,18 @@ def test_default_priors():
         MmnlPriors(np.zeros(2), np.eye(2), 0.5, np.eye(2))  # v0 <= K-1
 
 
+@pytest.mark.parametrize("name,value", [
+    ("m0", [np.nan, 0.0]), ("A0", np.diag([np.inf, 1.0])), ("v0", np.inf),
+    ("S0", np.full((2, 2), np.nan))], ids=["m0", "A0", "v0", "S0"])
+def test_priors_refuse_non_finite_fields(name, value):
+    """A non-finite field is refused by name, not accepted (A0 = inf is a
+    flat prior on mu) or refused for a symmetry or definiteness it lacks."""
+    fields = {"m0": np.zeros(2), "A0": np.eye(2), "v0": 4.0, "S0": np.eye(2)}
+    fields[name] = value
+    with pytest.raises(InvalidInputError, match=f"prior {name} must be finite"):
+        MmnlPriors(**fields)
+
+
 def test_mixing_state_validation():
     with pytest.raises(InvalidInputError):
         MixingState(np.zeros(2), np.array([[1.0, 0.2], [0.3, 1.0]]),

@@ -666,23 +666,34 @@ def test_divergence_sizes_below_one_are_exit_2(tmp_path, capsys, key):
         assert not (out / "divergence.csv").exists()
 
 
-@pytest.mark.parametrize("key", ["prior.mean", "prior.cov"])
-def test_divergence_refuses_a_non_finite_prior(tmp_path, capsys, key):
-    out = tmp_path / "o"
-    cfg = write_config(tmp_path / "dnan.cfg",
-                       f"{key}=nan\nseed=2\noutput.dir={out}\n")
-    assert run(["divergence", "--config", cfg]) == 2
-    assert "finite" in capsys.readouterr().err
-    assert not (out / "divergence.csv").exists()
+_MMNL = "dgp.model=mmnl\ndgp.n=6\ndgp.t=2\ndgp.j=3\ndgp.k=1\n"
+_GIBBS = "bayes.method=gibbs\nbayes.iterations=60\nbayes.burn_in=20\n"
 
 
 @pytest.mark.parametrize("verb,settings,key", [
     ("generate", "dgp.model=mnl\ndgp.n=6\ndgp.j=3\ndgp.k=1\n"
                  "dgp.beta_star=nan", "dgp.beta_star"),
     ("divergence", "divergence.beta_star=inf", "divergence.beta_star"),
-], ids=["generate", "divergence"])
+    ("generate", _MMNL + "dgp.mu_star=nan\ndgp.sigma_star=0.4", "dgp.mu_star"),
+    ("generate", _MMNL + "dgp.mu_star=0.8\ndgp.sigma_star=inf",
+     "dgp.sigma_star"),
+    ("divergence", "prior.mean=nan", "prior.mean"),
+    ("divergence", "prior.cov=nan", "prior.cov"),
+    ("bayes", _GIBBS + "prior.m0=nan", "prior.m0"),
+    ("bayes", _GIBBS + "prior.a0=inf", "prior.a0"),
+    ("bayes", _GIBBS + "prior.s0=nan", "prior.s0"),
+    ("bayes", _GIBBS + "prior.v0=inf", "prior.v0"),
+], ids=["generate", "divergence", "dgp.mu_star", "dgp.sigma_star",
+        "prior.mean", "prior.cov", "prior.m0", "prior.a0", "prior.s0",
+        "prior.v0"])
 def test_a_non_finite_beta_star_is_exit_2_naming_the_key(tmp_path, capsys,
                                                         verb, settings, key):
+    """A non-finite value of a coefficient, mixing or prior key is refused
+    by name before any output is written."""
+    if verb == "bayes":
+        dataset = pipeline_generate(tmp_path, name="panel", model="mmnl",
+                                    n=6, j=3)
+        settings += f"\ninputs.dataset={dataset}"
     out = tmp_path / "o"
     cfg = write_config(tmp_path / "b.cfg",
                        f"{settings}\nseed=2\noutput.dir={out}\n")

@@ -6,6 +6,7 @@ or quadrature paths that shifts the numbers will be caught.
 """
 
 import math
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 import joint_reference
 from soa_lab import divergence_lab
-from soa_lab import (CapacityError, Dataset, GridSpec, InvalidInputError,
-                     Prior, Protocol, build_divergence_report, coverage_r,
+from soa_lab import (CapacityError, ChoiceArrays, Dataset, GridSpec,
+                     InvalidInputError, Prior, Protocol,
+                     build_divergence_report, coverage_r,
                      divergence_uniform_closed_form, enumerate_feasible_sets,
                      enumerate_sets, expected_divergence,
                      expected_divergence_direct, expected_kl_direct,
@@ -49,6 +51,20 @@ def random_observation(rng, J, K):
     """One random observation as a one-row design."""
     return Dataset.from_arrays(rng.normal(size=(1, J, K)),
                                [int(rng.integers(J))])
+
+
+def random_protocol(rng, kind, J):
+    """A uniform protocol of random m, or importance with random p_k."""
+    if kind == "uniform_wor":
+        return Protocol(kind, m=int(rng.integers(2, J + 1)))
+    return Protocol(kind, inclusion_probs=rng.uniform(0.1, 0.9, size=J))
+
+
+# Every (protocol kind, correction mode) pair the oracles take.
+CASES = st.sampled_from([("uniform_wor", "mcfadden"), ("uniform_wor", "none"),
+                         ("uniform_wor", "uniform_constant"),
+                         ("importance_independent", "mcfadden"),
+                         ("importance_independent", "none")])
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +250,14 @@ def test_closed_form_takes_any_table_whose_members_share_ln_pi(seed, J, p):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), J=st.integers(2, 5), K=st.integers(1, 3),
-       P=st.integers(1, 4),
-       case=st.sampled_from([("uniform_wor", "mcfadden"), ("uniform_wor", "none"),
-                             ("uniform_wor", "uniform_constant"),
-                             ("importance_independent", "mcfadden"),
-                             ("importance_independent", "none")]))
+       P=st.integers(1, 4), case=CASES)
 def test_oracles_batch_equals_points(seed, J, K, P, case):
     """A (P, K) batch gives the per-point values: (P, 1) on a one-row
     design, where one (K,) point gives (1,)."""
     rng = np.random.default_rng(seed)
     obs = random_observation(rng, J, K)
     kind, mode = case
-    proto = (Protocol(kind, m=int(rng.integers(2, J + 1)))
-             if kind == "uniform_wor" else
-             Protocol(kind, inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
+    proto = random_protocol(rng, kind, J)
     bs, b = rng.normal(size=(2, P, K))
     sets = enumerate_feasible_sets(proto, J)
     oracles = [lambda x, y: expected_true_ll(obs, x, y),
@@ -273,10 +283,7 @@ def test_oracles_batch_equals_points(seed, J, K, P, case):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), N=st.integers(1, 4),
        K=st.integers(1, 2), P=st.integers(0, 3),
-       case=st.sampled_from([("uniform_wor", "mcfadden"), ("uniform_wor", "none"),
-                             ("uniform_wor", "uniform_constant"),
-                             ("importance_independent", "mcfadden"),
-                             ("importance_independent", "none")]))
+       case=CASES)
 def test_design_oracles_equal_each_observation_alone_bitwise(seed, J, N, K, P,
                                                              case):
     """Every oracle on an N-observation design gives, row for row and bit for
@@ -285,9 +292,7 @@ def test_design_oracles_equal_each_observation_alone_bitwise(seed, J, N, K, P,
     at one point, P > 0 at a (P, K) batch."""
     rng = np.random.default_rng(seed)
     kind, mode = case
-    proto = (Protocol(kind, m=int(rng.integers(2, J + 1)))
-             if kind == "uniform_wor" else
-             Protocol(kind, inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
+    proto = random_protocol(rng, kind, J)
     X = rng.normal(size=(N, J, K))
     chosen = rng.integers(J, size=N)
     design = Dataset.from_arrays(X, chosen)
@@ -311,6 +316,64 @@ def test_design_oracles_equal_each_observation_alone_bitwise(seed, J, N, K, P,
                 assert whole.shape[axis] == N
                 rows = np.concatenate([oracle(d) for d in alone], axis=axis)
                 assert np.array_equal(whole, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(2, 8), K=st.integers(1, 2),
+       N=st.integers(1, 3), P=st.integers(1, 7), case=CASES)
+def test_oracle_kernel_is_the_estimators_softmax_bitwise(seed, J, K, N, P,
+                                                         case):
+    """On every realized (observation, chosen member, feasible set) row, the
+    oracle kernel's evaluated log-probability of the chosen member is
+    ChoiceArrays.chosen_log_probs on that row, bit for bit, at a (P, K)
+    batch and at one point."""
+    rng = np.random.default_rng(seed)
+    kind, mode = case
+    sets = enumerate_feasible_sets(random_protocol(rng, kind, J), J)
+    X = rng.normal(size=(N, J, K))
+    s, pos = np.nonzero(~sets.pad)
+    n = np.repeat(np.arange(N), s.size)
+    s, pos = np.tile(s, N), np.tile(pos, N)
+    rows = ChoiceArrays(Dataset.from_arrays(X[n], sets.member_ids[s, pos]),
+                        sets[s], mode)
+    points = rng.normal(size=(P, K))
+    for beta in (points, points[0]):
+        lp_eval = divergence_lab._set_kernel(X, sets, mode, beta)[2]
+        want = rows.chosen_log_probs(np.broadcast_to(
+            beta[..., None, :], beta.shape[:-1] + (n.size, K)))
+        assert np.array_equal(lp_eval[..., n, s, pos], want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), K=st.integers(1, 2),
+       T=st.integers(1, 3), case=CASES)
+def test_joint_loop_grid_loglik_is_the_estimators_loglik_bitwise(seed, J, K,
+                                                                 T, case):
+    """For each realized outcome (choices, sets) of a small design, the
+    sampled-set grid log-likelihood of the joint loop, the sum of the
+    observations' ``_lattice`` pairs, is ChoiceArrays.loglik on those
+    choices and sets at the grid points, bit for bit."""
+    rng = np.random.default_rng(seed)
+    kind, mode = case
+    sets = enumerate_feasible_sets(random_protocol(rng, kind, J), J)
+    s, pos = np.nonzero(~sets.pad)
+    # Keep the per-outcome loop small: at most 300 joint outcomes.
+    while s.size ** T > 300:
+        T -= 1
+    X = rng.normal(size=(T, J, K))
+    design = Dataset.from_arrays(X, rng.integers(J, size=T))
+    grid = GridSpec.make([-4.0] * K, [4.0] * K, [51] * K)
+    pairs = divergence_lab._lattice(design, sets, mode,
+                                    Prior(np.zeros(K), 4.0 * np.eye(K)),
+                                    grid)[3]
+    ll_samp = np.concatenate(
+        [block[2] for block in divergence_lab._joint_outcomes(pairs)])
+    for outcome, ll in zip(product(range(s.size), repeat=T), ll_samp):
+        rows = np.array(outcome)
+        view = ChoiceArrays(
+            Dataset.from_arrays(X, sets.member_ids[s[rows], pos[rows]]),
+            sets[s[rows]], mode)
+        assert np.array_equal(view.loglik(grid.lattice()), ll)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +473,7 @@ def _pairs_per_observation(protocol, J):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), K=st.integers(1, 2),
        T=st.integers(1, 3),
-       case=st.sampled_from([("uniform_wor", "mcfadden"), ("uniform_wor", "none"),
-                             ("uniform_wor", "uniform_constant"),
-                             ("importance_independent", "mcfadden"),
-                             ("importance_independent", "none")]))
+       case=CASES)
 def test_joint_block_reductions_equal_the_outcome_loop_bitwise(seed, J, K, T,
                                                                case):
     """kl_terms gives the bits of the one-outcome-at-a-time loops on all
@@ -422,9 +482,7 @@ def test_joint_block_reductions_equal_the_outcome_loop_bitwise(seed, J, K, T,
     that block boundaries fall inside the product."""
     rng = np.random.default_rng(seed)
     kind, mode = case
-    proto = (Protocol(kind, m=int(rng.integers(2, J + 1)))
-             if kind == "uniform_wor" else
-             Protocol(kind, inclusion_probs=rng.uniform(0.1, 0.9, size=J)))
+    proto = random_protocol(rng, kind, J)
     # Keep the reference loop small: at most 2000 joint outcomes.
     while _pairs_per_observation(proto, J) ** T > 2000:
         T -= 1
