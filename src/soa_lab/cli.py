@@ -175,16 +175,16 @@ class Config:
         return self._parsed(key, default, int, "an integer")
 
     def get_float(self, key: str, default=_MISSING) -> float:
-        return self._parsed(key, default, float, "a number")
+        return _finite(key, self._parsed(key, default, float, "a number"))
 
     def get_bool(self, key: str, default=_MISSING) -> bool:
         return self._parsed(key, default, lambda v: _BOOLEANS[v.lower()],
                             "a boolean")
 
     def get_floats(self, key: str, default=_MISSING) -> np.ndarray | None:
-        return self._parsed(
+        return _finite(key, self._parsed(
             key, default, lambda v: np.array([float(x) for x in v.split(",")]),
-            "a comma-separated list of numbers")
+            "a comma-separated list of numbers"))
 
     def get_vector(self, key: str, K: int, default=_MISSING) -> np.ndarray | None:
         """K numbers, or one number repeated K times."""
@@ -216,8 +216,8 @@ def build_protocol(cfg: Config) -> Protocol:
 
 
 def build_prior(cfg: Config, K: int) -> Prior:
-    mean = _finite("prior.mean", cfg.get_vector("prior.mean", K, np.zeros(K)))
-    cov = _finite("prior.cov", cfg.get_floats("prior.cov", None))
+    mean = cfg.get_vector("prior.mean", K, np.zeros(K))
+    cov = cfg.get_floats("prior.cov", None)
     return Prior(mean,
                  np.eye(K) if cov is None else _square_from(cov, K, "prior.cov"))
 
@@ -281,18 +281,16 @@ def cmd_generate(cfg: Config, out_dir: Path, chash: str) -> None:
     law = cfg.get("dgp.covariate_law", "standard_normal")
     if model == "mnl":
         dgp = MnlDgpConfig(N=cfg.get_int("dgp.n"), J=cfg.get_int("dgp.j"), K=K,
-                           beta_star=_finite("dgp.beta_star",
-                                             cfg.get_floats("dgp.beta_star")),
+                           beta_star=cfg.get_floats("dgp.beta_star"),
                            covariate_law=law, seed=seed)
         dataset = generate_mnl(dgp)
     elif model == "mmnl":
         dgp = MmnlDgpConfig(
             N=cfg.get_int("dgp.n"), T=cfg.get_int("dgp.t"),
             J=cfg.get_int("dgp.j"), K=K,
-            mu_star=_finite("dgp.mu_star", cfg.get_floats("dgp.mu_star")),
-            sigma_star=_square_from(
-                _finite("dgp.sigma_star", cfg.get_floats("dgp.sigma_star")), K,
-                "dgp.sigma_star"),
+            mu_star=cfg.get_floats("dgp.mu_star"),
+            sigma_star=_square_from(cfg.get_floats("dgp.sigma_star"), K,
+                                    "dgp.sigma_star"),
             covariate_law=law, seed=seed)
         dataset, _ = generate_mmnl(dgp)
     else:
@@ -373,12 +371,11 @@ def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
         draws.param_names = [f"beta_{k + 1}" for k in range(dataset.K)]
     elif method == "gibbs":
         K, default = dataset.K, MmnlPriors.default_for(dataset.K)
-        a0, s0 = (_finite(key, cfg.get_floats(key, None))
-                  for key in ("prior.a0", "prior.s0"))
+        a0, s0 = (cfg.get_floats(key, None) for key in ("prior.a0", "prior.s0"))
         priors = MmnlPriors(
-            m0=_finite("prior.m0", cfg.get_floats("prior.m0", default.m0)),
+            m0=cfg.get_floats("prior.m0", default.m0),
             A0=default.A0 if a0 is None else _square_from(a0, K, "prior.a0"),
-            v0=_finite("prior.v0", cfg.get_float("prior.v0", default.v0)),
+            v0=cfg.get_float("prior.v0", default.v0),
             S0=default.S0 if s0 is None else _square_from(s0, K, "prior.s0"))
         thin = cfg.get_int("bayes.thin", 1)
         gibbs_cfg = GibbsConfig(
@@ -470,8 +467,7 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
             "cannot correct it")
     prior = build_prior(cfg, K)
     grid = build_grid(cfg, K)
-    beta_cfg = _finite("divergence.beta_star",
-                       cfg.get_vector("divergence.beta_star", K, None))
+    beta_cfg = cfg.get_vector("divergence.beta_star", K, None)
 
     # Every row is checked against the enumeration caps before the first
     # is computed, so a run that will be refused does no work.

@@ -204,19 +204,15 @@ def expected_quasi_ll(design, feasible: SetTable, beta_star, beta,
     """
     p_star = np.exp(log_softmax(utilities(design.attribute_tensor(),
                                           beta_star)))
-    total = 0.0
-    for i in range(design.J):
-        at_i = (feasible.member_ids == i) & ~feasible.pad
-        # The rows holding i, in order: enumerate_sets(protocol, J, i).
-        rows = at_i.any(axis=1)
-        sets, at_i = feasible[rows], at_i[rows]
-        weights = np.exp(sets.log_cond_prob[at_i])[:, None]
-        # One dot product per contiguous row: the same bits in any design.
-        inner = _per_block(design, sets, correction_mode, (beta,), lambda k: (
-            np.ascontiguousarray(k[2][..., at_i])[..., None, :]
-            @ weights)[..., 0, 0])
-        total = total + p_star[..., i] * inner
-    return total
+    at = [(feasible.member_ids == i) & ~feasible.pad for i in range(design.J)]
+    # Alternative i's entries, in the order of enumerate_sets(protocol, J,
+    # i), dot their pi(D|i): one dot product per contiguous row, the same
+    # bits in any design.
+    pi = [np.exp(feasible.log_cond_prob[at_i])[:, None] for at_i in at]
+    inner = _per_block(design, feasible, correction_mode, (beta,), lambda k: (
+        np.stack([(np.ascontiguousarray(k[2][..., at_i])[..., None, :] @ w)
+                  [..., 0, 0] for at_i, w in zip(at, pi)], axis=-1)), axis=-2)
+    return sum(p_star[..., i] * inner[..., i] for i in range(design.J))
 
 
 def expected_quasi_ll_setwise(design, sets: SetTable, beta_star, beta,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .model_core import shifted_exp_sum
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,10 @@ def log_trapezoid(log_values: np.ndarray, weights: np.ndarray):
     """log of sum_i w_i exp(log_values_i) over the last axis, max-shifted.
 
     A float for a 1-D input, one value per row for an (n, P) input.  A row
-    whose max is not finite gives -inf.
+    whose max is not finite gives -inf, without a warning.
     """
-    lv = np.asarray(log_values, dtype=float)
-    m = np.max(lv, axis=-1, keepdims=True)
-    finite = np.isfinite(m)
-    # Rows with a non-finite max are left at -inf, so they raise no warning.
-    shifted = np.subtract(lv, m, out=np.full_like(lv, -np.inf), where=finite)
-    total = np.sum(weights * np.exp(shifted), axis=-1, keepdims=True)
-    out = np.where(finite, m + np.log(np.where(finite, total, 1.0)),
-                   -np.inf)[..., 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m, s = shifted_exp_sum(np.asarray(log_values, dtype=float),
+                               weights=weights)
+        out = np.where(np.isfinite(s), m + np.log(s), -np.inf)[..., 0]
     return float(out) if out.ndim == 0 else out

@@ -239,16 +239,19 @@ class SetTable:
 # numerical kernels
 # ---------------------------------------------------------------------------
 
-def shifted_exp_sum(values: np.ndarray, axis: int = -1, out=None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def shifted_exp_sum(values: np.ndarray, axis: int = -1, out=None,
+                    weights=None) -> tuple[np.ndarray, np.ndarray]:
     """The one max-shift: m, the maximum along ``axis`` (kept; 0 where not
-    finite), and s = sum exp(v - m), 0 for an all -inf slice, summed in C
-    order so that its bits do not depend on the memory layout; exp(v - m) is
-    left in ``out`` (may be ``values``).  ln sum exp is m + ln s."""
+    finite), and s = sum w exp(v - m) (w = 1 without ``weights``), 0 for an
+    all -inf slice, summed in C order so that its bits do not depend on the
+    memory layout; w exp(v - m) is left in ``out`` (may be ``values``).
+    ln sum w exp(v) is m + ln s."""
     m = np.max(values, axis=axis, keepdims=True)
     np.copyto(m, 0.0, where=~np.isfinite(m))
     e = np.subtract(values, m, out=out)
     np.exp(e, out=e)
+    if weights is not None:
+        np.multiply(weights, e, out=e)
     return m, np.sum(np.ascontiguousarray(e), axis=axis, keepdims=True)
 
 

@@ -82,7 +82,7 @@ class Protocol:
             p = np.asarray(self.inclusion_probs, dtype=float)
             if p.ndim != 1 or p.size == 0:
                 raise InvalidInputError("inclusion_probs must be a 1-d vector")
-            if np.any(p <= 0.0) or np.any(p >= 1.0):
+            if not np.all((p > 0.0) & (p < 1.0)):  # nan fails both
                 raise InvalidInputError(
                     "inclusion probabilities must lie strictly inside (0,1)")
             self.inclusion_probs = p

@@ -242,7 +242,7 @@ def read_sets_csv(path, chosen: np.ndarray,
     _check_rows(path, skip, (alt < 0) | (alt >= J),
                 lambda k: f"alt_id {alt[k]} outside 0..{J - 1}")
     _check_rows(path, skip, ~((lcp > -np.inf) & (lcp <= 0.0)), lambda k: (
-        f"log_cond_prob {lcp[k]!r} is not a finite log probability"))
+        f"log_cond_prob {float(lcp[k])!r} is not a finite log probability"))
     _check_rows(path, skip, (obs < 0) | (obs >= n_obs),
                 lambda k: f"obs_id {obs[k]} outside 0..{n_obs - 1}")
     if np.any(np.bincount(obs, minlength=n_obs) == 0):

@@ -27,6 +27,7 @@ from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      sigma_posterior_params)
 from soa_lab.cli import main as cli_main
 from soa_lab.optimize import central_diff_grad
+from child_cli import outputs_under_one_and_two_threads
 from probability_reference import (canonical_corrections, mnl_prob_full,
                                    mnl_prob_sampled_corrected)
 
@@ -450,7 +451,7 @@ def _snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-def test_criterion_11_reproducibility(tmp_path, monkeypatch):
+def test_criterion_11_reproducibility(tmp_path):
     t0 = time.perf_counter()
     data_dir = tmp_path / "data"
     gen_cfg = tmp_path / "gen.cfg"
@@ -512,26 +513,31 @@ output.dir={div_dir}
         _run_cli([verb, "--config", str(cfg)])
         identical = identical and _snapshot(out) == first[verb]
 
-    # thread-count invariance of a multi-chain sampler run
-    mcmc_cfgs = []
-    for tag in ("t1", "t2"):
-        d = tmp_path / tag
-        c = tmp_path / f"{tag}.cfg"
-        c.write_text(f"""inputs.dataset={data_dir / 'dataset.csv'}
+    # thread-count invariance of a multi-chain sampler run and an MSL fit
+    mcmc_dir, msl_dir = tmp_path / "mcmc", tmp_path / "msl"
+    mcmc_cfg, msl_cfg = tmp_path / "mcmc.cfg", tmp_path / "msl.cfg"
+    mcmc_cfg.write_text(f"""inputs.dataset={data_dir / 'dataset.csv'}
 bayes.method=rw_metropolis
 bayes.iterations=300
 bayes.burn_in=100
 bayes.chains=3
 seed=6
-output.dir={d}
+output.dir={mcmc_dir}
 """)
-        mcmc_cfgs.append((c, d))
-    monkeypatch.setenv("SOA_LAB_THREADS", "1")
-    _run_cli(["bayes", "--config", str(mcmc_cfgs[0][0])])
-    monkeypatch.setenv("SOA_LAB_THREADS", "3")
-    _run_cli(["bayes", "--config", str(mcmc_cfgs[1][0])])
-    threads_same = ((mcmc_cfgs[0][1] / "draws.csv").read_bytes()
-                    == (mcmc_cfgs[1][1] / "draws.csv").read_bytes())
+    msl_cfg.write_text(f"""inputs.dataset={data_dir / 'dataset.csv'}
+inputs.sets={sets_dir / 'sets.csv'}
+correction.sets=sampled
+correction.mode=mcfadden
+fit.estimator=mmnl_msl
+fit.wn_mode=exact_full_set
+seed=7
+output.dir={msl_dir}
+""")
+    threads_same = all(
+        one == two for one, two in (
+            outputs_under_one_and_two_threads([verb, "--config", cfg], out)
+            for verb, cfg, out in (("bayes", mcmc_cfg, mcmc_dir),
+                                   ("fit", msl_cfg, msl_dir))))
 
     ok = identical and threads_same
     _report(11, "reproducibility", ok, time.perf_counter() - t0, 300.0,

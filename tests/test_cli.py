@@ -8,6 +8,7 @@ from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
 import draw_reference
+from child_cli import outputs_under_one_and_two_threads
 from csv_reference import read_csv, read_manifest
 from soa_lab import (Protocol, SampledSet, enumerate_feasible_sets,
                      enumerate_sets, read_dataset_csv, write_sets_csv)
@@ -338,12 +339,12 @@ output.dir={out}
     assert "beta_1" in names and "acceptance_chain_1" in names
 
 
-def test_bayes_thread_setting_does_not_change_draws(tmp_path, monkeypatch):
+def test_bayes_thread_setting_does_not_change_draws(tmp_path):
+    """A three-chain Metropolis run writes the same bytes under one and two
+    BLAS threads."""
     dataset = pipeline_generate(tmp_path, n=40)
-    outs = []
-    for tag, threads in (("t1", "1"), ("t2", "3")):
-        out = tmp_path / tag
-        cfg = write_config(tmp_path / f"{tag}.cfg", f"""
+    out = tmp_path / "mcmc"
+    cfg = write_config(tmp_path / "mcmc.cfg", f"""
 inputs.dataset={dataset}
 bayes.method=rw_metropolis
 bayes.iterations=300
@@ -352,10 +353,9 @@ bayes.chains=3
 seed=3
 output.dir={out}
 """)
-        monkeypatch.setenv("SOA_LAB_THREADS", threads)
-        assert run(["bayes", "--config", cfg]) == 0
-        outs.append((out / "draws.csv").read_bytes())
-    assert outs[0] == outs[1]
+    one, two = outputs_under_one_and_two_threads(["bayes", "--config", cfg],
+                                                 out)
+    assert "draws.csv" in one and one == two
 
 
 def test_bayes_gibbs_outputs_beta_n(tmp_path):
@@ -386,8 +386,8 @@ output.dir={out}
 @pytest.mark.parametrize("method,setting,value,named", [
     ("rw_metropolis", "bayes.chains", "0", "chain"),
     ("rw_metropolis", "bayes.chains", "-1", "chain"),
-    ("rw_metropolis", "bayes.proposal_scale", "nan", "proposal scale"),
-    ("rw_metropolis", "bayes.proposal_scale", "inf", "proposal scale"),
+    ("rw_metropolis", "bayes.proposal_scale", "nan", "bayes.proposal_scale"),
+    ("rw_metropolis", "bayes.proposal_scale", "inf", "bayes.proposal_scale"),
     ("gibbs", "bayes.rho", "inf", "rho"),
     ("gibbs", "bayes.rho", "nan", "rho"),
 ], ids=["chains_0", "chains_negative", "scale_nan", "scale_inf", "rho_inf",
@@ -626,21 +626,6 @@ def test_realized_sets_are_the_first_enumerated_rows_bitwise(seed, J, kind):
         assert np.array_equal(row.log_cond_prob, want.log_cond_prob)
 
 
-@pytest.mark.parametrize("setting,value", [
-    ("grid.lo", "nan"), ("grid.hi", "inf"),
-])
-def test_divergence_refuses_non_finite_grid_bounds(tmp_path, capsys, setting,
-                                                   value):
-    out = tmp_path / "o"
-    cfg = write_config(tmp_path / "dgrid.cfg",
-                       f"{setting}={value}\nseed=2\noutput.dir={out}\n")
-    assert run(["divergence", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "grid bounds must be finite" in err
-    assert "Traceback" not in err
-    assert not (out / "divergence.csv").exists()
-
-
 def test_divergence_rejects_bad_mode_pairing(tmp_path):
     out = tmp_path / "divbad"
     cfg = write_config(tmp_path / "dbad.cfg", f"""
@@ -683,14 +668,24 @@ _GIBBS = "bayes.method=gibbs\nbayes.iterations=60\nbayes.burn_in=20\n"
     ("bayes", _GIBBS + "prior.a0=inf", "prior.a0"),
     ("bayes", _GIBBS + "prior.s0=nan", "prior.s0"),
     ("bayes", _GIBBS + "prior.v0=inf", "prior.v0"),
+    ("divergence", "grid.lo=nan", "grid.lo"),
+    ("divergence", "grid.hi=inf", "grid.hi"),
+    ("bayes", "bayes.method=rw_metropolis\nbayes.iterations=60\n"
+              "bayes.burn_in=20\nbayes.proposal_scale=nan",
+     "bayes.proposal_scale"),
+    ("bayes", _GIBBS + "bayes.rho=inf", "bayes.rho"),
+    ("sample", "protocol.kind=importance_independent\n"
+               "protocol.inclusion_probs=0.5, nan, 0.5",
+     "protocol.inclusion_probs"),
 ], ids=["generate", "divergence", "dgp.mu_star", "dgp.sigma_star",
         "prior.mean", "prior.cov", "prior.m0", "prior.a0", "prior.s0",
-        "prior.v0"])
+        "prior.v0", "grid.lo", "grid.hi", "bayes.proposal_scale",
+        "bayes.rho", "protocol.inclusion_probs"])
 def test_a_non_finite_beta_star_is_exit_2_naming_the_key(tmp_path, capsys,
                                                         verb, settings, key):
-    """A non-finite value of a coefficient, mixing or prior key is refused
-    by name before any output is written."""
-    if verb == "bayes":
+    """A non-finite value of a number or list-of-numbers key is refused by
+    name, where the config is read, before any output is written."""
+    if verb in ("bayes", "sample"):
         dataset = pipeline_generate(tmp_path, name="panel", model="mmnl",
                                     n=6, j=3)
         settings += f"\ninputs.dataset={dataset}"

@@ -178,6 +178,28 @@ def test_choice_first_equals_set_first():
                 assert abs(a - c) < 1e-12
 
 
+@pytest.mark.parametrize("cells", [divergence_lab._BLOCK_CELLS, 1],
+                         ids=["default_blocks", "one_row_blocks"])
+def test_choice_first_runs_one_kernel_pass_per_block(cells):
+    """expected_quasi_ll evaluates the set kernel once per observation block,
+    over the whole feasible table, and reads every alternative from it."""
+    design = desk_design()
+    sets = enumerate_feasible_sets(IMP, design.J)
+    kernel, calls = divergence_lab._set_kernel, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    with mock.patch.object(divergence_lab, "_BLOCK_CELLS", cells), \
+            mock.patch.object(divergence_lab, "_set_kernel", counted):
+        expected_quasi_ll(design, sets, BSTAR, BSTAR, "mcfadden")
+        blocks = divergence_lab._blocks(design, sets, BSTAR)
+    assert len(blocks) == (1 if cells > 1 else design.n_obs)
+    assert len(calls) == len(blocks)
+    assert all(table is sets for table in calls)
+
+
 def test_divergence_forms_agree_and_match_difference():
     rng = np.random.default_rng(14)
     for _ in range(10):

@@ -71,14 +71,16 @@ def test_log_trapezoid_on_rows_equals_each_row_alone():
 
 def test_log_trapezoid_non_finite_rows_give_minus_inf_and_float_for_1d():
     g = GridSpec.make(-1.0, 1.0, 51)
-    rows = np.zeros((3, 51))
+    rows = np.zeros((4, 51))
     rows[1] = -np.inf
     rows[2, 5] = np.nan
+    rows[3, 5:7] = np.inf, 800.0  # a +inf max leaves exp(800) unshifted
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = log_trapezoid(rows, g.weights())
-        assert out[1] == -np.inf and out[2] == -np.inf
-        assert log_trapezoid(rows[1], g.weights()) == -np.inf
+        assert out[1] == out[2] == out[3] == -np.inf
+        for row in rows[1:]:
+            assert log_trapezoid(row, g.weights()) == -np.inf
     assert abs(out[0] - np.log(2.0)) < 1e-12
     assert type(log_trapezoid(rows[0], g.weights())) is float
     assert type(log_trapezoid(rows[1], g.weights())) is float

@@ -36,6 +36,9 @@ def test_protocol_validation():
         Protocol("importance_independent",
                  inclusion_probs=np.array([0.5, 1.0]))  # boundary excluded
     with pytest.raises(InvalidInputError):
+        Protocol("importance_independent",
+                 inclusion_probs=[0.5, np.nan, 0.5])  # nan fails p <= 0, p >= 1
+    with pytest.raises(InvalidInputError):
         Protocol("nearest_neighbour", m=2)
     Protocol("uniform_wor", m=5).check_for(J=10)
     with pytest.raises(InvalidInputError):
