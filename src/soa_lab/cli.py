@@ -193,8 +193,8 @@ class Config:
             return values
         if values.size == 1:
             return np.full(K, values[0])
-        raise ConfigError(f"config key {key!r}: need 1 or {K} entries, "
-                          f"got {values.size}")
+        need = "1 entry" if K == 1 else f"1 or {K} entries"
+        raise ConfigError(f"config key {key!r}: need {need}, got {values.size}")
 
 
 def parse_config_file(path, keys: set[str]) -> Config:
@@ -218,14 +218,25 @@ def build_protocol(cfg: Config) -> Protocol:
 def build_prior(cfg: Config, K: int) -> Prior:
     mean = cfg.get_vector("prior.mean", K, np.zeros(K))
     cov = cfg.get_floats("prior.cov", None)
-    return Prior(mean,
-                 np.eye(K) if cov is None else _square_from(cov, K, "prior.cov"))
+    try:
+        return Prior(mean, np.eye(K) if cov is None
+                     else _square_from(cov, K, "prior.cov"))
+    except InvalidInputError as exc:
+        raise ConfigError(f"config key 'prior.cov': {exc}") from exc
 
 
 def build_grid(cfg: Config, K: int) -> GridSpec:
-    return GridSpec.make(cfg.get_vector("grid.lo", K, np.full(K, -8.0)),
-                         cfg.get_vector("grid.hi", K, np.full(K, 8.0)),
-                         [cfg.get_int("grid.points", 201)] * K)
+    lo = cfg.get_vector("grid.lo", K, np.full(K, -8.0))
+    hi = cfg.get_vector("grid.hi", K, np.full(K, 8.0))
+    points = cfg.get_int("grid.points", 201)
+    if points < dlab.MIN_GRID_POINTS:
+        raise ConfigError(f"config key 'grid.points': {points} is below "
+                          f"{dlab.MIN_GRID_POINTS}, the fewest the divergence "
+                          "oracles integrate on")
+    try:
+        return GridSpec.make(lo, hi, [points] * K)
+    except InvalidInputError as exc:
+        raise ConfigError(f"config keys 'grid.lo' and 'grid.hi': {exc}") from exc
 
 
 def _finite(key: str, values: np.ndarray | float | None):
@@ -458,6 +469,12 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
     if K > 2:
         raise ConfigError(f"config key 'divergence.k': {K} is above 2, the "
                           "largest K a grid posterior supports")
+    if m < 2:
+        raise ConfigError(f"config key 'divergence.m': {m} is below 2, the "
+                          "smallest uniform set")
+    if m > J:
+        raise ConfigError(f"config key 'divergence.m': {m} exceeds "
+                          f"divergence.j = {J}")
     mode = cfg.get("correction.mode", "mcfadden")
     if mode not in _DIVERGENCE_MODES:
         raise ConfigError(

@@ -14,7 +14,8 @@ set table (:func:`enumerate_feasible_sets`); the per-observation ones give
 one value per observation: (N,) at one beta, (P, N) for a batch of P.  The
 grid-KL oracles (:func:`kl_terms`, :func:`expected_kl_direct`) take the
 protocol and enumerate the table themselves.  One pass over the joint
-(choice, set) outcomes gives every joint sum, and
+(choice, set) outcomes gives every joint sum; it evaluates the full-set side
+once per choice tuple and the sampled side once per outcome, and
 :func:`build_divergence_report` enumerates the feasible table once per row,
 hands it to every oracle that takes a table and evaluates each oracle once.
 
@@ -44,7 +45,7 @@ from .model_core import SetTable, log_softmax, shifted_exp_sum, utilities
 from .protocols import (Protocol, centred_corrections,  # noqa: F401
                         enumerate_feasible_sets, enumerate_sets, feasible_pair_count)
 
-_MIN_GRID_POINTS = 51
+MIN_GRID_POINTS = 51
 # Grid cells (outcomes x lattice points) per block of the joint outcome loop.
 _BLOCK_CELLS = 1 << 14
 
@@ -274,31 +275,33 @@ def divergence_uniform_closed_form(design, sets: SetTable,
 def _check_grid(grid: GridSpec, K: int) -> None:
     if grid.dim != K:
         raise InvalidInputError("grid dimension must match design K")
-    if min(grid.points) < _MIN_GRID_POINTS:
+    if min(grid.points) < MIN_GRID_POINTS:
         raise InvalidInputError(
-            f"grid needs at least {_MIN_GRID_POINTS} points per dimension")
+            f"grid needs at least {MIN_GRID_POINTS} points per dimension")
 
 
 def _lattice(design, sets: SetTable, correction_mode: str, prior,
              grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Quadrature weights, log prior, each observation's expected divergence
     on the lattice (N, P), and per observation its (chosen, set) pairs over
-    the feasible table ``sets`` as the arrays ln pi(D|i) (L,),
-    ln P(i | beta, C) (L, P) and ln P_eval(i | beta, D) (L, P), in set order,
-    then member order."""
+    the feasible table ``sets``, in set order, then member order: the arrays
+    ln pi(D|i) (L,) and ln P_eval(i | beta, D) (L, P), each pair's chosen
+    id (L,) and the full-set rows ln P(j | beta, C) (J, P)."""
     _check_grid(grid, design.K)
     points = grid.lattice()
     s, pos = np.nonzero(~sets.pad)
-    log_pi = sets.log_cond_prob[s, pos]
+    log_pi, members = sets.log_cond_prob[s, pos], sets.member_ids[s, pos]
+    # Every pair of one member holds the same full-set entry: read the first.
+    first = np.unique(members, return_index=True)[1]
     X = design.attribute_tensor()
     divergence, pairs = [], []
     for block in _blocks(design, sets, points):
         kernel = _set_kernel(X[block], sets, correction_mode, points)
         divergence.append(_split_divergence(sets, kernel).T)
-        ll_true, ll_samp = (np.moveaxis(k[..., s, pos], 0, -1)
-                            for k in (kernel[4], kernel[2]))
-        pairs += [(log_pi, np.ascontiguousarray(t), np.ascontiguousarray(u))
-                  for t, u in zip(ll_true, ll_samp)]
+        ll_samp = np.moveaxis(kernel[2][..., s, pos], 0, -1)
+        full = np.moveaxis(kernel[4][..., s[first], pos[first]], 0, -1)
+        pairs += [(log_pi, np.ascontiguousarray(u), members,
+                   np.ascontiguousarray(f)) for u, f in zip(ll_samp, full)]
     return (grid.weights(), prior.log_density(points),
             np.concatenate(divergence), pairs)
 
@@ -321,12 +324,18 @@ def _joint_outcomes(pairs: list):
     """Every joint (choices, sets) outcome of a design, in product order,
     in blocks of at most ``_BLOCK_CELLS`` grid cells (or one outcome).
 
-    Yields (ln pi (n,), ll_true (n, P), ll_samp (n, P)): the log probability
-    of the sets given the choices, and the full-set and evaluated-mode
-    log-likelihoods of the choices on the grid, one row per outcome.  Each
-    row sums its observations' pairs first to last, starting from zero.
+    Yields (table, ln pi (n,), ll_samp (n, P), index (n,)): the log
+    probability of the sets given the choices and the evaluated-mode
+    log-likelihood of the choices on the grid, one row per outcome, and the
+    row of ``table`` holding the outcome's full-set log-likelihood.  The
+    full side depends on the choices alone, so ``table`` holds it once per
+    choice tuple of the observations from ``split`` on, J^(T - split) rows
+    of at most J x ``_BLOCK_CELLS`` cells; it is built once per prefix and
+    yielded with each of that prefix's blocks.  Each row, sampled or full,
+    sums its observations first to last, starting from zero.
     """
     n_pairs, n_points = pairs[0][1].shape
+    members, J = pairs[0][2], len(pairs[0][3])
     rows = max(1, _BLOCK_CELLS // n_points)
     # A block is one combination of the observations before ``split``, a
     # slice of ``chunk`` pairs of observation ``split`` and every
@@ -336,18 +345,28 @@ def _joint_outcomes(pairs: list):
         tail *= n_pairs
         split -= 1
     chunk = rows // tail
-    zero = (np.zeros(1), np.zeros((1, n_points)), np.zeros((1, n_points)))
+    # A block's table rows depend on its chunk alone, not on the prefix.
+    indices = []
+    for lo in range(0, n_pairs, chunk):
+        index = members[lo:lo + chunk]
+        for _ in pairs[split + 1:]:
+            index = (index[:, None] * J + members).ravel()
+        indices.append(index)
+    zero = np.zeros(1), np.zeros((1, n_points))
     for prefix in product(range(n_pairs), repeat=split):
-        head = zero
-        for obs_pairs, i in zip(pairs, prefix):
-            head = tuple(h + a[i:i + 1] for h, a in zip(head, obs_pairs))
-        for lo in range(0, n_pairs, chunk):
+        head, table = zero, zero[1]
+        for (*sampled, obs_members, full), i in zip(pairs, prefix):
+            head = tuple(h + a[i:i + 1] for h, a in zip(head, sampled))
+            table = table + full[obs_members[i:i + 1]]
+        for *_, full in pairs[split:]:
+            table = _outer_add(table, full)
+        for lo, index in zip(range(0, n_pairs, chunk), indices):
             block = tuple(_outer_add(h, a[lo:lo + chunk])
                           for h, a in zip(head, pairs[split]))
             for obs_pairs in pairs[split + 1:]:
                 block = tuple(_outer_add(b, a)
                               for b, a in zip(block, obs_pairs))
-            yield block
+            yield table, *block, index
 
 
 def _term_a(weights: np.ndarray, log_prior: np.ndarray,
@@ -374,6 +393,11 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
     """The two pieces of the expected posterior KL divergence, and two
     independent re-assemblies, from one pass over the joint outcomes.
 
+    The full-set log-likelihood, marginal and posterior of an outcome
+    depend on its choices alone: each is computed once per row of the tuple
+    table of :func:`_joint_outcomes` and read by index, while the sampled
+    side is computed once per outcome.
+
     A is :func:`kl_term_a`; B is the expected log inverse Bayes factor from
     grid marginal likelihoods.  A + B is the expected KL divergence from the
     full-set to the sampled-set posterior.  ``a_joint`` is A from the raw
@@ -387,17 +411,29 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
         prior, grid)
     term_a = _term_a(weights, log_prior, divergence)
     term_b = a_joint = kl_direct = 0.0
-    for log_pi, ll_true, ll_samp in _joint_outcomes(pairs):
-        lk_true, lk_samp = log_prior + ll_true, log_prior + ll_samp
-        lm_true = log_trapezoid(lk_true, weights)
+    table = None
+    for tuples, log_pi, ll_samp, c in _joint_outcomes(pairs):
+        if tuples is not table:  # the first block of a prefix
+            table = tuples
+            lk_true = log_prior + table
+            lm_true = log_trapezoid(lk_true, weights)
+            lp_true = lk_true - lm_true[:, None]
+            w_true = weights * np.exp(lp_true)
+        lk_samp = log_prior + ll_samp
         lm_samp = log_trapezoid(lk_samp, weights)
-        lp_true = lk_true - lm_true[:, None]
-        kl = np.sum(weights * np.exp(lp_true)
-                    * (lp_true - (lk_samp - lm_samp[:, None])), axis=-1)
-        integrand = np.exp(lk_true + log_pi[:, None]) * (ll_true - ll_samp)
-        joint = np.exp(log_pi + lm_true)
-        for b, a, d in zip((joint * (lm_samp - lm_true)).tolist(),
-                           np.sum(weights * integrand, axis=-1).tolist(),
+        # In place: lp_samp, lp_true - lp_samp, then the KL integrand.
+        kl = np.subtract(lk_samp, lm_samp[:, None], out=lk_samp)
+        np.subtract(lp_true[c], kl, out=kl)
+        kl = np.sum(np.multiply(w_true[c], kl, out=kl), axis=-1)
+        integrand = lk_true[c]
+        integrand += log_pi[:, None]
+        np.exp(integrand, out=integrand)
+        integrand *= np.subtract(table[c], ll_samp, out=ll_samp)
+        integrand *= weights
+        lm_c = lm_true[c]
+        joint = np.exp(log_pi + lm_c)
+        for b, a, d in zip((joint * (lm_samp - lm_c)).tolist(),
+                           np.sum(integrand, axis=-1).tolist(),
                            (joint * kl).tolist()):
             term_b += b
             a_joint += a

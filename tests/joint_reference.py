@@ -23,8 +23,8 @@ def _lattice(design, protocol, correction_mode, prior, grid):
         design, dlab.enumerate_feasible_sets(protocol, design.J),
         correction_mode, prior, grid)
     return weights, log_prior, divergence, [
-        list(zip(lpi.tolist(), lp_true, lp_samp))
-        for lpi, lp_true, lp_samp in pairs]
+        list(zip(lpi.tolist(), full[members], lp_samp))
+        for lpi, lp_samp, members, full in pairs]
 
 
 def joint_outcomes(pairs: list, protocol):

@@ -715,6 +715,37 @@ def test_divergence_wrong_length_parameter_is_exit_2(tmp_path, capsys,
     assert not (out / "divergence.csv").exists()
 
 
+@pytest.mark.parametrize("settings,key,reason", [
+    ("grid.points=50", "grid.points", "50 is below 51"),
+    ("grid.lo=3\ngrid.hi=3", "grid.lo", "needs hi > lo"),
+    ("divergence.m=1", "divergence.m", "1 is below 2"),
+    ("divergence.j=5\ndivergence.m=6", "divergence.m",
+     "6 exceeds divergence.j = 5"),
+    ("prior.cov=-1", "prior.cov", "prior covariance must be PD"),
+    ("divergence.beta_star=1, 2", "divergence.beta_star",
+     "need 1 entry, got 2"),
+], ids=["grid_points", "grid_bounds", "m_below_2", "m_above_j",
+        "prior_cov_not_pd", "beta_star_at_k1"])
+def test_divergence_refusals_name_the_key_before_any_work(
+        tmp_path, capsys, monkeypatch, settings, key, reason):
+    """A divergence setting out of range exits 2 naming its key and the
+    reason, before the first oracle runs."""
+    from soa_lab import divergence_lab
+
+    def refuse(*args):
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(divergence_lab, "_set_kernel", refuse)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "dkey.cfg",
+                       f"{settings}\nseed=2\noutput.dir={out}\n")
+    assert run(["divergence", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and reason in err
+    assert "Traceback" not in err
+    assert not (out / "divergence.csv").exists()
+
+
 def test_generate_refuses_a_non_finite_mixing_mean(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = generate_config(tmp_path, out, model="mmnl")

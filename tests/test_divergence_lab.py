@@ -494,14 +494,15 @@ def _pairs_per_observation(protocol, J):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), K=st.integers(1, 2),
-       T=st.integers(1, 3),
+       T=st.integers(1, 4),
        case=CASES)
 def test_joint_block_reductions_equal_the_outcome_loop_bitwise(seed, J, K, T,
                                                                case):
     """kl_terms gives the bits of the one-outcome-at-a-time loops on all
-    four sums (a, b, a_joint, kl_direct), and expected_kl_direct reads
-    kl_direct, at the default block size and with blocks of one row, so
-    that block boundaries fall inside the product."""
+    four sums (a, b, a_joint, kl_direct) at the default block size, with
+    blocks of one row and at block sizes that split the product inside an
+    observation with several pairs per block, so that block and tuple-table
+    boundaries fall inside the product; expected_kl_direct reads kl_direct."""
     rng = np.random.default_rng(seed)
     kind, mode = case
     proto = random_protocol(rng, kind, J)
@@ -514,7 +515,77 @@ def test_joint_block_reductions_equal_the_outcome_loop_bitwise(seed, J, K, T,
     grid = GridSpec.make([-5.0] * K, [5.0] * K, [51] * K)
     args = (design, proto, mode, prior, grid)
     want = joint_reference.kl_terms(*args)
-    for cells in (divergence_lab._BLOCK_CELLS, 1):
+    assert expected_kl_direct(*args) == want.kl_direct
+    # Sizes giving the same rows per block give the same blocks: run one.
+    sizes = {max(1, cells // grid.lattice().shape[0]): cells
+             for cells in (divergence_lab._BLOCK_CELLS, 1, 300, 5000)}
+    for cells in sizes.values():
         with mock.patch.object(divergence_lab, "_BLOCK_CELLS", cells):
             assert kl_terms(*args) == want
-            assert expected_kl_direct(*args) == want.kl_direct
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), K=st.integers(1, 2),
+       T=st.integers(1, 3), case=CASES,
+       cells=st.sampled_from([divergence_lab._BLOCK_CELLS, 1, 300]))
+def test_joint_loop_tuple_table_is_the_estimators_full_set_loglik_bitwise(
+        seed, J, K, T, case, cells):
+    """Each outcome's row of the tuple table the joint loop yields with it
+    is ChoiceArrays.loglik of the outcome's choices over the full sets at
+    the grid points, bit for bit; every row of every table is some
+    outcome's, and no table holds more than J x max(_BLOCK_CELLS, P)
+    cells."""
+    rng = np.random.default_rng(seed)
+    kind, mode = case
+    sets = enumerate_feasible_sets(random_protocol(rng, kind, J), J)
+    s, pos = np.nonzero(~sets.pad)
+    # Keep the per-outcome loop small: at most 300 joint outcomes.
+    while s.size ** T > 300:
+        T -= 1
+    X = rng.normal(size=(T, J, K))
+    grid = GridSpec.make([-4.0] * K, [4.0] * K, [51] * K)
+    points = grid.lattice()
+    pairs = divergence_lab._lattice(
+        Dataset.from_arrays(X, rng.integers(J, size=T)), sets, mode,
+        Prior(np.zeros(K), 4.0 * np.eye(K)), grid)[3]
+    members = sets.member_ids[s, pos]
+    outcomes = product(range(s.size), repeat=T)
+    full, used = {}, {}
+    with mock.patch.object(divergence_lab, "_BLOCK_CELLS", cells):
+        for table, _, _, index in divergence_lab._joint_outcomes(pairs):
+            assert table.size <= J * max(cells, len(points))
+            used.setdefault(id(table), (table, set()))[1].update(index.tolist())
+            for row, outcome in zip(index.tolist(), outcomes):
+                choices = tuple(members[list(outcome)].tolist())
+                if choices not in full:
+                    full[choices] = ChoiceArrays(
+                        Dataset.from_arrays(X, choices), None,
+                        mode).loglik(points)
+                assert np.array_equal(table[row], full[choices])
+    assert next(outcomes, None) is None
+    assert all(rows == set(range(len(table)))
+               for table, rows in used.values())
+
+
+@pytest.mark.parametrize("protocol,rows", [
+    (Protocol("uniform_wor", m=2), 25 + 400),
+    (Protocol("importance_independent",
+              inclusion_probs=np.array([0.7, 0.3, 0.5, 0.6, 0.4])),
+     25 + 6400)], ids=["uniform_m2", "importance"])
+def test_joint_loop_normalises_each_choice_tuple_once(protocol, rows):
+    """On a J=5, T=2 design kl_terms normalises the full-set posterior once
+    per choice tuple (25 rows) and the sampled one once per joint outcome
+    (20^2 uniform, 80^2 importance): log_trapezoid rows counted by
+    wrapping it."""
+    design = Dataset.from_arrays(
+        np.random.default_rng(5).normal(size=(2, 5, 1)), [1, 3])
+    real, counted = divergence_lab.log_trapezoid, []
+
+    def count(values, weights):
+        counted.append(len(values) if np.ndim(values) == 2 else 1)
+        return real(values, weights)
+
+    with mock.patch.object(divergence_lab, "log_trapezoid", count):
+        kl_terms(design, protocol, "mcfadden", PRIOR,
+                 GridSpec.make(-6.0, 6.0, 201))
+    assert sum(counted) == rows
