@@ -46,11 +46,11 @@ from . import divergence_lab as dlab
 from .errors import (CapacityError, ConfigError, InvalidInputError,
                      InvalidStateError, NumericalDegeneracyError)
 from .grids import GridSpec
-from .mle import ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
-from .model_core import Dataset, SetTable, log_softmax
+from .mle import WN_MODES, ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
+from .model_core import CORRECTION_MODES, Dataset, SetTable, log_softmax
 # perfbench/tracing.py looks up draw_sampled_set and enumerate_sets here.
-from .protocols import (Protocol, derive_stream, draw_sampled_set,  # noqa: F401
-                        draw_set_table, enumerate_sets)
+from .protocols import (PROTOCOL_KINDS, Protocol, derive_stream,  # noqa: F401
+                        draw_sampled_set, draw_set_table, enumerate_sets)
 from .synth import MmnlDgpConfig, MnlDgpConfig, generate_mmnl, generate_mnl
 
 _MISSING = object()
@@ -171,18 +171,27 @@ class Config:
         except (ValueError, KeyError):
             raise ConfigError(f"config key {key!r}: {value!r} is not {what}")
 
-    def get_int(self, key: str, default=_MISSING) -> int:
-        return self._parsed(key, default, int, "an integer")
+    def get_int(self, key: str, default=_MISSING, low=None) -> int:
+        return _checked(key, self._parsed(key, default, int, "an integer"), low)
 
-    def get_float(self, key: str, default=_MISSING) -> float:
-        return _finite(key, self._parsed(key, default, float, "a number"))
+    def get_float(self, key: str, default=_MISSING, low=None,
+                  above=None) -> float:
+        return _checked(key, self._parsed(key, default, float, "a number"),
+                        low, above)
+
+    def get_choice(self, key: str, choices, default=_MISSING) -> str:
+        value = self.get(key, default)
+        if value not in choices:
+            raise ConfigError(f"config key {key!r}: {value!r} is not one of "
+                              f"{', '.join(choices)}")
+        return value
 
     def get_bool(self, key: str, default=_MISSING) -> bool:
         return self._parsed(key, default, lambda v: _BOOLEANS[v.lower()],
                             "a boolean")
 
     def get_floats(self, key: str, default=_MISSING) -> np.ndarray | None:
-        return _finite(key, self._parsed(
+        return _checked(key, self._parsed(
             key, default, lambda v: np.array([float(x) for x in v.split(",")]),
             "a comma-separated list of numbers"))
 
@@ -205,24 +214,21 @@ def parse_config_file(path, keys: set[str]) -> Config:
                   keys)
 
 
-def build_protocol(cfg: Config) -> Protocol:
-    kind = cfg.get("protocol.kind")
-    if kind == "uniform_wor":
-        return Protocol(kind, m=cfg.get_int("protocol.m"))
-    if kind == "importance_independent":
-        return Protocol(kind, inclusion_probs=cfg.get_floats(
-            "protocol.inclusion_probs"))
-    raise ConfigError(f"config key 'protocol.kind': unknown protocol {kind!r}")
+def build_protocol(cfg: Config, J: int) -> Protocol:
+    """The configured protocol, checked against a choice set of size J."""
+    kind = cfg.get_choice("protocol.kind", PROTOCOL_KINDS)
+    field = "m" if kind == "uniform_wor" else "inclusion_probs"
+    key = f"protocol.{field}"
+    value = cfg.get_int(key) if field == "m" else cfg.get_floats(key)
+    protocol = _named(key, Protocol, kind, **{field: value})
+    _named(key, protocol.check_for, J)
+    return protocol
 
 
 def build_prior(cfg: Config, K: int) -> Prior:
     mean = cfg.get_vector("prior.mean", K, np.zeros(K))
-    cov = cfg.get_floats("prior.cov", None)
-    try:
-        return Prior(mean, np.eye(K) if cov is None
-                     else _square_from(cov, K, "prior.cov"))
-    except InvalidInputError as exc:
-        raise ConfigError(f"config key 'prior.cov': {exc}") from exc
+    return _named("prior.cov", Prior, mean,
+                  _square(cfg, "prior.cov", K, np.eye(K)))
 
 
 def build_grid(cfg: Config, K: int) -> GridSpec:
@@ -239,16 +245,30 @@ def build_grid(cfg: Config, K: int) -> GridSpec:
         raise ConfigError(f"config keys 'grid.lo' and 'grid.hi': {exc}") from exc
 
 
-def _finite(key: str, values: np.ndarray | float | None):
-    """``values``, unless one of them is not finite."""
-    if values is not None and not np.all(np.isfinite(values)):
+def _named(key: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a library refusal names ``key``."""
+    try:
+        return make(*args, **kwargs)
+    except (InvalidInputError, NumericalDegeneracyError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
+def _checked(key: str, values, low=None, above=None):
+    """``values``, unless a number among them is not finite, is below
+    ``low`` or is not above ``above``; integers are always finite."""
+    if isinstance(values, (float, np.ndarray)) and not np.all(np.isfinite(values)):
         raise ConfigError(f"config key {key!r}: {np.asarray(values).tolist()} "
                           "is not finite")
+    if low is not None and values < low:
+        raise ConfigError(f"config key {key!r}: {values} is below {low}")
+    if above is not None and not values > above:
+        raise ConfigError(f"config key {key!r}: {values} is not above {above}")
     return values
 
 
-def _square_from(values: np.ndarray, K: int, key: str) -> np.ndarray:
+def _square(cfg: Config, key: str, K: int, default=_MISSING) -> np.ndarray:
     """K x K from one value (times I), K diagonal or K * K row-major entries."""
+    values = np.ravel(cfg.get_floats(key, default))
     if values.size in (1, K):
         return np.diag(np.broadcast_to(values, K))
     if values.size == K * K:
@@ -268,17 +288,14 @@ def load_dataset(cfg: Config) -> tuple[Dataset, str]:
 def load_sets(cfg: Config, dataset: Dataset,
               dataset_hash: str) -> tuple[SetTable | None, str]:
     """(sampled sets, mode) per the correction.* keys; None means full sets."""
-    which = cfg.get("correction.sets", "full")
-    if which == "full":
+    if cfg.get_choice("correction.sets", ("full", "sampled"), "full") == "full":
         return None, "none"
-    if which != "sampled":
-        raise ConfigError("config key 'correction.sets' must be 'full' or 'sampled'")
     path = Path(cfg.get("inputs.sets"))
     if not path.is_file():
         raise ConfigError(f"referenced sets file {path} does not exist")
     sets, meta = storage.read_sets_csv(path, dataset.chosen_ids(), dataset.J)
     storage.verify_lineage(meta, "dataset_hash", dataset_hash, str(path))
-    return sets, cfg.get("correction.mode", "mcfadden")
+    return sets, cfg.get_choice("correction.mode", CORRECTION_MODES, "mcfadden")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +303,7 @@ def load_sets(cfg: Config, dataset: Dataset,
 # ---------------------------------------------------------------------------
 
 def cmd_generate(cfg: Config, out_dir: Path, chash: str) -> None:
-    model = cfg.get("dgp.model")
+    model = cfg.get_choice("dgp.model", ("mnl", "mmnl"))
     seed = cfg.get_int("seed")
     K = cfg.get_int("dgp.k")
     law = cfg.get("dgp.covariate_law", "standard_normal")
@@ -295,17 +312,14 @@ def cmd_generate(cfg: Config, out_dir: Path, chash: str) -> None:
                            beta_star=cfg.get_floats("dgp.beta_star"),
                            covariate_law=law, seed=seed)
         dataset = generate_mnl(dgp)
-    elif model == "mmnl":
+    else:
         dgp = MmnlDgpConfig(
             N=cfg.get_int("dgp.n"), T=cfg.get_int("dgp.t"),
             J=cfg.get_int("dgp.j"), K=K,
             mu_star=cfg.get_floats("dgp.mu_star"),
-            sigma_star=_square_from(cfg.get_floats("dgp.sigma_star"), K,
-                                    "dgp.sigma_star"),
+            sigma_star=_square(cfg, "dgp.sigma_star", K),
             covariate_law=law, seed=seed)
         dataset, _ = generate_mmnl(dgp)
-    else:
-        raise ConfigError("config key 'dgp.model' must be 'mnl' or 'mmnl'")
 
     dataset_path = out_dir / "dataset.csv"
     storage.write_dataset_csv(dataset_path, dataset,
@@ -315,8 +329,8 @@ def cmd_generate(cfg: Config, out_dir: Path, chash: str) -> None:
 
 def cmd_sample(cfg: Config, out_dir: Path, chash: str) -> None:
     dataset, ds_hash = load_dataset(cfg)
-    sets = draw_set_table(build_protocol(cfg), dataset.chosen_ids(), dataset.J,
-                          cfg.get_int("seed"))
+    sets = draw_set_table(build_protocol(cfg, dataset.J), dataset.chosen_ids(),
+                          dataset.J, cfg.get_int("seed"))
     sets_path = out_dir / "sets.csv"
     storage.write_sets_csv(sets_path, sets,
                            {"config_hash": chash, "command": "sample",
@@ -327,18 +341,17 @@ def cmd_sample(cfg: Config, out_dir: Path, chash: str) -> None:
 def cmd_fit(cfg: Config, out_dir: Path, chash: str) -> None:
     dataset, ds_hash = load_dataset(cfg)
     sampled, mode = load_sets(cfg, dataset, ds_hash)
-    estimator = cfg.get("fit.estimator", "mnl")
+    estimator = cfg.get_choice("fit.estimator", ("mnl", "mmnl_msl"), "mnl")
     run_id = f"fit-{chash}"
     if estimator == "mnl":
         result = fit_mnl(dataset, sampled, mode)
         names = [f"beta_{k + 1}" for k in range(dataset.K)]
-    elif estimator == "mmnl_msl":
-        result = fit_mmnl_msl(dataset, sampled, mode,
-                              wn_mode=cfg.get("fit.wn_mode", "exact_full_set"),
-                              r_draws=cfg.get_int("fit.r_draws", 100))
-        names = theta_labels(dataset.K)
     else:
-        raise ConfigError("config key 'fit.estimator' must be 'mnl' or 'mmnl_msl'")
+        result = fit_mmnl_msl(
+            dataset, sampled, mode,
+            wn_mode=cfg.get_choice("fit.wn_mode", WN_MODES, "exact_full_set"),
+            r_draws=cfg.get_int("fit.r_draws", 100, low=1))
+        names = theta_labels(dataset.K)
 
     rows = [(run_id, chash, f"estimate[{name}]", float(value),
              f"se={float(se)!r}")
@@ -359,12 +372,15 @@ def cmd_fit(cfg: Config, out_dir: Path, chash: str) -> None:
 
 
 def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
-    method = cfg.get("bayes.method")
+    method = cfg.get_choice("bayes.method", ("rw_metropolis", "gibbs"))
     dataset, ds_hash = load_dataset(cfg)
     sampled, mode = load_sets(cfg, dataset, ds_hash)
     seed = cfg.get_int("seed")
     iterations = cfg.get_int("bayes.iterations")
-    burn_in = cfg.get_int("bayes.burn_in")
+    burn_in = cfg.get_int("bayes.burn_in", low=0)
+    if burn_in >= iterations:
+        raise ConfigError(f"config key 'bayes.burn_in': {burn_in} is not below "
+                          f"bayes.iterations = {iterations}")
     thin = 1
 
     if method == "rw_metropolis":
@@ -375,29 +391,28 @@ def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
             return log_posterior_kernel(points, likelihood, prior)
 
         draws = rw_metropolis(kernel, prior.mean,
-                              n_chains=cfg.get_int("bayes.chains", 2),
+                              n_chains=cfg.get_int("bayes.chains", 2, low=1),
                               n_iter=iterations, burn_in=burn_in,
-                              proposal_scale=cfg.get_float("bayes.proposal_scale", 0.5),
+                              proposal_scale=cfg.get_float(
+                                  "bayes.proposal_scale", 0.5, above=0),
                               seed=seed)
         draws.param_names = [f"beta_{k + 1}" for k in range(dataset.K)]
-    elif method == "gibbs":
+    else:
         K, default = dataset.K, MmnlPriors.default_for(dataset.K)
-        a0, s0 = (cfg.get_floats(key, None) for key in ("prior.a0", "prior.s0"))
-        priors = MmnlPriors(
-            m0=cfg.get_floats("prior.m0", default.m0),
-            A0=default.A0 if a0 is None else _square_from(a0, K, "prior.a0"),
-            v0=cfg.get_float("prior.v0", default.v0),
-            S0=default.S0 if s0 is None else _square_from(s0, K, "prior.s0"))
-        thin = cfg.get_int("bayes.thin", 1)
+        m0 = cfg.get_vector("prior.m0", K, default.m0)
+        A0 = _square(cfg, "prior.a0", K, default.A0)
+        v0 = cfg.get_float("prior.v0", default.v0, above=K - 1)
+        # A0 is checked beside the default S0 first, so a refusal names its key.
+        _named("prior.a0", MmnlPriors, m0, A0, v0, default.S0)
+        priors = _named("prior.s0", MmnlPriors, m0, A0, v0,
+                        _square(cfg, "prior.s0", K, default.S0))
+        thin = cfg.get_int("bayes.thin", 1, low=1)
         gibbs_cfg = GibbsConfig(
             iterations=iterations, burn_in=burn_in, thin=thin, seed=seed,
-            rho=cfg.get_float("bayes.rho", 0.4),
+            rho=cfg.get_float("bayes.rho", 0.4, low=0),
             sets=None if sampled is None else (sampled, mode),
             store_beta_n=cfg.get_bool("bayes.store_beta_n", False))
         draws = run_gibbs(dataset, priors, gibbs_cfg)
-    else:
-        raise ConfigError(
-            "config key 'bayes.method' must be 'rw_metropolis' or 'gibbs'")
 
     summary = posterior_summary(draws)
     headers = {"config_hash": chash, "command": "bayes", "dataset_hash": ds_hash}
@@ -457,21 +472,14 @@ _DIVERGENCE_MODES = ("mcfadden", "none")
 
 def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
     seed = cfg.get_int("seed")
-    J = cfg.get_int("divergence.j", 4)
-    K = cfg.get_int("divergence.k", 1)
-    m = cfg.get_int("divergence.m", 2)
-    T = cfg.get_int("divergence.t", 1)
-    n_designs = cfg.get_int("divergence.n_designs", 3)
-    for key, size in (("divergence.j", J), ("divergence.k", K),
-                      ("divergence.t", T), ("divergence.n_designs", n_designs)):
-        if size < 1:
-            raise ConfigError(f"config key {key!r}: {size} is below 1")
+    J = cfg.get_int("divergence.j", 4, low=1)
+    K = cfg.get_int("divergence.k", 1, low=1)
+    m = cfg.get_int("divergence.m", 2, low=2)
+    T = cfg.get_int("divergence.t", 1, low=1)
+    n_designs = cfg.get_int("divergence.n_designs", 3, low=1)
     if K > 2:
         raise ConfigError(f"config key 'divergence.k': {K} is above 2, the "
                           "largest K a grid posterior supports")
-    if m < 2:
-        raise ConfigError(f"config key 'divergence.m': {m} is below 2, the "
-                          "smallest uniform set")
     if m > J:
         raise ConfigError(f"config key 'divergence.m': {m} exceeds "
                           f"divergence.j = {J}")

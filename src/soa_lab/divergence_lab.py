@@ -4,7 +4,7 @@ Everything here is exact (up to quadrature on an explicit grid): expected
 quasi log-likelihoods in both summation orderings, set-coverage ratios,
 expected divergence between sampled and full log-likelihoods in direct,
 split, and closed forms, and the two terms of the expected posterior KL
-divergence together with independent re-assemblies used to cross-check
+divergence together with an independent re-assembly used to cross-check
 them.  Nothing in this module is Monte Carlo.
 
 Every oracle takes a design (N observations sharing J and K) and runs one
@@ -42,7 +42,7 @@ from .errors import CapacityError, InvalidInputError
 from .grids import GridSpec, log_trapezoid
 from .model_core import SetTable, log_softmax, shifted_exp_sum, utilities
 # perfbench/tracing.py looks up enumerate_sets here.
-from .protocols import (Protocol, centred_corrections,  # noqa: F401
+from .protocols import (ENUMERATION_CAP, Protocol, centred_corrections,  # noqa: F401
                         enumerate_feasible_sets, enumerate_sets, feasible_pair_count)
 
 MIN_GRID_POINTS = 51
@@ -81,9 +81,10 @@ class DivergenceReport:
 
 @dataclass
 class KlTerms:
+    """Terms A and B of the expected posterior KL, and its direct sum."""
+
     a: float
     b: float
-    a_joint: float
     kl_direct: float
 
 
@@ -314,10 +315,9 @@ def _outer_add(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
 def check_joint_cap(design, protocol: Protocol) -> None:
     """Refuse a design as :func:`kl_terms` does, before any work: for too
     many feasible sets, then for too many joint (choice, set) outcomes."""
-    cap = protocol.enumeration_cap
-    if feasible_pair_count(protocol, design.J) ** design.n_obs > cap:
-        raise CapacityError(
-            f"joint enumeration would exceed {cap} (choice, set) combinations")
+    if feasible_pair_count(protocol, design.J) ** design.n_obs > ENUMERATION_CAP:
+        raise CapacityError(f"joint enumeration would exceed {ENUMERATION_CAP}"
+                            " (choice, set) combinations")
 
 
 def _joint_outcomes(pairs: list):
@@ -390,8 +390,8 @@ def kl_term_a(design, feasible: SetTable, correction_mode: str, prior,
 
 def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
              grid: GridSpec) -> KlTerms:
-    """The two pieces of the expected posterior KL divergence, and two
-    independent re-assemblies, from one pass over the joint outcomes.
+    """Terms A and B of the expected posterior KL divergence and its direct
+    sum; B and the direct sum come from one pass over the joint outcomes.
 
     The full-set log-likelihood, marginal and posterior of an outcome
     depend on its choices alone: each is computed once per row of the tuple
@@ -400,17 +400,17 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
 
     A is :func:`kl_term_a`; B is the expected log inverse Bayes factor from
     grid marginal likelihoods.  A + B is the expected KL divergence from the
-    full-set to the sampled-set posterior.  ``a_joint`` is A from the raw
-    joint (prior x likelihood x set probabilities times the log likelihood
-    ratio, no coverage regrouping); ``kl_direct`` weights each outcome's
-    grid KL between the two normalized posteriors by its probability.
+    full-set to the sampled-set posterior.  ``kl_direct`` weights each
+    outcome's grid KL between the two normalized posteriors by its
+    probability.  A assembled from the raw joint, without the coverage
+    regrouping, is a test reference (``tests/joint_reference.py``).
     """
     check_joint_cap(design, protocol)
     weights, log_prior, divergence, pairs = _lattice(
         design, enumerate_feasible_sets(protocol, design.J), correction_mode,
         prior, grid)
     term_a = _term_a(weights, log_prior, divergence)
-    term_b = a_joint = kl_direct = 0.0
+    term_b = kl_direct = 0.0
     table = None
     for tuples, log_pi, ll_samp, c in _joint_outcomes(pairs):
         if tuples is not table:  # the first block of a prefix
@@ -425,20 +425,13 @@ def kl_terms(design, protocol: Protocol, correction_mode: str, prior,
         kl = np.subtract(lk_samp, lm_samp[:, None], out=lk_samp)
         np.subtract(lp_true[c], kl, out=kl)
         kl = np.sum(np.multiply(w_true[c], kl, out=kl), axis=-1)
-        integrand = lk_true[c]
-        integrand += log_pi[:, None]
-        np.exp(integrand, out=integrand)
-        integrand *= np.subtract(table[c], ll_samp, out=ll_samp)
-        integrand *= weights
         lm_c = lm_true[c]
         joint = np.exp(log_pi + lm_c)
-        for b, a, d in zip((joint * (lm_samp - lm_c)).tolist(),
-                           np.sum(integrand, axis=-1).tolist(),
-                           (joint * kl).tolist()):
+        for b, d in zip((joint * (lm_samp - lm_c)).tolist(),
+                        (joint * kl).tolist()):
             term_b += b
-            a_joint += a
             kl_direct += d
-    return KlTerms(term_a, term_b, a_joint, kl_direct)
+    return KlTerms(term_a, term_b, kl_direct)
 
 
 def kl_term_a_entropy_form(design, sets: SetTable, prior,

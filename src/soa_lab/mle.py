@@ -373,18 +373,17 @@ class _SimulatedLikelihood:
 
 
 def fit_mmnl_msl(dataset: Dataset, sampled: SetTable | None,
-                 corrections: str, wn_mode: str, r_draws: int,
-                 init: np.ndarray | None = None) -> FitResult:
+                 corrections: str, wn_mode: str, r_draws: int) -> FitResult:
     """Maximum simulated likelihood for the normal-mixing panel logit.
 
     The objective is :class:`_SimulatedLikelihood`'s, on a Halton draw
     block that is generated once and reused for every evaluation.
     ``wn_mode='naive_one'`` sets the expansion factor to one;
     ``sampled=None`` fits on full sets, where it is exactly one and is
-    skipped.  Each objective call also computes the score, which the
-    following gradient call at the same point reuses; the fit converges at
-    max|score| <= 1e-3.  Standard errors come from central differences of
-    the score.
+    skipped.  The fit starts at mu = 0, Sigma = e^-2 I.  Each objective call
+    also computes the score, which the following gradient call at the same
+    point reuses; the fit converges at max|score| <= 1e-3.  Standard errors
+    come from central differences of the score.
     """
     if wn_mode not in WN_MODES:
         raise InvalidInputError(f"unknown Wn mode {wn_mode!r}")
@@ -393,9 +392,8 @@ def fit_mmnl_msl(dataset: Dataset, sampled: SetTable | None,
     use_wn = wn_mode == "exact_full_set" and sampled is not None
     likelihood = _SimulatedLikelihood(
         view, halton_normal_draws(view.n_individuals, r_draws, K), use_wn)
-    if init is None:
-        init = pack_theta(np.zeros(K), np.exp(-1.0) * np.eye(K))
-    res = maximize(likelihood.loglik, likelihood.score, init, tol=1e-3)
+    res = maximize(likelihood.loglik, likelihood.score,
+                   pack_theta(np.zeros(K), np.exp(-1.0) * np.eye(K)), tol=1e-3)
     se = std_errors_from_hessian(hessian_from_grad(likelihood.score, res.x))
     mu, L = unpack_theta(res.x, K)
     return FitResult(res.x, se, res.f, res.converged, res.iterations,

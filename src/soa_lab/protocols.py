@@ -46,7 +46,8 @@ from .model_core import CORRECTION_MODES, SampledSet, SetTable
 
 PROTOCOL_KINDS = ("uniform_wor", "importance_independent")
 
-DEFAULT_ENUMERATION_CAP = 10 ** 6
+# Most feasible sets, or joint (choice, set) outcomes, an enumeration builds.
+ENUMERATION_CAP = 10 ** 6
 
 # Tolerance for deciding that a correction vector is a shared constant.
 _UNIFORM_ATOL = 1e-12
@@ -58,13 +59,13 @@ class Protocol:
 
     ``m`` (total size, chosen included) applies to uniform_wor only;
     ``inclusion_probs`` (length J, entries strictly in (0,1)) applies to
-    importance_independent only.
+    importance_independent only.  Enumerating its sets is refused past
+    :data:`ENUMERATION_CAP` rows.
     """
 
     kind: str
     m: int | None = None
     inclusion_probs: np.ndarray | None = None
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         if self.kind not in PROTOCOL_KINDS:
@@ -229,7 +230,7 @@ def _free_sizes(protocol: Protocol, J: int, chosen: int | None) -> list[int]:
     fixed = int(chosen is not None)
     sizes = ([protocol.m - fixed] if protocol.kind == "uniform_wor"
              else list(range(1 - fixed, J - fixed + 1)))
-    _check_cap(sum(math.comb(J - fixed, k) for k in sizes), protocol)
+    _check_cap(sum(math.comb(J - fixed, k) for k in sizes))
     return sizes
 
 
@@ -427,8 +428,7 @@ def derive_stream(master_seed: int, obs_id: int, replication: int = 0) -> np.ran
                                dtype=np.uint64))
 
 
-def _check_cap(count: int, protocol: Protocol) -> None:
-    if count > protocol.enumeration_cap:
-        raise CapacityError(
-            f"enumeration would produce {count} sets, above the cap of "
-            f"{protocol.enumeration_cap}")
+def _check_cap(count: int) -> None:
+    if count > ENUMERATION_CAP:
+        raise CapacityError(f"enumeration would produce {count} sets, above "
+                            f"the cap of {ENUMERATION_CAP}")

@@ -2,8 +2,11 @@
 the block reductions in ``soa_lab.divergence_lab``.
 
 Each outcome is one row of the product of the observations' (chosen, set)
-pairs; the three reductions below visit them one at a time, in product
-order, and must give the same bits as the block versions.
+pairs; the reductions below visit them one at a time, in product order.
+:func:`kl_terms` and :func:`expected_kl_direct` must give the same bits as
+the block versions; :func:`kl_term_a_joint` assembles term A from the raw
+joint, with no coverage regrouping, and must agree with
+``divergence_lab.kl_term_a`` to rounding.
 """
 
 from itertools import product
@@ -13,6 +16,7 @@ import numpy as np
 from soa_lab import divergence_lab as dlab
 from soa_lab.errors import CapacityError
 from soa_lab.grids import log_trapezoid
+from soa_lab.protocols import ENUMERATION_CAP
 
 
 def _lattice(design, protocol, correction_mode, prior, grid):
@@ -27,21 +31,20 @@ def _lattice(design, protocol, correction_mode, prior, grid):
         for lpi, lp_samp, members, full in pairs]
 
 
-def joint_outcomes(pairs: list, protocol):
+def joint_outcomes(pairs: list):
     """Every joint (choices, sets) outcome of a design, in product order.
 
     Yields (ln pi, ll_true, ll_samp): the log probability of the sets given
     the choices, and the full-set and evaluated-mode log-likelihoods of the
     choices on the grid.  Refuses, before the first outcome, to enumerate
-    more than the protocol's cap.
+    more than ``ENUMERATION_CAP`` outcomes.
     """
-    cap = protocol.enumeration_cap
     combos = 1
     for obs_pairs in pairs:
         combos *= len(obs_pairs)
-        if combos > cap:
-            raise CapacityError(
-                f"joint enumeration would exceed {cap} (choice, set) combinations")
+        if combos > ENUMERATION_CAP:
+            raise CapacityError(f"joint enumeration would exceed "
+                                f"{ENUMERATION_CAP} (choice, set) combinations")
     n_points = pairs[0][0][1].shape[0]
     for combo in product(*pairs):
         ll_true = np.zeros(n_points)
@@ -60,13 +63,11 @@ def kl_terms(design, protocol, correction_mode, prior, grid):
                                                      grid)
     term_a = dlab._term_a(weights, log_prior, divergence)
     term_b = 0.0
-    for log_pi, ll_true, ll_samp in joint_outcomes(pairs, protocol):
+    for log_pi, ll_true, ll_samp in joint_outcomes(pairs):
         log_m_true = log_trapezoid(log_prior + ll_true, weights)
         log_m_samp = log_trapezoid(log_prior + ll_samp, weights)
         term_b += np.exp(log_pi + log_m_true) * (log_m_samp - log_m_true)
     return dlab.KlTerms(term_a, float(term_b),
-                        kl_term_a_joint(design, protocol, correction_mode,
-                                        prior, grid),
                         expected_kl_direct(design, protocol, correction_mode,
                                            prior, grid))
 
@@ -75,7 +76,7 @@ def kl_term_a_joint(design, protocol, correction_mode, prior, grid):
     weights, log_prior, _, pairs = _lattice(design, protocol,
                                             correction_mode, prior, grid)
     total = 0.0
-    for log_pi, ll_true, ll_samp in joint_outcomes(pairs, protocol):
+    for log_pi, ll_true, ll_samp in joint_outcomes(pairs):
         integrand = np.exp(log_prior + ll_true + log_pi) * (ll_true - ll_samp)
         total += float(np.sum(weights * integrand))
     return total
@@ -85,7 +86,7 @@ def expected_kl_direct(design, protocol, correction_mode, prior, grid):
     weights, log_prior, _, pairs = _lattice(design, protocol,
                                             correction_mode, prior, grid)
     total = 0.0
-    for log_pi, ll_true, ll_samp in joint_outcomes(pairs, protocol):
+    for log_pi, ll_true, ll_samp in joint_outcomes(pairs):
         lk_true = log_prior + ll_true
         lk_samp = log_prior + ll_samp
         lm_true = log_trapezoid(lk_true, weights)

@@ -383,34 +383,110 @@ output.dir={out}
     assert set(manifest["outputs"]) == {"draws.csv", "summary.csv", "beta_n.csv"}
 
 
-@pytest.mark.parametrize("method,setting,value,named", [
-    ("rw_metropolis", "bayes.chains", "0", "chain"),
-    ("rw_metropolis", "bayes.chains", "-1", "chain"),
-    ("rw_metropolis", "bayes.proposal_scale", "nan", "bayes.proposal_scale"),
-    ("rw_metropolis", "bayes.proposal_scale", "inf", "bayes.proposal_scale"),
-    ("gibbs", "bayes.rho", "inf", "rho"),
-    ("gibbs", "bayes.rho", "nan", "rho"),
-], ids=["chains_0", "chains_negative", "scale_nan", "scale_inf", "rho_inf",
-        "rho_nan"])
+@pytest.mark.parametrize("method,settings,key", [
+    ("rw_metropolis", "bayes.chains=0", "bayes.chains"),
+    ("rw_metropolis", "bayes.chains=-1", "bayes.chains"),
+    ("rw_metropolis", "bayes.proposal_scale=nan", "bayes.proposal_scale"),
+    ("rw_metropolis", "bayes.proposal_scale=inf", "bayes.proposal_scale"),
+    ("rw_metropolis", "bayes.proposal_scale=0", "bayes.proposal_scale"),
+    ("rw_metropolis", "bayes.burn_in=60", "bayes.burn_in"),
+    ("gibbs", "bayes.rho=inf", "bayes.rho"),
+    ("gibbs", "bayes.rho=nan", "bayes.rho"),
+    ("gibbs", "bayes.rho=-1", "bayes.rho"),
+    ("gibbs", "bayes.thin=0", "bayes.thin"),
+    ("gibbs", "bayes.burn_in=60", "bayes.burn_in"),
+    ("gibbs", "prior.v0=0", "prior.v0"),
+    ("gibbs", "prior.s0=-1", "prior.s0"),
+    ("gibbs", "prior.a0=0", "prior.a0"),
+    ("gibbs", "prior.m0=1, 2", "prior.m0"),
+    ("gibbs", "correction.mode=foo", "correction.mode"),
+], ids=["chains_0", "chains_negative", "scale_nan", "scale_inf", "scale_0",
+        "metropolis_burn_in_at_iterations", "rho_inf", "rho_nan",
+        "rho_negative", "thin_0", "gibbs_burn_in_at_iterations", "v0_at_k1",
+        "s0_negative", "a0_zero", "m0_wrong_length", "mode_unknown"])
 def test_bayes_sampler_setting_out_of_range_is_exit_2(tmp_path, capsys,
-                                                      method, setting, value,
-                                                      named):
+                                                      method, settings, key):
+    """A sampler or prior setting the library refuses exits 2 naming its
+    config key, without a traceback or an output file."""
     dataset = pipeline_generate(tmp_path, name="panel", model="mmnl", n=20,
                                 j=6)
+    sets = sample_sets(tmp_path, dataset)
     out = tmp_path / "b"
+    base = {"bayes.iterations": "60", "bayes.burn_in": "20"}
+    base.update(line.split("=", 1) for line in settings.splitlines())
     cfg = write_config(tmp_path / "b.cfg", f"""inputs.dataset={dataset}
+inputs.sets={sets}
+correction.sets=sampled
 bayes.method={method}
-{setting}={value}
-bayes.iterations=60
-bayes.burn_in=20
+seed=1
+output.dir={out}
+""" + "".join(f"{k}={v}\n" for k, v in base.items()))
+    assert run(["bayes", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("verb,settings,key", [
+    ("sample", "protocol.kind=uniform_wor\nprotocol.m=1", "protocol.m"),
+    ("sample", "protocol.kind=uniform_wor\nprotocol.m=9", "protocol.m"),
+    ("sample", "protocol.kind=importance_independent\n"
+               "protocol.inclusion_probs=0.5, 1.0, 0.5, 0.5, 0.5",
+     "protocol.inclusion_probs"),
+    ("sample", "protocol.kind=importance_independent\n"
+               "protocol.inclusion_probs=0.5, 0.5", "protocol.inclusion_probs"),
+    ("fit", "fit.estimator=mmnl_msl\nfit.r_draws=0", "fit.r_draws"),
+    ("fit", "fit.estimator=mmnl_msl\nfit.wn_mode=foo", "fit.wn_mode"),
+], ids=["m_1", "m_above_j", "probability_1", "probs_wrong_length",
+        "r_draws_0", "wn_mode_unknown"])
+def test_sample_and_fit_setting_out_of_range_is_exit_2(tmp_path, capsys, verb,
+                                                       settings, key):
+    """A protocol or fit setting the library refuses exits 2 naming its
+    config key, without a traceback or an output file."""
+    dataset = pipeline_generate(tmp_path, model="mmnl", n=10, j=5)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "c.cfg", f"""inputs.dataset={dataset}
+{settings}
 seed=1
 output.dir={out}
 """)
-    assert run(["bayes", "--config", cfg]) == 2
+    assert run([verb, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert named in err
+    assert repr(key) in err
     assert "Traceback" not in err
-    assert not (out / "draws.csv").exists()
+    assert not any(out.iterdir())
+
+
+def test_bayes_gibbs_prior_m0_repeats_one_value(tmp_path):
+    """prior.m0 is a coefficient vector: one value at K=2 gives the draws of
+    that value written twice."""
+    out = tmp_path / "data"
+    gen = write_config(tmp_path / "g.cfg", f"""dgp.model=mmnl
+dgp.n=12
+dgp.t=3
+dgp.j=3
+dgp.k=2
+dgp.mu_star=0.8, -0.4
+dgp.sigma_star=0.4
+seed=1
+output.dir={out}
+""")
+    assert run(["generate", "--config", gen]) == 0
+    bodies = []
+    for name, m0 in (("one", "0.5"), ("two", "0.5, 0.5")):
+        cfg = write_config(tmp_path / f"{name}.cfg", f"""
+inputs.dataset={out / "dataset.csv"}
+bayes.method=gibbs
+bayes.iterations=140
+bayes.burn_in=20
+prior.m0={m0}
+seed=3
+output.dir={tmp_path / name}
+""")
+        assert run(["bayes", "--config", cfg]) == 0
+        bodies.append(read_csv(tmp_path / name / "draws.csv")[1:])
+    assert bodies[0] == bodies[1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from soa_lab import (CapacityError, ChoiceArrays, Dataset, GridSpec,
                      expected_quasi_ll, expected_quasi_ll_setwise,
                      expected_true_ll, kl_term_a, kl_term_a_entropy_form,
                      kl_terms, protocol_comparison)
+from soa_lab.protocols import ENUMERATION_CAP
 
 
 DESK_X = np.array([[0.9, -0.3, 0.1, -1.4], [-0.6, 0.4, 1.1, 0.2]])[..., None]
@@ -413,10 +414,14 @@ def test_kl_decomposition_matches_direct_assembly():
 
 
 def test_term_a_joint_assembly_agrees():
+    """A regrouped by coverage equals A from the raw joint of the per-outcome
+    reference loop."""
     ds = desk_design()
     for proto in (UNI, IMP):
         kt = kl_terms(ds, proto, "mcfadden", PRIOR, GRID)
-        assert abs(kt.a - kt.a_joint) < 1e-12
+        raw = joint_reference.kl_term_a_joint(ds, proto, "mcfadden", PRIOR,
+                                              GRID)
+        assert abs(kt.a - raw) < 1e-12
 
 
 def test_term_a_entropy_form_agrees_under_uniform():
@@ -475,11 +480,22 @@ def test_grid_validation():
                  GridSpec.make((-6, -6), (6, 6), (61, 61)))
 
 
-def test_joint_enumeration_capacity_guard():
-    ds = desk_design()
-    tight = Protocol("uniform_wor", m=2, enumeration_cap=10)
-    with pytest.raises(CapacityError):
-        kl_terms(ds, tight, "mcfadden", PRIOR, GRID)
+def test_joint_enumeration_capacity_guard(monkeypatch):
+    """J=5 importance sets give 80 (choice, set) pairs per observation, so
+    T=4 has 80^4 joint outcomes, past the cap; the refusal comes before the
+    first kernel call."""
+    def refuse(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(divergence_lab, "_set_kernel", refuse)
+    rng = np.random.default_rng(4)
+    design = Dataset.from_arrays(rng.normal(size=(4, 5, 1)),
+                                 rng.integers(5, size=4))
+    proto = Protocol("importance_independent",
+                     inclusion_probs=np.array([0.8, 0.6, 0.5, 0.4, 0.2]))
+    with pytest.raises(CapacityError) as err:
+        kl_terms(design, proto, "mcfadden", PRIOR, GRID)
+    assert f"exceed {ENUMERATION_CAP} (choice, set)" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +515,7 @@ def _pairs_per_observation(protocol, J):
 def test_joint_block_reductions_equal_the_outcome_loop_bitwise(seed, J, K, T,
                                                                case):
     """kl_terms gives the bits of the one-outcome-at-a-time loops on all
-    four sums (a, b, a_joint, kl_direct) at the default block size, with
+    three sums (a, b, kl_direct) at the default block size, with
     blocks of one row and at block sizes that split the product inside an
     observation with several pairs per block, so that block and tuple-table
     boundaries fall inside the product; expected_kl_direct reads kl_direct."""

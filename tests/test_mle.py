@@ -264,17 +264,13 @@ def test_wn_matches_bruteforce():
     assert abs(w - expect) < 1e-12
 
 
-class _FirstObjective(Exception):
-    """Stops a fit once its first objective evaluation has been seen."""
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), K=st.sampled_from([1, 2]),
        importance=st.booleans(), n_ind=st.integers(1, 4),
        T=st.integers(1, 3), J=st.integers(2, 5), R=st.integers(1, 5))
 def test_msl_expansion_factor_matches_reference(seed, K, importance, n_ind, T,
                                                 J, R):
-    """Every per-observation, per-draw ln num inside fit_mmnl_msl's
+    """Every per-observation, per-draw ln num inside the exact-factor MSL
     objective equals the scalar reference numerator on the same Halton
     draws."""
     rng = np.random.default_rng(seed)
@@ -296,13 +292,16 @@ def test_msl_expansion_factor_matches_reference(seed, K, importance, n_ind, T,
     real = mle._SimulatedLikelihood.expansion_numerator
 
     def spy(self, beta, v_mem):
-        seen["log_num"] = real(self, beta, v_mem)[0]
-        raise _FirstObjective
+        out = real(self, beta, v_mem)
+        seen["log_num"] = out[0]
+        return out
 
+    view = ChoiceArrays.panel(ds, sets, "mcfadden")
+    likelihood = mle._SimulatedLikelihood(
+        view, halton_normal_draws(view.n_individuals, R, K), True)
     with mock.patch.object(mle._SimulatedLikelihood, "expansion_numerator",
-                           spy), pytest.raises(_FirstObjective):
-        fit_mmnl_msl(ds, sets, "mcfadden", "exact_full_set", R,
-                     init=pack_theta(mu, L))
+                           spy):
+        likelihood.loglik(pack_theta(mu, L))
     num = np.exp(seen["log_num"])                   # (R, n), rows by individual
 
     order = np.argsort(ind, kind="stable")
@@ -368,6 +367,22 @@ def _panel_objective(ds, sets, corrections, exact, z, theta):
     view = mle.ChoiceArrays.panel(ds, sets, corrections)
     return mle._SimulatedLikelihood(view, z, exact and sets is not None
                                     ).value_and_score(theta)
+
+
+def test_exact_msl_fit_maximizes_the_exact_factor_objective():
+    """Under exact_full_set on sampled sets, the fit's reported log-likelihood
+    is the exact-factor objective at its estimate, not the naive one."""
+    ds, _ = generate_mmnl(MmnlDgpConfig(N=40, T=3, J=6, K=1,
+                                        mu_star=np.array([0.8]),
+                                        sigma_star=np.array([[0.4]]), seed=9))
+    sets = sampled_for(ds, Protocol("uniform_wor", m=3), seed=10)
+    res = fit_mmnl_msl(ds, sets, "mcfadden", "exact_full_set", r_draws=20)
+    z = halton_normal_draws(40, 20, 1)
+    exact, naive = (_panel_objective(ds, sets, "mcfadden", use_wn, z,
+                                     res.estimate)[0]
+                    for use_wn in (True, False))
+    assert res.loglik == exact
+    assert abs(exact - naive) > 1e-6
 
 
 def _random_theta(rng, K):

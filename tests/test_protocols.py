@@ -120,7 +120,7 @@ def test_table_matches_reference_loops(J):
 
 
 def test_enumeration_capacity_error_names_count():
-    proto = Protocol("uniform_wor", m=12, enumeration_cap=1000)
+    proto = Protocol("uniform_wor", m=12)
     with pytest.raises(CapacityError) as err:
         enumerate_sets(proto, 24, 0)
     assert str(math.comb(23, 11)) in str(err.value)
@@ -135,7 +135,7 @@ def test_feasible_pair_count_matches_the_enumeration(J):
 
 
 def test_feasible_pair_count_refuses_what_the_enumeration_refuses():
-    proto = Protocol("uniform_wor", m=12, enumeration_cap=1000)
+    proto = Protocol("uniform_wor", m=12)
     for count in (enumerate_feasible_sets, feasible_pair_count):
         with pytest.raises(CapacityError) as err:
             count(proto, 24)
