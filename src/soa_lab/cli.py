@@ -47,11 +47,12 @@ from .errors import (CapacityError, ConfigError, InvalidInputError,
                      InvalidStateError, NumericalDegeneracyError)
 from .grids import GridSpec
 from .mle import WN_MODES, ChoiceArrays, fit_mmnl_msl, fit_mnl, theta_labels
-from .model_core import CORRECTION_MODES, Dataset, SetTable, log_softmax
+from .model_core import CORRECTION_MODES, Dataset, SetTable
 # perfbench/tracing.py looks up draw_sampled_set and enumerate_sets here.
 from .protocols import (PROTOCOL_KINDS, Protocol, derive_stream,  # noqa: F401
                         draw_sampled_set, draw_set_table, enumerate_sets)
-from .synth import MmnlDgpConfig, MnlDgpConfig, generate_mmnl, generate_mnl
+from .synth import (COVARIATE_LAWS, MmnlDgpConfig, MnlDgpConfig, draw_choices,
+                    generate_mmnl, generate_mnl)
 
 _MISSING = object()
 _BOOLEANS = {"true": True, "1": True, "yes": True,
@@ -305,21 +306,28 @@ def load_sets(cfg: Config, dataset: Dataset,
 def cmd_generate(cfg: Config, out_dir: Path, chash: str) -> None:
     model = cfg.get_choice("dgp.model", ("mnl", "mmnl"))
     seed = cfg.get_int("seed")
-    K = cfg.get_int("dgp.k")
-    law = cfg.get("dgp.covariate_law", "standard_normal")
+    N, J, K = (cfg.get_int(f"dgp.{key}", low=1) for key in "njk")
+    law = cfg.get_choice("dgp.covariate_law", COVARIATE_LAWS, "standard_normal")
     if model == "mnl":
-        dgp = MnlDgpConfig(N=cfg.get_int("dgp.n"), J=cfg.get_int("dgp.j"), K=K,
-                           beta_star=cfg.get_floats("dgp.beta_star"),
+        rows, make = N, generate_mnl
+        dgp = MnlDgpConfig(N=N, J=J, K=K,
+                           beta_star=cfg.get_vector("dgp.beta_star", K),
                            covariate_law=law, seed=seed)
-        dataset = generate_mnl(dgp)
     else:
-        dgp = MmnlDgpConfig(
-            N=cfg.get_int("dgp.n"), T=cfg.get_int("dgp.t"),
-            J=cfg.get_int("dgp.j"), K=K,
-            mu_star=cfg.get_floats("dgp.mu_star"),
-            sigma_star=_square(cfg, "dgp.sigma_star", K),
-            covariate_law=law, seed=seed)
-        dataset, _ = generate_mmnl(dgp)
+        T = cfg.get_int("dgp.t", low=1)
+        rows, make = N * T, lambda config: generate_mmnl(config)[0]
+        # The keys above are checked, so only sigma_star is left to refuse.
+        dgp = _named("dgp.sigma_star", MmnlDgpConfig, N=N, T=T, J=J, K=K,
+                     mu_star=cfg.get_vector("dgp.mu_star", K),
+                     sigma_star=_square(cfg, "dgp.sigma_star", K),
+                     covariate_law=law, seed=seed)
+    try:
+        if rows * J * K * 8 > np.iinfo(np.intp).max:  # past numpy's address space
+            raise MemoryError
+        dataset = make(dgp)
+    except MemoryError:
+        raise ConfigError(f"config key 'dgp.n': {N} gives a {rows} x {J} x {K}"
+                          " attribute tensor, which cannot be allocated") from None
 
     dataset_path = out_dir / "dataset.csv"
     storage.write_dataset_csv(dataset_path, dataset,
@@ -501,10 +509,7 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
         rng = derive_stream(seed, 3, d)
         X = rng.normal(size=(T, J, K))
         beta_star = rng.normal(size=K) if beta_cfg is None else beta_cfg
-        P = np.exp(log_softmax(X @ beta_star, axis=1))
-        chosen = np.minimum((rng.random(T)[:, None] >= np.cumsum(P, axis=1))
-                            .sum(axis=1), J - 1)
-        design = Dataset.from_arrays(X, chosen)
+        design = Dataset.from_arrays(X, draw_choices(rng, X, beta_star[None]))
         probs = rng.uniform(0.2, 0.8, size=J)
         protocols = [(f"uniform_wor_m{m}", Protocol("uniform_wor", m=m)),
                      ("importance_seeded",

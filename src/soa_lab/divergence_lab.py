@@ -128,11 +128,7 @@ def _set_kernel(X: np.ndarray, sets: SetTable, mode: str, beta):
 
     Padding is -inf in the log-probabilities and 0 in ``c``.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape[-1:] != X.shape[2:]:
-        raise InvalidInputError("parameter length does not match attributes")
-    V = np.einsum("njk,...nk->...nj", X, np.broadcast_to(
-        beta[..., None, :], beta.shape[:-1] + (len(X), X.shape[2])))
+    V = utilities(X, np.asarray(beta, dtype=float)[..., None, :])
     # Flat indices keep an observation's (S, m) values contiguous at a point
     # and a batch's P axis innermost: every sum runs as for one observation.
     flat = (np.arange(len(X)) * X.shape[1])[:, None, None] + sets.member_ids
@@ -145,6 +141,12 @@ def _set_kernel(X: np.ndarray, sets: SetTable, mode: str, beta):
     lp_proc = lp_eval if mode == "mcfadden" else log_softmax(
         np.where(sets.pad, -np.inf, Vm + centred_corrections(sets, "mcfadden")))
     return log_r, lp_proc, lp_eval, c, lp_full
+
+
+def _full_log_probs(design, beta) -> np.ndarray:
+    """ln P(j | beta, C) of every observation, (N, J) or (P, N, J)."""
+    return log_softmax(utilities(design.attribute_tensor(),
+                                 np.asarray(beta, dtype=float)[..., None, :]))
 
 
 def _blocks(design, sets: SetTable, *betas) -> list[slice]:
@@ -190,8 +192,7 @@ def coverage_r(design, sets: SetTable, beta) -> np.ndarray:
 
 def expected_true_ll(design, beta_star, beta) -> np.ndarray:
     """sum_i P(i | beta_star, C) ln P(i | beta, C) of each observation."""
-    lp_star, lp = (log_softmax(utilities(design.attribute_tensor(), b))
-                   for b in (beta_star, beta))
+    lp_star, lp = (_full_log_probs(design, b) for b in (beta_star, beta))
     return np.sum(np.exp(lp_star) * lp, axis=-1)
 
 
@@ -204,8 +205,7 @@ def expected_quasi_ll(design, feasible: SetTable, beta_star, beta,
     it, weighted by the set's conditional probability; the summand is the
     log corrected sampled probability evaluated at beta.
     """
-    p_star = np.exp(log_softmax(utilities(design.attribute_tensor(),
-                                          beta_star)))
+    p_star = np.exp(_full_log_probs(design, beta_star))
     at = [(feasible.member_ids == i) & ~feasible.pad for i in range(design.J)]
     # Alternative i's entries, in the order of enumerate_sets(protocol, J,
     # i), dot their pi(D|i): one dot product per contiguous row, the same

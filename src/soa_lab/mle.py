@@ -29,7 +29,8 @@ import numpy as np
 
 from .draws import halton_normal_draws
 from .errors import InvalidInputError
-from .model_core import Dataset, SetTable, log_softmax, shifted_exp_sum
+from .model_core import (Dataset, SetTable, log_softmax, shifted_exp_sum,
+                         utilities)
 # hessian_from_f is not called here; perfbench/tracing.py wraps it by name
 # as mle.hessian_from_f, until the run trace moves into the package.
 from .optimize import (hessian_from_f, hessian_from_grad,  # noqa: F401
@@ -135,7 +136,7 @@ class ChoiceArrays:
 
     def _utilities(self, beta_rows: np.ndarray) -> np.ndarray:
         """Corrected member utilities, -inf on padding: (..., n, m)."""
-        V = np.einsum("nmk,...nk->...nm", self.X_mem, beta_rows) + self.c_shift
+        V = utilities(self.X_mem, beta_rows) + self.c_shift
         if self.any_pad:
             V = np.where(self.pad, -np.inf, V)
         return V
@@ -166,15 +167,13 @@ class ChoiceArrays:
     def loglik(self, beta: np.ndarray) -> float | np.ndarray:
         """Summed log-likelihood at one point (K,), or (P,) for points (P, K)."""
         self._check(beta)
-        rows = np.broadcast_to(beta[..., None, :],
-                               beta.shape[:-1] + (self.n, self.K))
-        total = np.sum(self.chosen_log_probs(rows), axis=-1)
+        total = np.sum(self.chosen_log_probs(beta[..., None, :]), axis=-1)
         return float(total) if beta.ndim == 1 else total
 
     def score(self, beta: np.ndarray) -> np.ndarray:
         """Analytic gradient at one point: sum_n [x_chosen - sum_j P_j x_j]."""
         self._check(beta)
-        P = np.exp(self.log_probs(np.broadcast_to(beta, (self.n, self.K))))
+        P = np.exp(self.log_probs(beta[None]))
         return np.sum(self.x_chosen - np.einsum("nm,nmk->nk", P, self.X_mem),
                       axis=0)
 

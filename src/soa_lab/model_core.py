@@ -54,10 +54,6 @@ class Observation:
     chosen: int
     individual_id: int
 
-    def attribute_matrix(self) -> np.ndarray:
-        """(J, K) matrix with row j = attributes of alternative j."""
-        return np.stack([a.attributes for a in self.alternatives])
-
 
 def _whole_numbers(values, what: str) -> np.ndarray:
     """``values`` as an int array; text, fractions and non-finite numbers
@@ -177,13 +173,6 @@ class SampledSet:
     def size(self) -> int:
         return self.member_ids.size
 
-    def position_of(self, alt_id: int) -> int:
-        """Index of ``alt_id`` inside ``member_ids`` (error if absent)."""
-        hits = np.nonzero(self.member_ids == alt_id)[0]
-        if hits.size != 1:
-            raise InvalidInputError(f"alternative {alt_id} not in sampled set")
-        return int(hits[0])
-
 
 @dataclass
 class SetTable:
@@ -213,14 +202,6 @@ class SetTable:
         log_cond_prob[obs, col] = lcp[order]
         return cls(member_ids, log_cond_prob,
                    np.arange(shape[1]) >= sizes[:, None])
-
-    @classmethod
-    def from_sets(cls, sets: list[SampledSet]) -> "SetTable":
-        sizes = [s.size for s in sets]
-        return cls.from_flat(np.repeat(np.arange(len(sets)), sizes),
-                             np.concatenate([s.member_ids for s in sets]),
-                             np.concatenate([s.log_cond_prob for s in sets]),
-                             len(sets))
 
     def __len__(self) -> int:
         return self.member_ids.shape[0]
@@ -285,12 +266,11 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def utilities(X: np.ndarray, beta) -> np.ndarray:
-    """Linear utilities x'beta of an (..., J, K) attribute array: (..., J)
-    at one point (K,), (P, ..., J) for a batch (P, K)."""
-    X = np.asarray(X, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if X.shape[-1] != beta.shape[-1]:
+def utilities(X: np.ndarray, beta_rows: np.ndarray) -> np.ndarray:
+    """The one contraction x'beta: utilities (..., n, J) of an (n, J, K)
+    attribute array at ``beta_rows`` (..., n, K), one coefficient vector per
+    row.  A size-1 row axis broadcasts without a copy, so one point is
+    (1, K) and a batch of P points (P, 1, K)."""
+    if beta_rows.shape[-1:] != X.shape[2:]:
         raise InvalidInputError("parameter length does not match attributes")
-    return (beta @ X.reshape(-1, X.shape[-1]).T).reshape(beta.shape[:-1]
-                                                         + X.shape[:-1])
+    return np.einsum("njk,...nk->...nj", X, beta_rows)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model_core import Dataset, log_softmax
+from .model_core import Dataset, log_softmax, utilities
 
 COVARIATE_LAWS = ("standard_normal", "uniform_0_1")
 
@@ -80,15 +80,15 @@ def _draw_covariates(rng: np.random.Generator, law: str, shape) -> np.ndarray:
     return rng.random(shape)
 
 
-def _draw_choices(rng: np.random.Generator, X: np.ndarray,
-                  beta_rows: np.ndarray) -> np.ndarray:
-    """One inverse-CDF choice draw per observation.
+def draw_choices(rng: np.random.Generator, X: np.ndarray,
+                 beta_rows: np.ndarray) -> np.ndarray:
+    """One inverse-CDF choice draw per observation of an (n, J, K) attribute
+    array, from one ``rng.random(n)`` call.
 
     ``beta_rows`` carries one coefficient vector per observation (rows are
-    repeated per individual for panels).
+    repeated per individual for panels), or one (1, K) for them all.
     """
-    V = np.einsum("ojk,ok->oj", X, beta_rows)
-    P = np.exp(log_softmax(V, axis=1))
+    P = np.exp(log_softmax(utilities(X, beta_rows), axis=1))
     cum = np.cumsum(P, axis=1)
     u = rng.random(X.shape[0])
     # searchsorted per row: first index with cumulative probability > u.
@@ -100,8 +100,7 @@ def generate_mnl(config: MnlDgpConfig) -> Dataset:
     """Simulate a cross-sectional logit dataset at the true beta."""
     rng = np.random.default_rng(config.seed)
     X = _draw_covariates(rng, config.covariate_law, (config.N, config.J, config.K))
-    beta_rows = np.broadcast_to(config.beta_star, (config.N, config.K))
-    chosen = _draw_choices(rng, X, beta_rows)
+    chosen = draw_choices(rng, X, config.beta_star[None])
     return Dataset.from_arrays(X, chosen)
 
 
@@ -118,5 +117,5 @@ def generate_mmnl(config: MmnlDgpConfig) -> tuple[Dataset, np.ndarray]:
     n_obs = config.N * config.T
     X = _draw_covariates(rng, config.covariate_law, (n_obs, config.J, config.K))
     individual = np.repeat(np.arange(config.N), config.T)
-    chosen = _draw_choices(rng, X, beta_n[individual])
+    chosen = draw_choices(rng, X, beta_n[individual])
     return Dataset.from_arrays(X, chosen, individual), beta_n

@@ -1,12 +1,30 @@
 """Reference per-observation set draws: one SeedSequence-built generator and
 one SampledSet per observation, as the sampled-set path drew them before
-the whole table was drawn in one array pass."""
+the whole table was drawn in one array pass; and the SampledSet helpers
+the tests use on them."""
 
 import math
 
 import numpy as np
 
-from soa_lab import SampledSet, SetTable
+from soa_lab import InvalidInputError, SampledSet, SetTable
+
+
+def table_from_sets(sets) -> SetTable:
+    """A list of SampledSet rows packed into one SetTable, in list order."""
+    sizes = [s.size for s in sets]
+    return SetTable.from_flat(np.repeat(np.arange(len(sets)), sizes),
+                              np.concatenate([s.member_ids for s in sets]),
+                              np.concatenate([s.log_cond_prob for s in sets]),
+                              len(sets))
+
+
+def position_of(sampled_set: SampledSet, alt_id: int) -> int:
+    """Index of ``alt_id`` inside the set's ``member_ids`` (error if absent)."""
+    hits = np.nonzero(sampled_set.member_ids == alt_id)[0]
+    if hits.size != 1:
+        raise InvalidInputError(f"alternative {alt_id} not in sampled set")
+    return int(hits[0])
 
 
 def derive_stream(master_seed, obs_id, replication=0):
@@ -41,6 +59,6 @@ def draw_sampled_set(protocol, chosen, J, rng_stream):
 
 def draw_set_table(protocol, chosen_ids, J, seed):
     """The stack of per-observation draws, observation i on stream (i, 0)."""
-    return SetTable.from_sets([
+    return table_from_sets([
         draw_sampled_set(protocol, chosen, J, derive_stream(seed, i))
         for i, chosen in enumerate(np.asarray(chosen_ids).tolist())])

@@ -4,9 +4,11 @@ the block reductions in ``soa_lab.divergence_lab``.
 Each outcome is one row of the product of the observations' (chosen, set)
 pairs; the reductions below visit them one at a time, in product order.
 :func:`kl_terms` and :func:`expected_kl_direct` must give the same bits as
-the block versions; :func:`kl_term_a_joint` assembles term A from the raw
-joint, with no coverage regrouping, and must agree with
-``divergence_lab.kl_term_a`` to rounding.
+the block versions, and each KL of :func:`outcome_kls` is
+``bayes_mnl.kl_divergence_grid`` of the outcome's two grid posteriors;
+:func:`kl_term_a_joint` assembles term A from the raw joint, with no
+coverage regrouping, and must agree with ``divergence_lab.kl_term_a`` to
+rounding.
 """
 
 from itertools import product
@@ -82,10 +84,11 @@ def kl_term_a_joint(design, protocol, correction_mode, prior, grid):
     return total
 
 
-def expected_kl_direct(design, protocol, correction_mode, prior, grid):
+def outcome_kls(design, protocol, correction_mode, prior, grid):
+    """Every joint outcome's grid KL from the full-set to the sampled-set
+    posterior, in product order: yields (ln pi, ln m_true, KL)."""
     weights, log_prior, _, pairs = _lattice(design, protocol,
                                             correction_mode, prior, grid)
-    total = 0.0
     for log_pi, ll_true, ll_samp in joint_outcomes(pairs):
         lk_true = log_prior + ll_true
         lk_samp = log_prior + ll_samp
@@ -94,5 +97,12 @@ def expected_kl_direct(design, protocol, correction_mode, prior, grid):
         p_true = np.exp(lk_true - lm_true)
         kl = float(np.sum(weights * p_true *
                           ((lk_true - lm_true) - (lk_samp - lm_samp))))
+        yield log_pi, lm_true, kl
+
+
+def expected_kl_direct(design, protocol, correction_mode, prior, grid):
+    total = 0.0
+    for log_pi, lm_true, kl in outcome_kls(design, protocol, correction_mode,
+                                           prior, grid):
         total += np.exp(log_pi + lm_true) * kl
     return float(total)

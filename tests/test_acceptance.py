@@ -11,7 +11,7 @@ import numpy as np
 
 from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, GridSpec,
                      MmnlDgpConfig, MmnlPriors, MnlDgpConfig,
-                     Prior, Protocol, SetTable,
+                     Prior, Protocol,
                      divergence_uniform_closed_form, draw_sampled_set,
                      draw_set_table,
                      enumerate_feasible_sets, enumerate_sets,
@@ -28,6 +28,7 @@ from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, GridSpec,
 from soa_lab.cli import main as cli_main
 from soa_lab.optimize import central_diff_grad
 from child_cli import outputs_under_one_and_two_threads
+from draw_reference import position_of, table_from_sets
 from probability_reference import (canonical_corrections, mnl_prob_full,
                                    mnl_prob_sampled_corrected)
 
@@ -71,7 +72,7 @@ def test_criterion_01_probability_identities():
 # ---------------------------------------------------------------------------
 
 def _frequency_check(protocol, J, chosen, n_draws, rng):
-    table = {tuple(e.member_ids): np.exp(e.log_cond_prob[e.position_of(chosen)])
+    table = {tuple(e.member_ids): np.exp(e.log_cond_prob[position_of(e, chosen)])
              for e in enumerate_sets(protocol, J, chosen)}
     norm_err = abs(sum(table.values()) - 1.0)
     counts = {k: 0 for k in table}
@@ -93,7 +94,7 @@ def test_criterion_02_protocol_exactness():
     parts = []
     uni = Protocol("uniform_wor", m=3)
     for chosen in range(6):
-        total = sum(np.exp(e.log_cond_prob[e.position_of(chosen)])
+        total = sum(np.exp(e.log_cond_prob[position_of(e, chosen)])
                     for e in enumerate_sets(uni, 6, chosen))
         parts.append(abs(total - 1.0) <= 1e-12)
     norm_u, sig_u = _frequency_check(uni, 6, 2, n_draws, rng)
@@ -216,7 +217,7 @@ def test_criterion_05_kl_machinery():
                     abs(kt.a - kl_term_a_entropy_form(
                         design, enumerate_feasible_sets(proto, design.J),
                         prior, grid)))
-            as_sampled = SetTable.from_sets(
+            as_sampled = table_from_sets(
                 [enumerate_sets(proto, design.J, c)[0]
                  for c in design.chosen_ids().tolist()])
             p_true = grid_posterior(design, None, prior, grid,

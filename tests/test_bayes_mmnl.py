@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
 
+from draw_reference import table_from_sets
 from gibbs_reference import reference_gibbs
 from soa_lab import (ChoiceArrays, Dataset, GibbsConfig, InvalidInputError,
                      MixingState, MmnlDgpConfig, MmnlPriors, Protocol,
-                     SampledSet, SetTable, derive_stream, draw_sampled_set,
+                     SampledSet, derive_stream, draw_sampled_set,
                      draw_set_table, generate_mmnl,
                      gibbs_step_mu, gibbs_step_sigma, run_gibbs,
                      sigma_posterior_params)
@@ -195,7 +196,7 @@ def test_loglik_invariant_to_constant_set_probability_shift():
     rng = np.random.default_rng(1)
     sets = draw_set_table(Protocol("uniform_wor", m=2), ds.chosen_ids(), ds.J,
                           1)
-    shifted = SetTable.from_sets([SampledSet(s.member_ids, s.log_cond_prob - 7.0)
+    shifted = table_from_sets([SampledSet(s.member_ids, s.log_cond_prob - 7.0)
                                   for s in sets])
     beta = rng.normal(0.9, 0.5, size=(30, 1))
     a = ChoiceArrays.panel(ds, sets, "mcfadden").panel_loglik(beta)
@@ -288,7 +289,7 @@ def test_run_gibbs_recovers_location_scaled_down():
 
 def test_run_gibbs_validates_set_count():
     ds, _ = panel_data(N=10, T=2)
-    sets = SetTable.from_sets([
+    sets = table_from_sets([
         draw_sampled_set(Protocol("uniform_wor", m=2), int(c), ds.J,
                          derive_stream(1, i))
         for i, c in enumerate(ds.chosen_ids())][:-1])

@@ -832,6 +832,75 @@ def test_generate_refuses_a_non_finite_mixing_mean(tmp_path, capsys):
     assert not (out / "dataset.csv").exists()
 
 
+_DGP = {"mnl": {"dgp.model": "mnl", "dgp.n": "6", "dgp.j": "3", "dgp.k": "2",
+                "dgp.beta_star": "0.8"},
+        "mmnl": {"dgp.model": "mmnl", "dgp.n": "6", "dgp.t": "2", "dgp.j": "3",
+                 "dgp.k": "2", "dgp.mu_star": "0.8", "dgp.sigma_star": "0.4"}}
+
+
+def dgp_config(tmp_path, out, model, settings=""):
+    pairs = dict(_DGP[model], seed="1", **{"output.dir": str(out)})
+    pairs.update(line.split("=", 1) for line in settings.splitlines())
+    return write_config(tmp_path / "g.cfg",
+                        "".join(f"{k}={v}\n" for k, v in pairs.items()))
+
+
+@pytest.mark.parametrize("model,settings,key", [
+    ("mnl", "dgp.n=100000000000000000000000000", "dgp.n"),
+    ("mnl", "dgp.n=0", "dgp.n"),
+    ("mnl", "dgp.j=-1", "dgp.j"),
+    ("mnl", "dgp.k=0", "dgp.k"),
+    ("mmnl", "dgp.t=0", "dgp.t"),
+    ("mnl", "dgp.covariate_law=foo", "dgp.covariate_law"),
+    ("mnl", "dgp.beta_star=1, 2, 3", "dgp.beta_star"),
+    ("mmnl", "dgp.mu_star=1, 2, 3", "dgp.mu_star"),
+    ("mmnl", "dgp.sigma_star=1, 2, 2, 1", "dgp.sigma_star"),
+    ("mmnl", "dgp.sigma_star=1, 0.5, 0, 1", "dgp.sigma_star"),
+], ids=["n_past_numpy", "n_0", "j_negative", "k_0", "t_0", "law_unknown",
+        "beta_star_at_k2", "mu_star_at_k2", "sigma_star_not_pd",
+        "sigma_star_not_symmetric"])
+def test_generate_setting_out_of_range_is_exit_2(tmp_path, capsys, model,
+                                                settings, key):
+    """A data-generating setting the library refuses exits 2 naming its
+    config key, without a traceback or an output file."""
+    out = tmp_path / "o"
+    assert run(["generate", "--config",
+                dgp_config(tmp_path, out, model, settings)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("model", ["mnl", "mmnl"])
+def test_generate_attributes_numpy_cannot_allocate_are_exit_2(
+        tmp_path, capsys, monkeypatch, model):
+    """A generator that runs out of memory is refused naming dgp.n."""
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(f"soa_lab.cli.generate_{model}", exhaust)
+    out = tmp_path / "o"
+    assert run(["generate", "--config", dgp_config(tmp_path, out, model)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'dgp.n'" in err and "cannot be allocated" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("model,key", [("mnl", "dgp.beta_star"),
+                                       ("mmnl", "dgp.mu_star")])
+def test_generate_coefficient_vector_repeats_one_value(tmp_path, model, key):
+    """One value of a K=2 coefficient vector is that value twice."""
+    data = []
+    for value in ("0.8", "0.8, 0.8"):
+        out = tmp_path / value.replace(", ", "_")
+        cfg = dgp_config(tmp_path, out, model, f"{key}={value}")
+        assert run(["generate", "--config", cfg]) == 0
+        dataset, _ = read_dataset_csv(out / "dataset.csv")
+        data.append((dataset.attribute_tensor(), dataset.chosen_ids()))
+    assert all(np.array_equal(a, b) for a, b in zip(*data))
+
+
 # ---------------------------------------------------------------------------
 # malformed inputs, numerical failures, one likelihood build per verb
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from soa_lab import (CapacityError, ChoiceArrays, Dataset, GridSpec,
                      enumerate_sets, expected_divergence,
                      expected_divergence_direct, expected_kl_direct,
                      expected_quasi_ll, expected_quasi_ll_setwise,
-                     expected_true_ll, kl_term_a, kl_term_a_entropy_form,
-                     kl_terms, protocol_comparison)
+                     expected_true_ll, grid_posterior, kl_divergence_grid,
+                     kl_term_a, kl_term_a_entropy_form, kl_terms,
+                     protocol_comparison)
 from soa_lab.protocols import ENUMERATION_CAP
 
 
@@ -367,6 +368,24 @@ def test_oracle_kernel_is_the_estimators_softmax_bitwise(seed, J, K, N, P,
         assert np.array_equal(lp_eval[..., n, s, pos], want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), K=st.integers(1, 3),
+       N=st.integers(1, 4), P=st.integers(1, 5))
+def test_expected_true_ll_is_the_estimators_softmax_bitwise(seed, J, K, N, P):
+    """expected_true_ll(d, b, b) is sum_j exp(lp) lp, with lp the full-set
+    log-probabilities of ChoiceArrays, bit for bit, at one point and at a
+    (P, K) batch."""
+    rng = np.random.default_rng(seed)
+    design = Dataset.from_arrays(rng.normal(size=(N, J, K)),
+                                 rng.integers(J, size=N))
+    full = ChoiceArrays(design, None, "none")
+    points = rng.normal(size=(P, K))
+    for beta in (points, points[0]):
+        lp = full.log_probs(beta[..., None, :])
+        assert np.array_equal(expected_true_ll(design, beta, beta),
+                              np.sum(np.exp(lp) * lp, axis=-1))
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), K=st.integers(1, 2),
        T=st.integers(1, 3), case=CASES)
@@ -397,6 +416,34 @@ def test_joint_loop_grid_loglik_is_the_estimators_loglik_bitwise(seed, J, K,
             Dataset.from_arrays(X, sets.member_ids[s[rows], pos[rows]]),
             sets[s[rows]], mode)
         assert np.array_equal(view.loglik(grid.lattice()), ll)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), J=st.integers(3, 5), K=st.integers(1, 2),
+       T=st.integers(1, 3), case=CASES)
+def test_outcome_grid_kl_is_the_joint_loops_kl_bitwise(seed, J, K, T, case):
+    """For each realized outcome (choices, sets) of a small design,
+    kl_divergence_grid of the full-set and realized-set grid posteriors is
+    the joint loop's per-outcome KL, bit for bit."""
+    rng = np.random.default_rng(seed)
+    kind, mode = case
+    protocol = random_protocol(rng, kind, J)
+    sets = enumerate_feasible_sets(protocol, J)
+    s, pos = np.nonzero(~sets.pad)
+    while s.size ** T > 300:
+        T -= 1
+    X = rng.normal(size=(T, J, K))
+    design = Dataset.from_arrays(X, rng.integers(J, size=T))
+    grid = GridSpec.make([-4.0] * K, [4.0] * K, [51] * K)
+    prior = Prior(np.zeros(K), 4.0 * np.eye(K))
+    kls = joint_reference.outcome_kls(design, protocol, mode, prior, grid)
+    for outcome, (*_, kl) in zip(product(range(s.size), repeat=T), kls):
+        rows = np.array(outcome)
+        realized = Dataset.from_arrays(X, sets.member_ids[s[rows], pos[rows]])
+        p_full, p_samp = (
+            grid_posterior(realized, table, prior, grid, check_doubling=False)
+            for table in (None, (sets[s[rows]], mode)))
+        assert kl_divergence_grid(p_full, p_samp) == kl
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,16 @@ from scipy.stats import qmc
 
 from soa_lab import mle
 from soa_lab import (ChoiceArrays, Dataset, InvalidInputError, MmnlDgpConfig,
-                     MnlDgpConfig, Protocol, SampledSet, SetTable,
+                     MnlDgpConfig, Protocol, SampledSet,
                      derive_stream, draw_sampled_set, draw_set_table,
                      fit_mmnl_msl, fit_mnl, generate_mmnl, generate_mnl,
                      halton_normal_draws, log_softmax, pack_theta,
                      theta_labels, unpack_theta)
 from soa_lab.draws import halton_points, normal_inv_cdf
 from soa_lab.optimize import central_diff_grad
-from wn_reference import compute_wn, individual_loglik, wn_numerator
+from draw_reference import table_from_sets
+from wn_reference import (attribute_matrix, compute_wn, individual_loglik,
+                          wn_numerator)
 
 
 def sampled_for(dataset, protocol, seed):
@@ -251,7 +253,7 @@ def test_wn_matches_bruteforce():
     z = rng.normal(size=(R, K))
     beta_draw = mu + np.linalg.cholesky(sigma) @ z[3]
 
-    X = obs.attribute_matrix()
+    X = attribute_matrix(obs)
     L = np.linalg.cholesky(sigma)
     pi = np.exp(s.log_cond_prob)
     p_draw = np.exp(log_softmax(X @ beta_draw))[s.member_ids]
@@ -404,7 +406,7 @@ def test_exact_msl_probabilities_of_every_choice_sequence_sum_to_one(seed):
                          inclusion_probs=rng.uniform(0.2, 0.8, size=J))
     else:
         proto = Protocol("uniform_wor", m=2)
-    sets = SetTable.from_sets([
+    sets = table_from_sets([
         draw_sampled_set(proto, int(rng.integers(J)), J, rng) for _ in range(T)])
     z = rng.normal(size=(1, R, 1))
     theta = _random_theta(rng, 1)
@@ -544,7 +546,7 @@ def _panel_sets(ds, sets_kind, rng, seed):
                                         m=int(rng.integers(2, J + 1))), seed)
     sizes = rng.integers(2, J + 1, size=ds.n_obs)
     sizes[0] = 2 if sizes[-1] > 2 else J  # at least two sizes
-    return SetTable.from_sets([
+    return table_from_sets([
         draw_sampled_set(Protocol("uniform_wor", m=int(m)), int(c), J,
                          derive_stream(seed, i))
         for i, (c, m) in enumerate(zip(ds.chosen_ids(), sizes))])

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from soa_lab import (Dataset, InvalidInputError, SampledSet, log_softmax,
                      log_sum_exp, utilities)
+from draw_reference import position_of
 from probability_reference import (canonical_corrections, mnl_prob_full,
                                    mnl_prob_sampled_corrected)
 
@@ -94,12 +95,23 @@ def test_log_softmax_rows_with_padding():
 # ---------------------------------------------------------------------------
 
 def test_utilities_and_linear_utility_agree():
-    ds = Dataset.from_arrays([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]], [2])
-    obs = ds.observations[0]
-    beta = np.array([0.5, -0.25])
-    v = utilities(obs.attribute_matrix(), beta)
-    for j, alt in enumerate(obs.alternatives):
-        assert v[j] == float(alt.attributes @ beta)  # x'beta, one at a time
+    """utilities gives x'beta of every alternative with one coefficient
+    vector per row, and a point (1, K), a batch (P, 1, K) and per-row
+    coefficients (n, K) agree bit for bit."""
+    X = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                  [[0.5, 2.0], [-1.0, 0.25], [3.0, -0.5]]])
+    betas = np.array([[0.5, -0.25], [1.5, 2.0]])
+    batch = utilities(X, betas[:, None, :])
+    assert batch.shape == (2, 2, 3)
+    for p, beta in enumerate(betas):
+        point = utilities(X, beta[None])
+        assert np.array_equal(point, batch[p])
+        for n, j in np.ndindex(2, 3):
+            assert point[n, j] == float(X[n, j] @ beta)  # x'beta, one at a time
+    per_row = utilities(X, betas)
+    assert np.array_equal(per_row, batch[[0, 1], [0, 1]])
+    with pytest.raises(InvalidInputError):
+        utilities(X, betas[:, :1])
 
 
 def test_dataset_round_trips_between_views():
@@ -114,7 +126,8 @@ def test_dataset_round_trips_between_views():
     assert [o.chosen for o in obs] == chosen.tolist()
     assert [o.individual_id for o in obs] == [5, 5, 6, 6]
     assert [[a.id for a in o.alternatives] for o in obs] == [[0, 1, 2]] * 4
-    assert np.array_equal(np.stack([o.attribute_matrix() for o in obs]), X)
+    assert np.array_equal(
+        np.stack([[a.attributes for a in o.alternatives] for o in obs]), X)
 
 
 _GOOD_X = np.zeros((3, 2, 1))
@@ -154,9 +167,9 @@ def test_sampled_set_validation():
 
 def test_sampled_set_position_lookup():
     s = SampledSet(np.array([4, 1, 7]), np.zeros(3))
-    assert s.position_of(7) == 2
+    assert position_of(s, 7) == 2
     with pytest.raises(InvalidInputError):
-        s.position_of(3)
+        position_of(s, 3)
 
 
 # ---------------------------------------------------------------------------

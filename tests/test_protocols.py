@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import draw_reference
+from draw_reference import position_of
 from enumeration_reference import reference_sets
 from soa_lab import (CapacityError, InvalidInputError, InvalidStateError,
                      Protocol, SampledSet,
@@ -56,7 +57,7 @@ def test_uniform_enumeration_sums_to_one(J, m):
     proto = Protocol("uniform_wor", m=m)
     sets = enumerate_sets(proto, J, 1)
     assert len(sets) == math.comb(J - 1, m - 1)
-    total = sum(np.exp(s.log_cond_prob[s.position_of(1)]) for s in sets)
+    total = sum(np.exp(s.log_cond_prob[position_of(s, 1)]) for s in sets)
     assert abs(total - 1.0) < 1e-12
     for s in sets:
         assert 1 in s.member_ids
@@ -70,7 +71,7 @@ def test_importance_enumeration_sums_to_one(J):
     proto = importance_protocol(J)
     sets = enumerate_sets(proto, J, J - 1)
     assert len(sets) == 2 ** (J - 1)
-    total = sum(np.exp(s.log_cond_prob[s.position_of(J - 1)]) for s in sets)
+    total = sum(np.exp(s.log_cond_prob[position_of(s, J - 1)]) for s in sets)
     assert abs(total - 1.0) < 1e-12
 
 
@@ -168,7 +169,7 @@ def test_uniform_draw_frequencies_match_enumeration():
     sets = enumerate_sets(proto, J, 0)
     assert len(counts) == len(sets)
     for es in sets:
-        p = np.exp(es.log_cond_prob[es.position_of(0)])
+        p = np.exp(es.log_cond_prob[position_of(es, 0)])
         se = math.sqrt(p * (1 - p) / n_draws)
         observed = counts.get(tuple(es.member_ids), 0) / n_draws
         assert abs(observed - p) < 3 * se + 1e-12
@@ -183,7 +184,7 @@ def test_importance_draw_frequencies_match_enumeration():
         s = draw_sampled_set(proto, 1, J, rng)
         counts[tuple(s.member_ids)] = counts.get(tuple(s.member_ids), 0) + 1
     for es in enumerate_sets(proto, J, 1):
-        p = np.exp(es.log_cond_prob[es.position_of(1)])
+        p = np.exp(es.log_cond_prob[position_of(es, 1)])
         se = math.sqrt(p * (1 - p) / n_draws)
         observed = counts.get(tuple(es.member_ids), 0) / n_draws
         assert abs(observed - p) < 3 * se + 1e-12

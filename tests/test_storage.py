@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csv_reference import fmt, read_csv, read_manifest, render_csv
+from draw_reference import table_from_sets
 from soa_lab import storage
 from soa_lab import (ConfigError, Dataset, InvalidInputError, MnlDgpConfig,
-                     PosteriorDraws, Protocol, SampledSet, SetTable,
+                     PosteriorDraws, Protocol, SampledSet,
                      config_hash, draw_set_table, file_hash,
                      generate_mnl,
                      posterior_summary, read_dataset_csv, read_sets_csv,
@@ -346,7 +347,7 @@ def test_bulk_readers_round_trip_bit_for_bit(tmp_path_factory, data):
                                     allow_infinity=False),
                           st.sampled_from([v for v in EDGE_FLOATS
                                            if np.isfinite(v) and v <= 0.0]))
-    sets = SetTable.from_sets([
+    sets = table_from_sets([
         SampledSet(members, data.draw(hnp.arrays(np.float64, members.size,
                                                  elements=lcp_cells)))
         for members in (np.array(data.draw(st.lists(

@@ -11,6 +11,11 @@ from soa_lab import (InvalidInputError, NumericalDegeneracyError, Observation,
                      SampledSet, log_softmax)
 
 
+def attribute_matrix(observation: Observation) -> np.ndarray:
+    """(J, K) matrix with row j = attributes of alternative j."""
+    return np.stack([a.attributes for a in observation.alternatives])
+
+
 def compute_wn(beta_draw: np.ndarray, theta: tuple[np.ndarray, np.ndarray],
                observation: Observation, sampled_set: SampledSet,
                z_draws: np.ndarray) -> float:
@@ -29,7 +34,7 @@ def compute_wn(beta_draw: np.ndarray, theta: tuple[np.ndarray, np.ndarray],
     if z.ndim != 2 or z.shape[1] != mu.shape[0]:
         raise InvalidInputError("z_draws must be (R, K)")
 
-    X = observation.attribute_matrix()
+    X = attribute_matrix(observation)
     pi = np.exp(sampled_set.log_cond_prob)
     members = sampled_set.member_ids
 
@@ -47,7 +52,7 @@ def wn_numerator(beta_draw: np.ndarray, observation: Observation,
                  sampled_set: SampledSet) -> float:
     """sum_{j in D} pi(D | j) P(j | beta_draw, C): the expansion factor's
     numerator for one observation and one draw."""
-    p_draw = np.exp(log_softmax(observation.attribute_matrix() @ beta_draw))
+    p_draw = np.exp(log_softmax(attribute_matrix(observation) @ beta_draw))
     return float(np.exp(sampled_set.log_cond_prob) @ p_draw[sampled_set.member_ids])
 
 
@@ -68,7 +73,7 @@ def individual_loglik(mu: np.ndarray, L: np.ndarray, observations: list,
         beta = mu + L @ z
         prob = num = 1.0
         for obs, s in zip(observations, sampled_sets):
-            v = obs.attribute_matrix()[s.member_ids] @ beta
+            v = attribute_matrix(obs)[s.member_ids] @ beta
             if corrections == "mcfadden":
                 v = v + s.log_cond_prob
             p = np.exp(log_softmax(v))[list(s.member_ids).index(obs.chosen)]
