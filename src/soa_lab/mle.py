@@ -62,6 +62,11 @@ class FitResult:
 # the prepared choice likelihood
 # ---------------------------------------------------------------------------
 
+def _member_major(a: np.ndarray) -> np.ndarray:
+    """``a`` (n, m, ...) with its member axis outermost in memory."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
 class ChoiceArrays:
     """The corrected softmax over every observation's evaluation set.
 
@@ -70,7 +75,10 @@ class ChoiceArrays:
     set (full set when ``sampled`` is None, else the sampled subset, padded
     with -inf utilities).  For sampled sets the raw log conditional
     probabilities (``log_pi``, -inf on padding) are kept for the expansion
-    factor.
+    factor.  The member-side arrays (``X_mem``, ``c_shift``, ``pad`` and the
+    utilities of each call) keep their (..., n, m) shapes but hold the
+    member axis outermost in memory, so a reduction over a row's members
+    runs elementwise across whole planes of observations.
     """
 
     def __init__(self, dataset: Dataset, sampled: SetTable | None,
@@ -80,10 +88,10 @@ class ChoiceArrays:
         n = X.shape[0]
         self.X = X
         if sampled is None:
-            self.X_mem = X
+            self.X_mem = _member_major(X)
             self.chosen_pos = chosen
-            self.c_shift = np.zeros((n, X.shape[1]))
-            self.pad = np.zeros((n, X.shape[1]), dtype=bool)
+            self.c_shift = np.zeros((X.shape[1], n)).T
+            self.pad = np.zeros((X.shape[1], n), dtype=bool).T
         else:
             if len(sampled) != n:
                 raise InvalidInputError(
@@ -97,10 +105,10 @@ class ChoiceArrays:
                     f"sampled set {i} has member ids outside 0..{dataset.J - 1}"
                     if bad[i] else f"sampled set {i} lacks its chosen "
                     f"alternative {chosen[i]}")
-            self.X_mem = np.where(pad[..., None], 0.0,
-                                  X[np.arange(n)[:, None], ids])
-            self.c_shift = centred_corrections(sampled, mode)
-            self.pad = pad
+            self.X_mem = _member_major(np.where(
+                pad[..., None], 0.0, X[np.arange(n)[:, None], ids]))
+            self.c_shift = _member_major(centred_corrections(sampled, mode))
+            self.pad = _member_major(pad)
             self.chosen_pos = np.argmax(hits, axis=1)
             self.log_pi = sampled.log_cond_prob
         self.any_pad = bool(self.pad.any())
@@ -135,10 +143,12 @@ class ChoiceArrays:
         return self
 
     def _utilities(self, beta_rows: np.ndarray) -> np.ndarray:
-        """Corrected member utilities, -inf on padding: (..., n, m)."""
-        V = utilities(self.X_mem, beta_rows) + self.c_shift
+        """Corrected member utilities, -inf on padding: (..., n, m), laid
+        out member-major like ``X_mem``."""
+        V = utilities(self.X_mem, beta_rows)
+        V += self.c_shift
         if self.any_pad:
-            V = np.where(self.pad, -np.inf, V)
+            np.copyto(V, -np.inf, where=self.pad)
         return V
 
     def log_probs(self, beta_rows: np.ndarray) -> np.ndarray:
@@ -173,9 +183,11 @@ class ChoiceArrays:
     def score(self, beta: np.ndarray) -> np.ndarray:
         """Analytic gradient at one point: sum_n [x_chosen - sum_j P_j x_j]."""
         self._check(beta)
-        P = np.exp(self.log_probs(beta[None]))
-        return np.sum(self.x_chosen - np.einsum("nm,nmk->nk", P, self.X_mem),
-                      axis=0)
+        # Row-major operands: the sum over members keeps one order
+        # whatever K (einsum reduces a contiguous axis its own way).
+        P = np.ascontiguousarray(np.exp(self.log_probs(beta[None])))
+        return np.sum(self.x_chosen - np.einsum(
+            "nm,nmk->nk", P, np.ascontiguousarray(self.X_mem)), axis=0)
 
     def panel_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum (..., n) per-row values into (..., n_individuals)."""

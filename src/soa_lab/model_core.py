@@ -220,19 +220,51 @@ class SetTable:
 # numerical kernels
 # ---------------------------------------------------------------------------
 
+def _row_sum(e: np.ndarray) -> np.ndarray:
+    """Sum along the last axis in numpy's pairwise order for a contiguous
+    row, whatever the memory layout: below 8 entries in sequence; up to 128
+    in 8 accumulators over blocks of 8, combined as a tree, then the rest in
+    sequence; above 128 the sum of the two halves, split at a multiple of 8.
+    Built from member slices, so a member-major array is summed in whole
+    planes.  The bits are np.sum's of a C-ordered copy unless every term of
+    a row is -0 (numpy then gives +0)."""
+    n = e.shape[-1]
+    if n < 8 or e.flags.c_contiguous:
+        return np.sum(e, axis=-1)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(e[..., :half]) + _row_sum(e[..., half:])
+    stop = n - n % 8
+    r = e[..., :8]
+    if stop > 8:
+        r = r + e[..., 8:16]
+        for lo in range(16, stop, 8):
+            r += e[..., lo:lo + 8]
+    r = r[..., 0::2] + r[..., 1::2]
+    r = r[..., 0::2] + r[..., 1::2]
+    s = r[..., 0] + r[..., 1]
+    for j in range(stop, n):
+        s += e[..., j]
+    return s
+
+
 def shifted_exp_sum(values: np.ndarray, axis: int = -1, out=None,
                     weights=None) -> tuple[np.ndarray, np.ndarray]:
     """The one max-shift: m, the maximum along ``axis`` (kept; 0 where not
     finite), and s = sum w exp(v - m) (w = 1 without ``weights``), 0 for an
-    all -inf slice, summed in C order so that its bits do not depend on the
-    memory layout; w exp(v - m) is left in ``out`` (may be ``values``).
-    ln sum w exp(v) is m + ln s."""
+    all -inf slice; w exp(v - m) is left in ``out`` (may be ``values``).
+    ln sum w exp(v) is m + ln s.  Its bits do not depend on the memory
+    layout: along the last axis s is summed in numpy's pairwise order for a
+    contiguous row, along any other axis in sequence; s comes back in C
+    order, so later sums over it keep their order too."""
     m = np.max(values, axis=axis, keepdims=True)
     np.copyto(m, 0.0, where=~np.isfinite(m))
     e = np.subtract(values, m, out=out)
     np.exp(e, out=e)
     if weights is not None:
         np.multiply(weights, e, out=e)
+    if axis in (-1, e.ndim - 1):
+        return m, np.asarray(_row_sum(e), order="C")[..., None]
     return m, np.sum(np.ascontiguousarray(e), axis=axis, keepdims=True)
 
 

@@ -23,11 +23,13 @@ the streams here equal those bit for bit; :func:`seeded_streams` runs the
 SeedSequence hashing over many keys at once, on arrays of 32-bit words,
 instead of building one SeedSequence per key.  :func:`draw_set_table` draws
 every observation's set in one pass: one generator call per row, then
-array work over the (N, J) table.
+array work over the (N, m) ids of uniform sets or the (N, J) table of
+importance sets.
 
-Drawn and enumerated sets share one table builder, from a (rows, J)
-membership matrix to a padded SetTable, so a set's ln pi(D|j) has the same
-bits whichever way it was produced.
+Importance draws and every enumeration share one table builder, from a
+(rows, J) membership matrix to a padded SetTable; uniform draws take the
+one ln pi that builder gives a uniform set.  So a set's ln pi(D|j) has the
+same bits whichever way it was produced.
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ def _draw_rows(protocol: Protocol, chosen: np.ndarray, J: int,
     members besides chosen[i], among the J-1 others in ascending order:
     uniform_wor picks m-1 of them without replacement, and
     importance_independent draws one uniform each, to compare with its p_k.
-    The (n, J) membership then goes to :func:`_table`."""
+    A uniform row is its m ids sorted, with the one ln pi every uniform set
+    shares (the bits :func:`_table` gives it), so memory grows with m, not
+    J; an importance row's (n, J) membership goes to :func:`_table`."""
     protocol.check_for(J)
     n = chosen.size
     if protocol.kind == "uniform_wor":
@@ -147,20 +151,25 @@ def _draw_rows(protocol: Protocol, chosen: np.ndarray, J: int,
         picked = np.array([rng.choice(J - 1, size=k, replace=False)
                            for rng in streams], dtype=int).reshape(n, k)
         picked += picked >= chosen[:, None]  # positions among others -> ids
-        inside = np.zeros((n, J), dtype=bool)
-        inside[np.arange(n)[:, None], picked] = True
-        inside[np.arange(n), chosen] = True
-        return _table(protocol, inside)
+        members = np.sort(np.column_stack([picked, chosen]), axis=1)
+        lcp = np.full(members.shape, _uniform_lcp(protocol, J))
+        return SetTable(members, lcp, np.zeros(members.shape, dtype=bool))
     draws = np.array([rng.random(J - 1) for rng in streams])
     u = np.zeros((n, J))  # chosen keeps 0 < p_chosen, so it is always in
     u[np.arange(J) != chosen[:, None]] = draws.ravel()
     return _table(protocol, u < protocol.inclusion_probs)
 
 
+def _uniform_lcp(protocol: Protocol, J: int) -> float:
+    """ln 1/C(J-1, m-1): a uniform set's ln pi, whichever member is chosen."""
+    return -math.log(math.comb(J - 1, protocol.m - 1))
+
+
 def _table(protocol: Protocol, inside: np.ndarray) -> SetTable:
     """The SetTable of the sets whose (rows, J) membership is ``inside``:
-    members ascending within a row, then padding.  Drawn and enumerated
-    sets both come from here, so a set's row has the same bits either way.
+    members ascending within a row, then padding.  Importance draws and
+    every enumeration come from here, so a set's row has the same bits
+    either way (uniform draws take its :func:`_uniform_lcp`).
 
     ln pi(D|j) is the uniform constant, or for importance_independent
     sum_{k in D, k != j} ln p_k + sum_{k not in D} ln(1 - p_k), accumulated,
@@ -180,8 +189,7 @@ def _table(protocol: Protocol, inside: np.ndarray) -> SetTable:
     lcp = np.empty((n, width))
     lcp.fill(-np.inf)
     if protocol.kind == "uniform_wor":
-        # 1/C(J-1, m-1), whichever member is the chosen one.
-        lcp[~pad] = -math.log(math.comb(J - 1, protocol.m - 1))
+        lcp[~pad] = _uniform_lcp(protocol, J)
         return SetTable(members, lcp, pad)
     sizes = set(n_in.tolist())
     for size in sizes:

@@ -47,3 +47,24 @@ def mnl_prob_sampled_corrected(v_members: np.ndarray, c: np.ndarray) -> np.ndarr
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(c))):
         raise InvalidInputError("utilities and corrections must be finite")
     return np.exp(log_softmax(v + canonical_corrections(c)))
+
+
+def padded_row_log_probs(v: np.ndarray, c: np.ndarray,
+                         pad: np.ndarray) -> np.ndarray:
+    """ln P_j over one evaluation row as the estimators hold it: members
+    then padding.  The corrections are re-centred on the members, the
+    padding gets -inf, and one log softmax runs over the whole row, so the
+    padding's zero terms sit in the row's sum."""
+    v, c = np.asarray(v, dtype=float), np.asarray(c, dtype=float)
+    pad = np.asarray(pad, dtype=bool)
+    if not v.shape == c.shape == pad.shape or v.ndim != 1 or pad.all():
+        raise InvalidInputError("one row of utilities, corrections and pad "
+                                "with at least one member")
+    c = np.where(pad, 0.0, c - np.max(c[~pad]))
+    return log_softmax(np.where(pad, -np.inf, v + c))
+
+
+def row_score(x: np.ndarray, chosen: int, log_probs: np.ndarray) -> np.ndarray:
+    """One row's term of the quasi log-likelihood score, x_chosen -
+    sum_j P_j x_j, over the row's (m, K) member attributes (padding 0)."""
+    return x[chosen] - np.einsum("m,mk->k", np.exp(log_probs), x)

@@ -18,10 +18,11 @@ from soa_lab import (ChoiceArrays, Dataset, InvalidInputError, MmnlDgpConfig,
                      derive_stream, draw_sampled_set, draw_set_table,
                      fit_mmnl_msl, fit_mnl, generate_mmnl, generate_mnl,
                      halton_normal_draws, log_softmax, pack_theta,
-                     theta_labels, unpack_theta)
+                     theta_labels, unpack_theta, utilities)
 from soa_lab.draws import halton_points, normal_inv_cdf
 from soa_lab.optimize import central_diff_grad
 from draw_reference import table_from_sets
+from probability_reference import padded_row_log_probs, row_score
 from wn_reference import (attribute_matrix, compute_wn, individual_loglik,
                           wn_numerator)
 
@@ -635,3 +636,59 @@ def test_chosen_log_probs_equal_the_gathered_log_softmax(seed, K, n_ind, T, J,
     assert np.array_equal(view.chosen_log_probs(batch), gathered(batch))
     assert np.array_equal(view.loglik(points),
                           np.sum(gathered(batch), axis=-1))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("sets_kind", ["importance", "full"])
+def test_choice_arrays_equal_the_one_row_kernels_on_wide_rows(sets_kind, K):
+    """Rows wider than 8 (ragged importance sets at J=20, inclusion 0.2 to
+    0.8) and wider than 128 (full sets at J=150), held member-major, give
+    the bits of the one-row kernels on each padded row: log_probs,
+    chosen_log_probs and panel_loglik at per-row coefficients, loglik and
+    score at a point."""
+    rng = np.random.default_rng(40 + K)
+    n_ind, T = 8, 5
+    n = n_ind * T
+    J = 20 if sets_kind == "importance" else 150
+    ds = Dataset.from_arrays(rng.normal(size=(n, J, K)),
+                             rng.integers(0, J, size=n),
+                             np.repeat(np.arange(n_ind), T))
+    if sets_kind == "importance":
+        protocol = Protocol("importance_independent",
+                            inclusion_probs=np.linspace(0.2, 0.8, J))
+        sets = draw_set_table(protocol, ds.chosen_ids(), J, 7)
+        ids, c, pad = sets.member_ids, sets.log_cond_prob, sets.pad
+        assert ids.shape[1] > 8 and pad.any()
+    else:
+        sets, ids = None, np.tile(np.arange(J), (n, 1))
+        c, pad = np.zeros((n, J)), np.zeros((n, J), dtype=bool)
+    view = ChoiceArrays.panel(ds, sets, "mcfadden")
+    assert not view.X_mem.flags.c_contiguous
+    x = np.where(pad[..., None], 0.0,
+                 ds.attribute_tensor()[np.arange(n)[:, None], ids])
+    pos = np.argmax((ids == ds.chosen_ids()[:, None]) & ~pad, axis=1)
+
+    def one_row_log_probs(beta_rows):
+        return np.array([padded_row_log_probs(
+            utilities(x[i][None], beta_rows[i][None])[0], c[i], pad[i])
+            for i in range(n)])
+
+    beta = rng.normal(size=(n_ind, K))
+    rows = beta[view.obs_to_ind]
+    lp = one_row_log_probs(rows)
+    assert np.array_equal(view.log_probs(rows), lp)
+    assert np.array_equal(view.chosen_log_probs(rows), lp[np.arange(n), pos])
+    assert np.array_equal(view.panel_loglik(beta),
+                          view.panel_sum(lp[np.arange(n), pos]))
+    point = rng.normal(size=K)
+    lp = one_row_log_probs(np.tile(point, (n, 1)))
+    terms = [row_score(x[i], pos[i], lp[i]) for i in range(n)]
+    assert view.loglik(point) == np.sum(lp[np.arange(n), pos])
+    assert np.array_equal(view.score(point), np.sum(terms, axis=0))
+    # Two rows at a time too, so that no row's last bit is lost in the sum.
+    for i in range(0, n, 2):
+        pair = ChoiceArrays(
+            Dataset.from_arrays(ds.attribute_tensor()[i:i + 2],
+                                ds.chosen_ids()[i:i + 2]),
+            None if sets is None else sets[i:i + 2], "mcfadden")
+        assert np.array_equal(pair.score(point), terms[i] + terms[i + 1])

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from soa_lab import (Dataset, InvalidInputError, SampledSet, log_softmax,
                      log_sum_exp, utilities)
+from soa_lab.model_core import shifted_exp_sum
 from draw_reference import position_of
 from probability_reference import (canonical_corrections, mnl_prob_full,
                                    mnl_prob_sampled_corrected)
@@ -88,6 +89,35 @@ def test_log_softmax_rows_with_padding():
     assert lp[0, 1] == -np.inf
     assert abs(np.exp(lp[0]).sum() - 1.0) < 1e-12
     assert np.all(lp[1] == -np.inf)
+
+
+def _member_major(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last axis outermost in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+@settings(deadline=None, max_examples=150)
+@given(width=st.one_of(st.integers(1, 300),
+                       st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129,
+                                        135, 136, 255, 256, 257])),
+       lead=st.lists(st.integers(1, 4), max_size=2),
+       member_major=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+def test_shifted_exp_sum_keeps_the_row_sum_bits_in_any_layout(
+        width, lead, member_major, seed):
+    """Along the last axis, m and s are np.max and np.sum of a C-ordered
+    copy bit for bit, for C-ordered and member-major (last axis outermost)
+    memory alike, and s is C-ordered; the terms exp(v - m) are exp(normal)
+    draws with some exact zeros."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(scale=2.0, size=(*lead, width))
+    v[rng.random(v.shape) < 0.1] = -np.inf
+    values = _member_major(v) if member_major else v.copy()
+    m, s = shifted_exp_sum(values)
+    top = np.max(v, axis=-1, keepdims=True)
+    top[np.isinf(top)] = 0.0  # an all -inf row shifts by 0: its terms are 0
+    assert np.array_equal(m, top)
+    assert np.array_equal(s, np.sum(np.exp(v - top), axis=-1, keepdims=True))
+    assert s.flags.c_contiguous  # later sums over s keep their order
 
 
 # ---------------------------------------------------------------------------
