@@ -23,6 +23,7 @@ from .mle import ChoiceArrays
 from .model_core import Dataset
 from .protocols import seeded_streams
 
+MIN_SUMMARY_DRAWS = 100
 _DOUBLING_TOL = 1e-6
 _ADAPT_TARGET = 0.3
 _ADAPT_WINDOW = 50
@@ -305,12 +306,17 @@ def _ess_single_chain(x: np.ndarray) -> float:
     return float(min(n, n / tau))
 
 
+def check_summary_draws(n_draws: int) -> None:
+    """Refuse fewer pooled draws than :func:`posterior_summary` needs."""
+    if n_draws < MIN_SUMMARY_DRAWS:
+        raise InsufficientDrawsError(f"{n_draws} kept draws, fewer than the "
+                                     f"{MIN_SUMMARY_DRAWS} a summary needs")
+
+
 def posterior_summary(draws: PosteriorDraws) -> PosteriorSummary:
     """Means, SDs, central quantiles, and ESS (summed over chains)."""
     pooled = draws.pooled()
-    if pooled.shape[0] < 100:
-        raise InsufficientDrawsError(
-            f"need at least 100 draws to summarize, got {pooled.shape[0]}")
+    check_summary_draws(pooled.shape[0])
     q = np.percentile(pooled, [2.5, 50.0, 97.5], axis=0)
     ess = np.array([
         sum(_ess_single_chain(draws.draws[c, :, k])

@@ -39,9 +39,9 @@ import numpy as np
 
 from . import storage
 from .bayes_mmnl import GibbsConfig, MmnlPriors, run_gibbs
-from .bayes_mnl import (Prior, grid_posterior, kl_decomposition,
-                        kl_divergence_grid, log_posterior_kernel,
-                        posterior_summary, rw_metropolis)
+from .bayes_mnl import (Prior, check_summary_draws, grid_posterior,
+                        kl_decomposition, kl_divergence_grid,
+                        log_posterior_kernel, posterior_summary, rw_metropolis)
 from . import divergence_lab as dlab
 from .errors import (CapacityError, ConfigError, InvalidInputError,
                      InvalidStateError, NumericalDegeneracyError)
@@ -232,14 +232,9 @@ def build_prior(cfg: Config, K: int) -> Prior:
                   _square(cfg, "prior.cov", K, np.eye(K)))
 
 
-def build_grid(cfg: Config, K: int) -> GridSpec:
+def build_grid(cfg: Config, K: int, points: int) -> GridSpec:
     lo = cfg.get_vector("grid.lo", K, np.full(K, -8.0))
     hi = cfg.get_vector("grid.hi", K, np.full(K, 8.0))
-    points = cfg.get_int("grid.points", 201)
-    if points < dlab.MIN_GRID_POINTS:
-        raise ConfigError(f"config key 'grid.points': {points} is below "
-                          f"{dlab.MIN_GRID_POINTS}, the fewest the divergence "
-                          "oracles integrate on")
     try:
         return GridSpec.make(lo, hi, [points] * K)
     except InvalidInputError as exc:
@@ -252,6 +247,23 @@ def _named(key: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except (InvalidInputError, NumericalDegeneracyError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
+def _allocating(sizes: list, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose arrays the (key, value, numbers) of
+    ``sizes`` size: each config key's value makes its largest array hold
+    that many numbers.  Keys whose arrays lie past numpy's address space
+    are refused by name before ``make`` runs; a MemoryError from ``make``
+    is refused naming every key."""
+    past = [size for size in sizes if size[2] * 8 > np.iinfo(np.intp).max]
+    try:
+        if past:  # numpy refuses these without allocating
+            raise MemoryError
+        return make(*args, **kwargs)
+    except MemoryError:
+        keys = ", ".join(f"config key {k!r} = {v}" for k, v, _ in past or sizes)
+        raise ConfigError(f"{keys}: the arrays of this run cannot be "
+                          "allocated") from None
 
 
 def _checked(key: str, values, low=None, above=None):
@@ -308,26 +320,22 @@ def cmd_generate(cfg: Config, out_dir: Path, chash: str) -> None:
     seed = cfg.get_int("seed")
     N, J, K = (cfg.get_int(f"dgp.{key}", low=1) for key in "njk")
     law = cfg.get_choice("dgp.covariate_law", COVARIATE_LAWS, "standard_normal")
+    dims = {"dgp.n": N, "dgp.j": J, "dgp.k": K}
     if model == "mnl":
         rows, make = N, generate_mnl
         dgp = MnlDgpConfig(N=N, J=J, K=K,
                            beta_star=cfg.get_vector("dgp.beta_star", K),
                            covariate_law=law, seed=seed)
     else:
-        T = cfg.get_int("dgp.t", low=1)
+        dims["dgp.t"] = T = cfg.get_int("dgp.t", low=1)
         rows, make = N * T, lambda config: generate_mmnl(config)[0]
         # The keys above are checked, so only sigma_star is left to refuse.
         dgp = _named("dgp.sigma_star", MmnlDgpConfig, N=N, T=T, J=J, K=K,
                      mu_star=cfg.get_vector("dgp.mu_star", K),
                      sigma_star=_square(cfg, "dgp.sigma_star", K),
                      covariate_law=law, seed=seed)
-    try:
-        if rows * J * K * 8 > np.iinfo(np.intp).max:  # past numpy's address space
-            raise MemoryError
-        dataset = make(dgp)
-    except MemoryError:
-        raise ConfigError(f"config key 'dgp.n': {N} gives a {rows} x {J} x {K}"
-                          " attribute tensor, which cannot be allocated") from None
+    dataset = _allocating([(key, value, rows * J * K)
+                           for key, value in dims.items()], make, dgp)
 
     dataset_path = out_dir / "dataset.csv"
     storage.write_dataset_csv(dataset_path, dataset,
@@ -355,10 +363,13 @@ def cmd_fit(cfg: Config, out_dir: Path, chash: str) -> None:
         result = fit_mnl(dataset, sampled, mode)
         names = [f"beta_{k + 1}" for k in range(dataset.K)]
     else:
-        result = fit_mmnl_msl(
-            dataset, sampled, mode,
-            wn_mode=cfg.get_choice("fit.wn_mode", WN_MODES, "exact_full_set"),
-            r_draws=cfg.get_int("fit.r_draws", 100, low=1))
+        r_draws = cfg.get_int("fit.r_draws", 100, low=1)
+        # The largest arrays are the (J, R, n) and (K, R, n) planes.
+        per_draw = dataset.n_obs * max(dataset.J, dataset.K)
+        result = _allocating(
+            [("fit.r_draws", r_draws, r_draws * per_draw)],
+            fit_mmnl_msl, dataset, sampled, mode,
+            cfg.get_choice("fit.wn_mode", WN_MODES, "exact_full_set"), r_draws)
         names = theta_labels(dataset.K)
 
     rows = [(run_id, chash, f"estimate[{name}]", float(value),
@@ -393,17 +404,21 @@ def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
 
     if method == "rw_metropolis":
         prior = build_prior(cfg, dataset.K)
+        chains = cfg.get_int("bayes.chains", 2, low=1)
+        scale = cfg.get_float("bayes.proposal_scale", 0.5, above=0)
+        _named("bayes.iterations", check_summary_draws,
+               chains * (iterations - burn_in))
         likelihood = ChoiceArrays(dataset, sampled, mode)
 
         def kernel(points: np.ndarray) -> np.ndarray:
             return log_posterior_kernel(points, likelihood, prior)
 
-        draws = rw_metropolis(kernel, prior.mean,
-                              n_chains=cfg.get_int("bayes.chains", 2, low=1),
-                              n_iter=iterations, burn_in=burn_in,
-                              proposal_scale=cfg.get_float(
-                                  "bayes.proposal_scale", 0.5, above=0),
-                              seed=seed)
+        # The chains' batched utilities, then their draws.
+        draws = _allocating(
+            [("bayes.chains", chains, chains * dataset.n_obs * dataset.J),
+             ("bayes.iterations", iterations, chains * iterations * dataset.K)],
+            rw_metropolis, kernel, prior.mean, n_chains=chains,
+            n_iter=iterations, burn_in=burn_in, proposal_scale=scale, seed=seed)
         draws.param_names = [f"beta_{k + 1}" for k in range(dataset.K)]
     else:
         K, default = dataset.K, MmnlPriors.default_for(dataset.K)
@@ -420,7 +435,13 @@ def cmd_bayes(cfg: Config, out_dir: Path, chash: str) -> None:
             rho=cfg.get_float("bayes.rho", 0.4, low=0),
             sets=None if sampled is None else (sampled, mode),
             store_beta_n=cfg.get_bool("bayes.store_beta_n", False))
-        draws = run_gibbs(dataset, priors, gibbs_cfg)
+        _named("bayes.iterations", check_summary_draws,
+               -(-(iterations - burn_in) // thin))
+        # Per iteration: four stream words, mu, vech Sigma and, if stored,
+        # each individual's beta (at most one per observation).
+        width = 4 + K * (K + 3) // 2 + gibbs_cfg.store_beta_n * dataset.n_obs * K
+        draws = _allocating([("bayes.iterations", iterations, iterations * width)],
+                            run_gibbs, dataset, priors, gibbs_cfg)
 
     summary = posterior_summary(draws)
     headers = {"config_hash": chash, "command": "bayes", "dataset_hash": ds_hash}
@@ -499,7 +520,10 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
             "whose members' set probabilities differ, so 'uniform_constant' "
             "cannot correct it")
     prior = build_prior(cfg, K)
-    grid = build_grid(cfg, K)
+    points = cfg.get_int("grid.points", 201, low=dlab.MIN_GRID_POINTS)
+    # The (P, K) lattice is the largest array of a divergence run.
+    lattice = [("grid.points", points, points ** K * K)]
+    grid = _allocating(lattice, build_grid, cfg, K, points)
     beta_cfg = cfg.get_vector("divergence.beta_star", K, None)
 
     # Every row is checked against the enumeration caps before the first
@@ -520,9 +544,10 @@ def cmd_divergence(cfg: Config, out_dir: Path, chash: str) -> None:
             except CapacityError as exc:
                 raise CapacityError(f"design {d} ({label}): {exc}") from exc
             todo.append((d, label, design, protocol, beta_star))
-    rows = [_divergence_row(d, label, mode, design, protocol, beta_star, prior,
-                            grid)
-            for d, label, design, protocol, beta_star in todo]
+    rows = _allocating(lattice, lambda: [
+        _divergence_row(d, label, mode, design, protocol, beta_star, prior,
+                        grid)
+        for d, label, design, protocol, beta_star in todo])
 
     path = out_dir / "divergence.csv"
     storage.write_csv(path, {"config_hash": chash, "command": "divergence"},

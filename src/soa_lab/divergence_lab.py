@@ -123,10 +123,10 @@ def _set_kernel(X: np.ndarray, sets: SetTable, mode: str, beta):
     * ``log_r`` (n, S): log coverage ln R(D);
     * ``lp_proc`` (n, S, m): process member log-probabilities (lcp corrections);
     * ``lp_eval`` (n, S, m): evaluated member log-probabilities (mode corrections);
-    * ``c`` (S, m): the mode's corrections, re-centred per row;
+    * ``c`` (S, m): the mode's member term of :func:`centred_corrections`;
     * ``lp_full`` (n, S, m): ln P(i | beta, C) of each member.
 
-    Padding is -inf in the log-probabilities and 0 in ``c``.
+    The member terms make padding -inf in ``c`` and every log-probability.
     """
     V = utilities(X, np.asarray(beta, dtype=float)[..., None, :])
     # Flat indices keep an observation's (S, m) values contiguous at a point
@@ -134,12 +134,13 @@ def _set_kernel(X: np.ndarray, sets: SetTable, mode: str, beta):
     flat = (np.arange(len(X)) * X.shape[1])[:, None, None] + sets.member_ids
     lead = V.shape[:-2] + (-1,)
     Vm = V.reshape(lead)[..., flat]
-    lp_full = np.where(sets.pad, -np.inf, log_softmax(V).reshape(lead)[..., flat])
+    lp_full = (log_softmax(V).reshape(lead)[..., flat]
+               + centred_corrections(sets, "none"))
     log_r = _log_sum(lp_full + sets.log_cond_prob)
     c = centred_corrections(sets, mode)
-    lp_eval = log_softmax(np.where(sets.pad, -np.inf, Vm + c))
+    lp_eval = log_softmax(Vm + c)
     lp_proc = lp_eval if mode == "mcfadden" else log_softmax(
-        np.where(sets.pad, -np.inf, Vm + centred_corrections(sets, "mcfadden")))
+        Vm + centred_corrections(sets, "mcfadden"))
     return log_r, lp_proc, lp_eval, c, lp_full
 
 

@@ -16,9 +16,9 @@ conditional set probabilities.  One kernel returns this objective and its
 analytic score in a single pass over the draws.
 
 Each fit builds its kernel once: one :class:`ChoiceArrays` holds the
-padded member attributes, the re-centred corrections and the chosen
-positions, and the mixing likelihood adds the Halton block and its work
-arrays, which every objective and score evaluation overwrites in place.
+padded member attributes, the member term and the chosen positions, and
+the mixing likelihood adds the Halton block and its work arrays, which
+every objective and score evaluation overwrites in place.
 """
 
 from __future__ import annotations
@@ -73,12 +73,13 @@ class ChoiceArrays:
     Built once per run, then evaluated at any number of coefficient points.
     Rows are observations; columns are the members of each row's evaluation
     set (full set when ``sampled`` is None, else the sampled subset, padded
-    with -inf utilities).  For sampled sets the raw log conditional
-    probabilities (``log_pi``, -inf on padding) are kept for the expansion
-    factor.  The member-side arrays (``X_mem``, ``c_shift``, ``pad`` and the
-    utilities of each call) keep their (..., n, m) shapes but hold the
-    member axis outermost in memory, so a reduction over a row's members
-    runs elementwise across whole planes of observations.
+    with zero attributes).  Sampled sets add ``member_term`` (full sets:
+    None), the term of :func:`centred_corrections`, -inf on padding, to each
+    utility and keep ``log_pi``, their raw ln pi, for the expansion factor.
+    The member-side arrays (``X_mem``, ``member_term`` and each call's
+    utilities) keep their (..., n, m) shapes but hold the member axis
+    outermost in memory, so a reduction over a row's members runs
+    elementwise across whole planes of observations.
     """
 
     def __init__(self, dataset: Dataset, sampled: SetTable | None,
@@ -86,12 +87,10 @@ class ChoiceArrays:
         X = dataset.attribute_tensor()
         chosen = dataset.chosen_ids()
         n = X.shape[0]
-        self.X = X
+        self.member_term = None
         if sampled is None:
             self.X_mem = _member_major(X)
             self.chosen_pos = chosen
-            self.c_shift = np.zeros((X.shape[1], n)).T
-            self.pad = np.zeros((X.shape[1], n), dtype=bool).T
         else:
             if len(sampled) != n:
                 raise InvalidInputError(
@@ -107,11 +106,9 @@ class ChoiceArrays:
                     f"alternative {chosen[i]}")
             self.X_mem = _member_major(np.where(
                 pad[..., None], 0.0, X[np.arange(n)[:, None], ids]))
-            self.c_shift = _member_major(centred_corrections(sampled, mode))
-            self.pad = _member_major(pad)
+            self.member_term = _member_major(centred_corrections(sampled, mode))
             self.chosen_pos = np.argmax(hits, axis=1)
             self.log_pi = sampled.log_cond_prob
-        self.any_pad = bool(self.pad.any())
         self.n = n
         self.K = dataset.K
         self._rows = np.arange(n)
@@ -122,8 +119,8 @@ class ChoiceArrays:
               mode: str) -> "ChoiceArrays":
         """Rows sorted (stably) by individual, for per-individual sums.
 
-        ``obs_to_ind`` maps each row to its individual's index and
-        ``group_starts`` marks each individual's first row.
+        ``order`` and ``obs_to_ind`` map each row to its observation in
+        ``dataset`` and its individual; ``group_starts`` marks the first rows.
         """
         if sampled is not None and len(sampled) != dataset.n_obs:
             raise InvalidInputError(
@@ -140,15 +137,15 @@ class ChoiceArrays:
         self.n_individuals = self.group_starts.size
         self.obs_to_ind = np.cumsum(first) - 1
         self.individual_ids = sorted_ind[self.group_starts]
+        self.order = order
         return self
 
     def _utilities(self, beta_rows: np.ndarray) -> np.ndarray:
         """Corrected member utilities, -inf on padding: (..., n, m), laid
         out member-major like ``X_mem``."""
         V = utilities(self.X_mem, beta_rows)
-        V += self.c_shift
-        if self.any_pad:
-            np.copyto(V, -np.inf, where=self.pad)
+        if self.member_term is not None:
+            V += self.member_term
         return V
 
     def log_probs(self, beta_rows: np.ndarray) -> np.ndarray:
@@ -268,35 +265,38 @@ class _SimulatedLikelihood:
     individual's whole panel, mean_r prod_t num_tr.  Without it B_nr = ln R
     and A_nr drops the ln num terms: l_n = ln mean_r prod_t P(i_t | beta_r, D_t).
 
-    Built once per fit from a panel :class:`ChoiceArrays` and the Halton
-    block z (n_individuals, R, K).  Arrays are held coefficient- and
+    Built once per fit from a panel :class:`ChoiceArrays`, the Halton block
+    z (n_individuals, R, K) and, for the exact factor only, the caller's
+    (N, J, K) attributes ``X``; arrays are held coefficient- and
     alternative-major, (K or alternatives, R, rows), so every reduction
     over alternatives runs across whole (R, rows) planes.  The (K, R, n),
     (m, R, n) and (J, R, n) work arrays are allocated here once and
     overwritten by every evaluation; nothing returned refers to them.
     """
 
-    def __init__(self, view: ChoiceArrays, z: np.ndarray, use_wn: bool):
+    def __init__(self, view: ChoiceArrays, z: np.ndarray,
+                 X: np.ndarray | None):
         def planes(a: np.ndarray) -> np.ndarray:
             return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
-        self.view, self.use_wn, self.K = view, use_wn, view.K
+        self.view, self.use_wn, self.K = view, X is not None, view.K
         self.z = planes(np.swapaxes(z[view.obs_to_ind], 0, 1))   # (K, R, n)
         self.x_mem = planes(np.swapaxes(view.X_mem, 0, 1))        # (K, m, n)
-        self.c_eval = np.where(view.pad, -np.inf, view.c_shift).T[:, None]
         self.x_chosen = view.x_chosen.T                           # (K, n)
-        self.c_chosen = view.c_shift[np.arange(view.n), view.chosen_pos]
+        term = view.member_term
+        self.c_eval, self.c_chosen = (0.0, 0.0) if term is None else (
+            term.T[:, None], term[np.arange(view.n), view.chosen_pos])
         self.log_r = np.log(z.shape[1])
         R, m = z.shape[1], self.x_mem.shape[1]
         self._beta = np.empty((self.K, R, view.n))
         self._d_row = np.empty((self.K, R, view.n))
         self._v_mem = np.empty((m, R, view.n))
         self._p = np.empty((m, R, view.n))
-        if use_wn:
-            self.x_full = planes(np.swapaxes(view.X, 0, 1))       # (K, J, n)
+        if self.use_wn:
+            self.x_full = planes(np.swapaxes(X[view.order], 0, 1))  # (K, J, n)
             self.log_pi = view.log_pi.T[:, None]                  # (m, 1, n)
             self._q = np.empty((m, R, view.n))
-            self._p_full = np.empty((view.X.shape[1], R, view.n))
+            self._p_full = np.empty((X.shape[1], R, view.n))
             self._d_num = np.empty((self.K, R, view.n))
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -402,7 +402,8 @@ def fit_mmnl_msl(dataset: Dataset, sampled: SetTable | None,
     view = ChoiceArrays.panel(dataset, sampled, corrections)
     use_wn = wn_mode == "exact_full_set" and sampled is not None
     likelihood = _SimulatedLikelihood(
-        view, halton_normal_draws(view.n_individuals, r_draws, K), use_wn)
+        view, halton_normal_draws(view.n_individuals, r_draws, K),
+        dataset.attribute_tensor() if use_wn else None)
     res = maximize(likelihood.loglik, likelihood.score,
                    pack_theta(np.zeros(K), np.exp(-1.0) * np.eye(K)), tol=1e-3)
     se = std_errors_from_hessian(hessian_from_grad(likelihood.score, res.x))

@@ -179,13 +179,17 @@ class SetTable:
     """Every observation's sampled set, padded to the largest set size.
 
     Row i holds observation i's members and log conditional probabilities
-    in member order, then padding where ``pad`` is True (member id 0, log
-    probability -inf).  ``len`` is the number of observations.
+    in member order, then padding: member id 0, log probability -inf, which
+    no member has.  ``pad`` is a read-only mask of it, isneginf(log_cond_prob).
+    ``len`` is the number of observations.
     """
 
     member_ids: np.ndarray
     log_cond_prob: np.ndarray
-    pad: np.ndarray
+
+    def __post_init__(self):
+        self.pad = np.isneginf(self.log_cond_prob)
+        self.pad.flags.writeable = False
 
     @classmethod
     def from_flat(cls, obs: np.ndarray, alt: np.ndarray, lcp: np.ndarray,
@@ -200,8 +204,7 @@ class SetTable:
         log_cond_prob = np.full(shape, -np.inf)
         member_ids[obs, col] = alt[order]
         log_cond_prob[obs, col] = lcp[order]
-        return cls(member_ids, log_cond_prob,
-                   np.arange(shape[1]) >= sizes[:, None])
+        return cls(member_ids, log_cond_prob)
 
     def __len__(self) -> int:
         return self.member_ids.shape[0]
@@ -210,8 +213,7 @@ class SetTable:
         """Row i as a SampledSet (so iterating yields every row); a slice or
         index array gives a SetTable."""
         if not isinstance(i, (int, np.integer)):
-            return SetTable(self.member_ids[i], self.log_cond_prob[i],
-                            self.pad[i])
+            return SetTable(self.member_ids[i], self.log_cond_prob[i])
         keep = ~self.pad[i]
         return SampledSet(self.member_ids[i, keep], self.log_cond_prob[i, keep])
 

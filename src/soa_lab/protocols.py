@@ -153,7 +153,7 @@ def _draw_rows(protocol: Protocol, chosen: np.ndarray, J: int,
         picked += picked >= chosen[:, None]  # positions among others -> ids
         members = np.sort(np.column_stack([picked, chosen]), axis=1)
         lcp = np.full(members.shape, _uniform_lcp(protocol, J))
-        return SetTable(members, lcp, np.zeros(members.shape, dtype=bool))
+        return SetTable(members, lcp)
     draws = np.array([rng.random(J - 1) for rng in streams])
     u = np.zeros((n, J))  # chosen keeps 0 < p_chosen, so it is always in
     u[np.arange(J) != chosen[:, None]] = draws.ravel()
@@ -190,7 +190,7 @@ def _table(protocol: Protocol, inside: np.ndarray) -> SetTable:
     lcp.fill(-np.inf)
     if protocol.kind == "uniform_wor":
         lcp[~pad] = _uniform_lcp(protocol, J)
-        return SetTable(members, lcp, pad)
+        return SetTable(members, lcp)
     sizes = set(n_in.tolist())
     for size in sizes:
         # A slice, not a mask, when every row has the same size.
@@ -202,7 +202,7 @@ def _table(protocol: Protocol, inside: np.ndarray) -> SetTable:
         # Mathematically <= 0; the subtraction can leave ~1 ulp of dust.
         lcp[at, :size] = np.minimum((lp_in.sum(axis=1, keepdims=True) - lp_in)
                                     + log_out.sum(axis=1, keepdims=True), 0.0)
-    return SetTable(members, lcp, pad)
+    return SetTable(members, lcp)
 
 
 def enumerate_sets(protocol: Protocol, J: int, chosen: int) -> SetTable:
@@ -264,32 +264,32 @@ def _enumerate(protocol: Protocol, J: int, chosen: int | None) -> SetTable:
 
 def correction_vector(log_cond_prob: np.ndarray, mode: str) -> np.ndarray:
     """Additive utility corrections, row-wise over one set's log conditional
-    probabilities or a SetTable's (-inf padding gets zeros): mcfadden returns
+    probabilities or a SetTable's (-inf padding stays -inf): mcfadden returns
     them, none zeros, uniform_constant the one value each set's members must
     share (it cancels in the softmax; the divergence oracles consume it)."""
     if mode not in CORRECTION_MODES:
         raise InvalidInputError(f"unknown correction mode {mode!r}")
     lcp = np.asarray(log_cond_prob, dtype=float)
+    if mode == "mcfadden":
+        return lcp
     pad = np.isneginf(lcp)
     if mode == "none":
-        return np.zeros_like(lcp)
-    if mode == "mcfadden":
-        return np.where(pad, 0.0, lcp)
+        return np.where(pad, -np.inf, 0.0)
     spread = float(np.max(np.max(lcp, axis=-1)
                           - np.min(np.where(pad, np.inf, lcp), axis=-1)))
     if spread > _UNIFORM_ATOL:
         raise InvalidStateError(
             "uniform_constant correction requires identical log conditional "
             f"probabilities across members; spread is {spread:g}")
-    return np.where(pad, 0.0, lcp[..., :1])
+    return np.where(pad, -np.inf, lcp[..., :1])
 
 
 def centred_corrections(sets: SetTable, mode: str) -> np.ndarray:
-    """The mode's corrections of each row of ``sets`` less the row's largest,
-    0 on padding: no probability moves and shared constants vanish exactly."""
+    """The member term of every corrected softmax over ``sets``: each row's
+    corrections less the row's largest (mcfadden: lcp - rowmax lcp), -inf
+    on padding, so padding drops out and shared constants vanish exactly."""
     c = correction_vector(sets.log_cond_prob, mode)
-    c_max = np.max(np.where(sets.pad, -np.inf, c), axis=1, keepdims=True)
-    return np.where(sets.pad, 0.0, c - c_max)
+    return c - np.max(c, axis=-1, keepdims=True)
 
 
 # numpy's SeedSequence: a pool of four 32-bit words and its hash constants.

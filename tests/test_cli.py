@@ -15,6 +15,11 @@ from soa_lab import (Protocol, SampledSet, enumerate_feasible_sets,
 from soa_lab.cli import main, parse_config_text
 
 
+# A run length whose arrays lie past numpy's address space: numpy refuses
+# them without allocating.
+PAST_NUMPY = 10 ** 30
+
+
 def write_config(path, text):
     path.write_text(text)
     return str(path)
@@ -400,14 +405,32 @@ output.dir={out}
     ("gibbs", "prior.a0=0", "prior.a0"),
     ("gibbs", "prior.m0=1, 2", "prior.m0"),
     ("gibbs", "correction.mode=foo", "correction.mode"),
+    ("rw_metropolis", f"bayes.iterations={PAST_NUMPY}", "bayes.iterations"),
+    ("gibbs", f"bayes.iterations={PAST_NUMPY}", "bayes.iterations"),
+    ("rw_metropolis", f"bayes.chains={PAST_NUMPY}", "bayes.chains"),
+    ("rw_metropolis", "bayes.iterations=60\nbayes.burn_in=10\nbayes.chains=1",
+     "bayes.iterations"),
+    ("gibbs", "bayes.iterations=300\nbayes.burn_in=100\nbayes.thin=3",
+     "bayes.iterations"),
 ], ids=["chains_0", "chains_negative", "scale_nan", "scale_inf", "scale_0",
         "metropolis_burn_in_at_iterations", "rho_inf", "rho_nan",
         "rho_negative", "thin_0", "gibbs_burn_in_at_iterations", "v0_at_k1",
-        "s0_negative", "a0_zero", "m0_wrong_length", "mode_unknown"])
+        "s0_negative", "a0_zero", "m0_wrong_length", "mode_unknown",
+        "metropolis_iterations_past_numpy", "gibbs_iterations_past_numpy",
+        "chains_past_numpy", "metropolis_keeps_50_draws",
+        "gibbs_keeps_67_draws"])
 def test_bayes_sampler_setting_out_of_range_is_exit_2(tmp_path, capsys,
-                                                      method, settings, key):
-    """A sampler or prior setting the library refuses exits 2 naming its
-    config key, without a traceback or an output file."""
+                                                      monkeypatch, method,
+                                                      settings, key):
+    """A sampler or prior setting the library refuses, a run length whose
+    arrays numpy cannot allocate, or one that keeps too few draws to
+    summarize exits 2 naming its config key, before sampling, without a
+    traceback or an output file."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    for sampler in ("rw_metropolis", "run_gibbs"):
+        monkeypatch.setattr(f"soa_lab.cli.{sampler}", refuse)
     dataset = pipeline_generate(tmp_path, name="panel", model="mmnl", n=20,
                                 j=6)
     sets = sample_sets(tmp_path, dataset)
@@ -438,8 +461,10 @@ output.dir={out}
                "protocol.inclusion_probs=0.5, 0.5", "protocol.inclusion_probs"),
     ("fit", "fit.estimator=mmnl_msl\nfit.r_draws=0", "fit.r_draws"),
     ("fit", "fit.estimator=mmnl_msl\nfit.wn_mode=foo", "fit.wn_mode"),
+    ("fit", f"fit.estimator=mmnl_msl\nfit.r_draws={PAST_NUMPY}",
+     "fit.r_draws"),
 ], ids=["m_1", "m_above_j", "probability_1", "probs_wrong_length",
-        "r_draws_0", "wn_mode_unknown"])
+        "r_draws_0", "wn_mode_unknown", "r_draws_past_numpy"])
 def test_sample_and_fit_setting_out_of_range_is_exit_2(tmp_path, capsys, verb,
                                                        settings, key):
     """A protocol or fit setting the library refuses exits 2 naming its
@@ -800,8 +825,9 @@ def test_divergence_wrong_length_parameter_is_exit_2(tmp_path, capsys,
     ("prior.cov=-1", "prior.cov", "prior covariance must be PD"),
     ("divergence.beta_star=1, 2", "divergence.beta_star",
      "need 1 entry, got 2"),
+    (f"grid.points={PAST_NUMPY}", "grid.points", "cannot be allocated"),
 ], ids=["grid_points", "grid_bounds", "m_below_2", "m_above_j",
-        "prior_cov_not_pd", "beta_star_at_k1"])
+        "prior_cov_not_pd", "beta_star_at_k1", "grid_points_past_numpy"])
 def test_divergence_refusals_name_the_key_before_any_work(
         tmp_path, capsys, monkeypatch, settings, key, reason):
     """A divergence setting out of range exits 2 naming its key and the
@@ -847,6 +873,8 @@ def dgp_config(tmp_path, out, model, settings=""):
 
 @pytest.mark.parametrize("model,settings,key", [
     ("mnl", "dgp.n=100000000000000000000000000", "dgp.n"),
+    ("mnl", f"dgp.j={PAST_NUMPY}", "dgp.j"),
+    ("mmnl", f"dgp.t={PAST_NUMPY}", "dgp.t"),
     ("mnl", "dgp.n=0", "dgp.n"),
     ("mnl", "dgp.j=-1", "dgp.j"),
     ("mnl", "dgp.k=0", "dgp.k"),
@@ -856,7 +884,8 @@ def dgp_config(tmp_path, out, model, settings=""):
     ("mmnl", "dgp.mu_star=1, 2, 3", "dgp.mu_star"),
     ("mmnl", "dgp.sigma_star=1, 2, 2, 1", "dgp.sigma_star"),
     ("mmnl", "dgp.sigma_star=1, 0.5, 0, 1", "dgp.sigma_star"),
-], ids=["n_past_numpy", "n_0", "j_negative", "k_0", "t_0", "law_unknown",
+], ids=["n_past_numpy", "j_past_numpy", "t_past_numpy", "n_0",
+        "j_negative", "k_0", "t_0", "law_unknown",
         "beta_star_at_k2", "mu_star_at_k2", "sigma_star_not_pd",
         "sigma_star_not_symmetric"])
 def test_generate_setting_out_of_range_is_exit_2(tmp_path, capsys, model,
@@ -884,6 +913,52 @@ def test_generate_attributes_numpy_cannot_allocate_are_exit_2(
     assert run(["generate", "--config", dgp_config(tmp_path, out, model)]) == 2
     err = capsys.readouterr().err
     assert "config key 'dgp.n'" in err and "cannot be allocated" in err
+    assert not any(out.iterdir())
+
+
+_PANEL_RUNS = {
+    "msl": "fit.estimator=mmnl_msl\nfit.r_draws=5",
+    "chains": "bayes.method=rw_metropolis\nbayes.iterations=200\n"
+              "bayes.burn_in=100\nbayes.chains=100000000000000",
+    "metropolis": "bayes.method=rw_metropolis\n"
+                  "bayes.iterations=100000000000000\nbayes.burn_in=100",
+    "gibbs": "bayes.method=gibbs\nbayes.iterations=100000000000000\n"
+             "bayes.burn_in=50",
+}
+
+
+@pytest.mark.parametrize("verb,run_name,patched,key", [
+    ("fit", "msl", "soa_lab.cli.fit_mmnl_msl", "fit.r_draws"),
+    ("bayes", "chains", "soa_lab.cli.rw_metropolis", "bayes.chains"),
+    ("bayes", "metropolis", "soa_lab.cli.rw_metropolis", "bayes.iterations"),
+    ("bayes", "gibbs", "soa_lab.cli.run_gibbs", "bayes.iterations"),
+    ("divergence", None, "soa_lab.divergence_lab.build_divergence_report",
+     "grid.points"),
+], ids=["r_draws", "chains", "metropolis_iterations", "gibbs_iterations",
+        "grid_points"])
+def test_a_run_that_runs_out_of_memory_is_exit_2_naming_its_key(
+        tmp_path, capsys, monkeypatch, verb, run_name, patched, key):
+    """A run whose allocation raises MemoryError (here a monkeypatched
+    one, so nothing large is allocated) is refused naming the config key
+    that sized it."""
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    if verb == "divergence":
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "d.cfg", "divergence.j=3\n"
+                           "divergence.n_designs=1\nseed=2\n"
+                           f"output.dir={out}\n")
+    else:
+        dataset = pipeline_generate(tmp_path, name="panel", model="mmnl",
+                                    n=8, j=3)
+        cfg = run_config(tmp_path, dataset, extra=_PANEL_RUNS[run_name])
+        out = tmp_path / "run_out"
+    monkeypatch.setattr(patched, exhaust)
+    assert run([verb, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "cannot be allocated" in err
+    assert "Traceback" not in err
     assert not any(out.iterdir())
 
 

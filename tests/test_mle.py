@@ -301,7 +301,8 @@ def test_msl_expansion_factor_matches_reference(seed, K, importance, n_ind, T,
 
     view = ChoiceArrays.panel(ds, sets, "mcfadden")
     likelihood = mle._SimulatedLikelihood(
-        view, halton_normal_draws(view.n_individuals, R, K), True)
+        view, halton_normal_draws(view.n_individuals, R, K),
+        ds.attribute_tensor())
     with mock.patch.object(mle._SimulatedLikelihood, "expansion_numerator",
                            spy):
         likelihood.loglik(pack_theta(mu, L))
@@ -368,8 +369,8 @@ def test_msl_is_deterministic():
 def _panel_objective(ds, sets, corrections, exact, z, theta):
     """fit_mmnl_msl's objective and score at theta on draws z (N, R, K)."""
     view = mle.ChoiceArrays.panel(ds, sets, corrections)
-    return mle._SimulatedLikelihood(view, z, exact and sets is not None
-                                    ).value_and_score(theta)
+    X = ds.attribute_tensor() if exact and sets is not None else None
+    return mle._SimulatedLikelihood(view, z, X).value_and_score(theta)
 
 
 def test_exact_msl_fit_maximizes_the_exact_factor_objective():
@@ -558,8 +559,9 @@ def _work_likelihood(seed, K, exact, sets_kind, J=4):
     ds = _random_panel(rng, 3, 2, J, K)
     view = mle.ChoiceArrays.panel(ds, _panel_sets(ds, sets_kind, rng, seed),
                                   "mcfadden")
-    lik = mle._SimulatedLikelihood(view, rng.normal(size=(3, 4, K)),
-                                   exact and sets_kind != "full")
+    lik = mle._SimulatedLikelihood(
+        view, rng.normal(size=(3, 4, K)),
+        ds.attribute_tensor() if exact and sets_kind != "full" else None)
     return lik, [_random_theta(rng, K) for _ in range(3)]
 
 
@@ -618,7 +620,9 @@ def test_chosen_log_probs_equal_the_gathered_log_softmax(seed, K, n_ind, T, J,
     ds = _random_panel(rng, n_ind, T, J, K)
     view = mle.ChoiceArrays.panel(ds, _panel_sets(ds, sets_kind, rng, seed),
                                   corrections)
-    assert view.any_pad == (sets_kind == "ragged" and ds.n_obs > 1)
+    padded = (view.member_term is not None
+              and bool(np.isneginf(view.member_term).any()))
+    assert padded == (sets_kind == "ragged" and ds.n_obs > 1)
 
     def gathered(beta_rows):
         lp = view.log_probs(beta_rows)

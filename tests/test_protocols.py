@@ -1,5 +1,6 @@
 """Exactness of the set-drawing protocols and their enumerations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +12,11 @@ import draw_reference
 from draw_reference import position_of
 from enumeration_reference import reference_sets
 from soa_lab import (CapacityError, InvalidInputError, InvalidStateError,
-                     Protocol, SampledSet,
+                     Protocol, SampledSet, SetTable,
                      correction_vector, derive_stream, draw_sampled_set,
                      draw_set_table, enumerate_feasible_sets, enumerate_sets,
-                     seeded_streams)
-from soa_lab.protocols import feasible_pair_count
+                     read_sets_csv, seeded_streams, write_sets_csv)
+from soa_lab.protocols import centred_corrections, feasible_pair_count
 
 
 def importance_protocol(J, seed=1):
@@ -386,3 +387,37 @@ def test_correction_vector_modes():
         correction_vector(ragged.log_cond_prob, "uniform_constant")
     with pytest.raises(InvalidInputError):
         correction_vector(lcp, "bonferroni")
+
+
+def test_padding_is_neginf_in_every_table_and_member_term(tmp_path):
+    """Every table the package builds (uniform and importance draws, both
+    enumerations, a sets file read back, and slices of each) encodes
+    padding only as -inf: ``pad`` is a read-only view equal to
+    isneginf(log_cond_prob), and each mode's member term is -inf exactly on
+    padding and 0 at each row's largest entry."""
+    assert [f.name for f in dataclasses.fields(SetTable)] == [
+        "member_ids", "log_cond_prob"]
+    J = 6
+    chosen = np.random.default_rng(3).integers(0, J, size=40)
+    uniform, importance = Protocol("uniform_wor", m=3), importance_protocol(J)
+    tables = {"uniform draws": draw_set_table(uniform, chosen, J, 4),
+              "importance draws": draw_set_table(importance, chosen, J, 4)}
+    for name, protocol in (("uniform", uniform), ("importance", importance)):
+        tables[f"{name} feasible"] = enumerate_feasible_sets(protocol, J)
+        tables[f"{name} sets of 2"] = enumerate_sets(protocol, J, 2)
+    path = tmp_path / "sets.csv"
+    write_sets_csv(path, tables["importance draws"], {})
+    tables["read back"] = read_sets_csv(path, chosen, J)[0]
+    for name, table in list(tables.items()):
+        tables[f"{name}, sliced"] = table[1::2]
+        tables[f"{name}, indexed"] = table[np.array([2, 0, 2])]
+    assert tables["importance draws"].pad.any()
+    for name, table in tables.items():
+        lcp = table.log_cond_prob
+        assert np.array_equal(table.pad, np.isneginf(lcp)), name
+        assert not table.pad.flags.writeable, name
+        uniform_rows = name.startswith("uniform")
+        for mode in ("mcfadden", "none") + ("uniform_constant",) * uniform_rows:
+            term = centred_corrections(table, mode)
+            assert np.array_equal(np.isneginf(term), table.pad), (name, mode)
+            assert np.all(np.max(term, axis=1) == 0.0), (name, mode)
